@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from typing import IO, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .synthesis import (
     endpoint,
     synthesize,
 )
+from .tables import write_table, write_text
 
 __all__ = ["main", "entrypoint", "build_parser", "R_SWEEP"]
 
@@ -94,9 +95,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--length", type=float, help="arc length for --constant/--linear/--quadratic")
         sp.add_argument("--profile", help="profile JSON document given inline or as a file path")
 
-    def add_output_options(sp):
+    def add_output_options(sp, prefix):
         sp.add_argument("--out", help=f"output directory (default ${OUT_ENV_VAR} or '.')")
-        sp.add_argument("--prefix", help="basename for output files")
+        if prefix:
+            sp.add_argument("--prefix", help="basename for output files")
         sp.add_argument(
             "--formats",
             default="csv,svg",
@@ -108,48 +110,39 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--max-subdivisions", type=int, default=40, help="adaptive recursion cap")
         sp.add_argument("--samples", type=int, default=256, help="output samples per curve")
 
-    p_synth = sub.add_parser("synth", help="synthesize a curve from a curvature profile")
-    add_profile_options(p_synth)
-    add_output_options(p_synth)
-    add_quadrature_options(p_synth)
+    def add_command(name, help_text, profile=True, quadrature=True):
+        # Commands that take a profile name their files by --prefix; the
+        # gallery's names are fixed.
+        sp = sub.add_parser(name, help=help_text)
+        if profile:
+            add_profile_options(sp)
+        add_output_options(sp, prefix=profile)
+        if quadrature:
+            add_quadrature_options(sp)
+        return sp
+
+    p_synth = add_command("synth", "synthesize a curve from a curvature profile")
     p_synth.add_argument("--pose", default="0,0,0", help="start state as x0,y0,theta0")
-
-    p_lcg = sub.add_parser("lcg", help="logarithmic curvature graph of a profile")
-    add_profile_options(p_lcg)
-    add_output_options(p_lcg)
-    add_quadrature_options(p_lcg)
-
-    p_grad = sub.add_parser("gradient", help="LCG gradient trace and fitted line")
-    add_profile_options(p_grad)
-    add_output_options(p_grad)
-    add_quadrature_options(p_grad)
+    add_command("lcg", "logarithmic curvature graph of a profile")
+    p_grad = add_command("gradient", "LCG gradient trace and fitted line")
     p_grad.add_argument(
         "--sampled",
         action="store_true",
         help="estimate from a synthesized sample grid instead of closed form",
     )
-
-    p_cls = sub.add_parser("classify", help="degenerate subfamily and aesthetic class")
-    add_profile_options(p_cls)
-    add_output_options(p_cls)
-
-    p_lddc = sub.add_parser("lddc", help="radius-of-curvature histogram of a synthesized curve")
-    add_profile_options(p_lddc)
-    add_output_options(p_lddc)
-    add_quadrature_options(p_lddc)
+    add_command("classify", "degenerate subfamily and aesthetic class", quadrature=False)
+    p_lddc = add_command("lddc", "radius-of-curvature histogram of a synthesized curve")
     p_lddc.add_argument("--bins", type=int, default=16, help="number of histogram bins")
     p_lddc.add_argument(
         "--compare",
         action="store_true",
         help="also compare against the analytic radius-inversion prediction",
     )
-
-    p_fig = sub.add_parser(
+    add_command(
         "figures",
-        help="emit the standard gallery: demo curve plus profile/curve/LCG/gradient sweeps over r",
+        "emit the standard gallery: demo curve plus profile/curve/LCG/gradient sweeps over r",
+        profile=False,
     )
-    add_output_options(p_fig)
-    add_quadrature_options(p_fig)
     return parser
 
 
@@ -216,71 +209,53 @@ def _config_from_args(args) -> QuadratureConfig:
     return QuadratureConfig(args.abs_tol, args.max_subdivisions, args.samples)
 
 
-def _formats_from_args(args) -> set[str]:
-    formats = {f.strip() for f in args.formats.split(",") if f.strip()}
-    bad = formats - set(VALID_FORMATS)
-    if bad or not formats:
-        raise DomainError(
-            f"--formats must be a nonempty subset of {','.join(VALID_FORMATS)}, got {args.formats!r}"
+class _Artifacts:
+    """The files one command writes: --out, --formats and the JSON summary.
+
+    `base` names the JSON file (`<base>.json`); `files` lists every path
+    written so far.
+    """
+
+    def __init__(self, args, base: str):
+        self.formats = {f.strip() for f in args.formats.split(",") if f.strip()}
+        if not self.formats or not self.formats <= set(VALID_FORMATS):
+            raise DomainError(
+                f"--formats must be a nonempty subset of {','.join(VALID_FORMATS)}, "
+                f"got {args.formats!r}"
+            )
+        self.out = args.out or os.environ.get(OUT_ENV_VAR) or "."
+        self.base = base
+        self.files: list[str] = []
+
+    def write(self, fmt: str, name: str, writer: Callable[[str], None]) -> None:
+        """Call writer(path) for out/name if `fmt` is wanted; --out is made on first use."""
+        if fmt not in self.formats:
+            return
+        os.makedirs(self.out, exist_ok=True)
+        path = os.path.join(self.out, name)
+        writer(path)
+        self.files.append(path)
+
+    def emit(self, summary: dict, json_doc: Optional[dict] = None) -> None:
+        """Write `json_doc` as <base>.json if wanted, then print the summary line.
+
+        The default document is the summary listing the files written before
+        it. The printed summary lists every file written, when there is one.
+        """
+        if json_doc is None:
+            json_doc = dict(summary, files=sorted(self.files))
+        self.write(
+            "json",
+            f"{self.base}.json",
+            lambda path: write_text(path, json.dumps(json_doc, sort_keys=True, indent=2) + "\n"),
         )
-    return formats
+        if self.files:
+            summary = dict(summary, files=sorted(self.files))
+        print(json.dumps(summary, sort_keys=True))
 
 
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get(OUT_ENV_VAR) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _emit(summary: dict) -> None:
-    print(json.dumps(summary, sort_keys=True))
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-# -- profile-trace CSV (s,kappa) -----------------------------------------
-
-_TRACE_HEADER = "s,kappa"
-
-
-def profile_trace_to_csv(
-    s_values: Sequence[float], kappa_values: Sequence[float], target: Union[str, IO[str]]
-) -> None:
-    rows = [_TRACE_HEADER]
-    for s_val, k_val in zip(s_values, kappa_values):
-        rows.append(f"{s_val:.17g},{k_val:.17g}")
-    text = "\n".join(rows) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def profile_trace_from_csv(source: Union[str, IO[str]]) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _TRACE_HEADER:
-        raise DomainError(f"profile trace CSV must start with header '{_TRACE_HEADER}'")
-    s_vals: list[float] = []
-    k_vals: list[float] = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise DomainError(f"profile trace row has {len(parts)} fields, expected 2: {ln!r}")
-        try:
-            s_vals.append(float(parts[0]))
-            k_vals.append(float(parts[1]))
-        except ValueError:
-            raise DomainError(f"profile trace row is not numeric: {ln!r}") from None
-    return np.asarray(s_vals), np.asarray(k_vals)
+def _svg_writer(polylines, **options) -> Callable[[str], None]:
+    return lambda path: write_text(path, polyline_svg(polylines, **options))
 
 
 # -- commands ------------------------------------------------------------
@@ -289,35 +264,13 @@ def cmd_synth(args) -> int:
     profile = profile_from_args(args)
     pose = _pose_from_args(args)
     config = _config_from_args(args)
-    formats = _formats_from_args(args)
-    out = _out_dir(args)
-    base = args.prefix or "curve"
+    out = _Artifacts(args, args.prefix or "curve")
 
     curve = synthesize(profile, pose, config)
-    files: list[str] = []
-    if "csv" in formats:
-        path = os.path.join(out, f"{base}.csv")
-        curve_to_csv(curve, path)
-        files.append(path)
-    if "svg" in formats:
-        path = os.path.join(out, f"{base}.svg")
-        curve_to_svg(curve, path, title=base)
-        files.append(path)
-    summary = {
-        "endpoint": {
-            "x": float(curve.x[-1]),
-            "y": float(curve.y[-1]),
-            "theta": float(curve.theta[-1]),
-        },
-        "arc_length": curve.total_length,
-        "samples": len(curve),
-        "files": sorted(files),
-    }
-    if "json" in formats:
-        path = os.path.join(out, f"{base}.json")
-        _write_json(path, summary)
-        summary["files"] = sorted(files + [path])
-    _emit(summary)
+    out.write("csv", f"{out.base}.csv", lambda path: curve_to_csv(curve, path))
+    out.write("svg", f"{out.base}.svg", lambda path: curve_to_svg(curve, path, title=out.base))
+    end = {"x": float(curve.x[-1]), "y": float(curve.y[-1]), "theta": float(curve.theta[-1])}
+    out.emit({"endpoint": end, "arc_length": curve.total_length, "samples": len(curve)})
     return 0
 
 
@@ -335,9 +288,7 @@ def _generic_rho_handles(profile: CurvatureProfile):
 def cmd_lcg(args) -> int:
     profile = profile_from_args(args)
     config = _config_from_args(args)
-    formats = _formats_from_args(args)
-    out = _out_dir(args)
-    base = args.prefix or "lcg"
+    out = _Artifacts(args, args.prefix or "lcg")
 
     grid = np.linspace(0.0, profile.arc_length, config.samples_per_curve)
     gcs = to_gcs(profile)
@@ -349,36 +300,18 @@ def cmd_lcg(args) -> int:
     if not points:
         raise DegenerateDataError("the LCG is undefined at every grid value for this profile")
 
-    files: list[str] = []
-    if "csv" in formats:
-        path = os.path.join(out, f"{base}.csv")
-        lcg_points_to_csv(points, path)
-        files.append(path)
-    if "svg" in formats:
-        path = os.path.join(out, f"{base}.svg")
-        coords = [(p.log_rho, p.log_freq) for p in points]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(polyline_svg([coords], title=base))
-        files.append(path)
-    summary = {
-        "points": len(points),
-        "skipped": [{"t": sp.t, "reason": sp.reason} for sp in skipped],
-        "files": sorted(files),
-    }
-    if "json" in formats:
-        path = os.path.join(out, f"{base}.json")
-        _write_json(path, summary)
-        summary["files"] = sorted(files + [path])
-    _emit(summary)
+    coords = [(p.log_rho, p.log_freq) for p in points]
+    out.write("csv", f"{out.base}.csv", lambda path: lcg_points_to_csv(points, path))
+    out.write("svg", f"{out.base}.svg", _svg_writer([coords], title=out.base))
+    skipped_doc = [{"t": sp.t, "reason": sp.reason} for sp in skipped]
+    out.emit({"points": len(points), "skipped": skipped_doc})
     return 0
 
 
 def cmd_gradient(args) -> int:
     profile = profile_from_args(args)
     config = _config_from_args(args)
-    formats = _formats_from_args(args)
-    out = _out_dir(args)
-    base = args.prefix or "gradient"
+    out = _Artifacts(args, args.prefix or "gradient")
 
     if args.sampled:
         curve = synthesize(profile, Pose(), config)
@@ -398,28 +331,16 @@ def cmd_gradient(args) -> int:
         trace = [(float(t), gradient_gcs(gcs, float(t))) for t in grid]
         aesthetic = classify_aesthetic(line, residual, tol_fit=1e-6)
 
-    files: list[str] = []
-    if "csv" in formats:
-        path = os.path.join(out, f"{base}.csv")
-        gradient_to_csv(trace, path)
-        files.append(path)
-    if "svg" in formats:
-        path = os.path.join(out, f"{base}.svg")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(polyline_svg([trace], title=base))
-        files.append(path)
+    out.write("csv", f"{out.base}.csv", lambda path: gradient_to_csv(trace, path))
+    out.write("svg", f"{out.base}.svg", _svg_writer([trace], title=out.base))
     line_doc = lcg_line_to_json_dict(line, aesthetic)
-    if "json" in formats:
-        path = os.path.join(out, f"{base}.json")
-        _write_json(path, line_doc)
-        files.append(path)
-    _emit({"line": line_doc, "files": sorted(files)})
+    out.emit({"line": line_doc}, json_doc=line_doc)
     return 0
 
 
 def cmd_classify(args) -> int:
     profile = profile_from_args(args)
-    formats = _formats_from_args(args)
+    out = _Artifacts(args, args.prefix or "classify")
     gcs = to_gcs(profile)
     if gcs is None:
         raise DomainError(
@@ -444,34 +365,19 @@ def cmd_classify(args) -> int:
             "class": "lcg_undefined",
             "reason": str(exc),
         }
-    if "json" in formats:
-        out = _out_dir(args)
-        base = args.prefix or "classify"
-        path = os.path.join(out, f"{base}.json")
-        _write_json(path, verdict)
-        verdict = dict(verdict, files=[path])
-    _emit(verdict)
+    out.emit(verdict, json_doc=verdict)
     return 0
 
 
 def cmd_lddc(args) -> int:
     profile = profile_from_args(args)
     config = _config_from_args(args)
-    formats = _formats_from_args(args)
-    out = _out_dir(args)
-    base = args.prefix or "lddc"
+    out = _Artifacts(args, args.prefix or "lddc")
 
     curve = synthesize(profile, Pose(), config)
     histogram = lddc_histogram(curve, args.bins)
-    files: list[str] = []
-    if "csv" in formats:
-        path = os.path.join(out, f"{base}.csv")
-        lddc_to_csv(histogram, path)
-        files.append(path)
-    if "svg" in formats:
-        path = os.path.join(out, f"{base}.svg")
-        lddc_to_svg(histogram, path)
-        files.append(path)
+    out.write("csv", f"{out.base}.csv", lambda path: lddc_to_csv(histogram, path))
+    out.write("svg", f"{out.base}.svg", lambda path: lddc_to_svg(histogram, path))
     summary = {
         "bins": histogram.num_bins,
         "total_length": histogram.total_length,
@@ -482,39 +388,29 @@ def cmd_lddc(args) -> int:
         if gcs is None:
             raise DomainError("--compare needs a rational-linear profile")
         comparison = lddc_vs_lcg(histogram, gradient_line(gcs), gcs)
-        if "csv" in formats:
-            path = os.path.join(out, f"{base}_compare.csv")
-            comparison_to_csv(comparison, path)
-            files.append(path)
+        out.write(
+            "csv", f"{out.base}_compare.csv", lambda path: comparison_to_csv(comparison, path)
+        )
         summary["max_abs_deviation"] = comparison.max_abs_deviation
-    summary["files"] = sorted(files)
-    if "json" in formats:
-        path = os.path.join(out, f"{base}.json")
-        _write_json(path, summary)
-        summary["files"] = sorted(files + [path])
-    _emit(summary)
+    out.emit(summary)
     return 0
 
 
 def cmd_figures(args) -> int:
     config = _config_from_args(args)
-    formats = _formats_from_args(args)
-    out = _out_dir(args)
-    files: list[str] = []
-    svg_wanted = "svg" in formats
+    out = _Artifacts(args, "figures")
 
     def tag(r: float) -> str:
         return f"{r:g}"
 
     demo = LinearProfile(0.0, 2.0, 1.0)
     demo_curve = synthesize(demo, Pose(), config)
-    path = os.path.join(out, "fig1_curve.csv")
-    curve_to_csv(demo_curve, path)
-    files.append(path)
-    if svg_wanted:
-        path = os.path.join(out, "fig1.svg")
-        curve_to_svg(demo_curve, path, title="linear curvature demo curve")
-        files.append(path)
+    out.write("csv", "fig1_curve.csv", lambda path: curve_to_csv(demo_curve, path))
+    out.write(
+        "svg",
+        "fig1.svg",
+        lambda path: curve_to_svg(demo_curve, path, title="linear curvature demo curve"),
+    )
 
     profile_lines = []
     curve_lines = []
@@ -525,49 +421,40 @@ def cmd_figures(args) -> int:
         profile = GcsProfile(0.0, 2.0, math.pi, r)
         grid = np.linspace(0.0, profile.arc_length, config.samples_per_curve)
 
-        kappas = [profile.kappa(float(t)) for t in grid]
-        path = os.path.join(out, f"fig2_profile_r{tag(r)}.csv")
-        profile_trace_to_csv(grid.tolist(), kappas, path)
-        files.append(path)
-        profile_lines.append(list(zip(grid.tolist(), kappas)))
+        kappa_trace = [(t, profile.kappa(t)) for t in grid.tolist()]
+        out.write(
+            "csv",
+            f"fig2_profile_r{tag(r)}.csv",
+            lambda path: write_table(path, "s,kappa", kappa_trace),
+        )
+        profile_lines.append(kappa_trace)
 
         try:
             curve = synthesize(profile, Pose(), config)
         except QuadratureError as exc:
             raise QuadratureError(f"curve synthesis failed at r={tag(r)}: {exc}") from None
-        path = os.path.join(out, f"fig3_curve_r{tag(r)}.csv")
-        curve_to_csv(curve, path)
-        files.append(path)
+        out.write("csv", f"fig3_curve_r{tag(r)}.csv", lambda path: curve_to_csv(curve, path))
         curve_lines.append(list(zip(curve.x.tolist(), curve.y.tolist())))
 
         points, _skipped = lcg_gcs_points(profile, grid)
-        path = os.path.join(out, f"fig4_lcg_r{tag(r)}.csv")
-        lcg_points_to_csv(points, path)
-        files.append(path)
+        out.write("csv", f"fig4_lcg_r{tag(r)}.csv", lambda path: lcg_points_to_csv(points, path))
         lcg_lines.append([(p.log_rho, p.log_freq) for p in points])
 
         trace = [(float(t), gradient_gcs(profile, float(t))) for t in grid]
-        path = os.path.join(out, f"fig5_gradient_r{tag(r)}.csv")
-        gradient_to_csv(trace, path)
-        files.append(path)
+        out.write("csv", f"fig5_gradient_r{tag(r)}.csv", lambda path: gradient_to_csv(trace, path))
         gradient_lines.append(trace)
 
-    if svg_wanted:
-        for name, lines, title in (
-            ("fig2.svg", profile_lines, "curvature profiles over the r sweep"),
-            ("fig3.svg", curve_lines, "curve traces over the r sweep"),
-            ("fig4.svg", lcg_lines, "logarithmic curvature graphs over the r sweep"),
-            ("fig5.svg", gradient_lines, "LCG gradients over the r sweep"),
-        ):
-            path = os.path.join(out, name)
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(polyline_svg(lines, labels=labels, title=title))
-            files.append(path)
+    for name, lines, title in (
+        ("fig2.svg", profile_lines, "curvature profiles over the r sweep"),
+        ("fig3.svg", curve_lines, "curve traces over the r sweep"),
+        ("fig4.svg", lcg_lines, "logarithmic curvature graphs over the r sweep"),
+        ("fig5.svg", gradient_lines, "LCG gradients over the r sweep"),
+    ):
+        out.write("svg", name, _svg_writer(lines, labels=labels, title=title))
 
-    _emit(
+    out.emit(
         {
-            "csv_count": sum(1 for f in files if f.endswith(".csv")),
-            "files": sorted(files),
+            "csv_count": sum(1 for f in out.files if f.endswith(".csv")),
             "r_values": list(R_SWEEP),
         }
     )
@@ -633,7 +520,10 @@ _DISPATCH = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code  # 2 for a usage error, 0 after --help
     try:
         if args.seed_check:
             return run_seed_check()
@@ -661,3 +551,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

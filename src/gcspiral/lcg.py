@@ -15,7 +15,6 @@ class. Natural logarithms are used throughout this module.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, IO, Optional, Sequence, Union
@@ -28,8 +27,9 @@ from .errors import (
     SingularPointError,
     SingularProfileError,
 )
-from .profiles import GcsProfile, coefficient_scale
+from .profiles import GcsProfile, _clamp_s, coefficient_scale
 from .synthesis import PlanarCurve
+from .tables import write_table
 
 __all__ = [
     "LcgPoint",
@@ -50,7 +50,6 @@ __all__ = [
     "lcg_points_to_csv",
     "gradient_to_csv",
     "lcg_line_to_json_dict",
-    "lcg_line_to_json",
 ]
 
 # Candidate parameter values whose curvature magnitude falls below
@@ -238,11 +237,8 @@ def lcg_gcs_closed_form(
     quotient, |(r*t+S)*(n1*t+n0) / (S*(1+r)*(kappa0-kappa1))|.
     """
     _require_noncircular(profile, tol)
-    t = float(t)
     S = profile.arc_length
-    if not (math.isfinite(t) and -1e-12 * max(1.0, S) <= t <= S * (1.0 + 1e-12) + 1e-12):
-        raise DomainError(f"parameter t={t!r} outside [0, {S}]")
-    t = min(max(t, 0.0), S)
+    t = _clamp_s(t, S)
     nu = profile.n1 * t + profile.n0
     den = profile.r * t + S
     if abs(nu / den) < tol * coefficient_scale(profile):
@@ -277,11 +273,8 @@ def gradient_gcs(profile: GcsProfile, t: float, tol: float = NEAR_INFLECTION_REL
     inflections.
     """
     _require_noncircular(profile, tol)
-    t = float(t)
     S = profile.arc_length
-    if not (math.isfinite(t) and -1e-12 * max(1.0, S) <= t <= S * (1.0 + 1e-12) + 1e-12):
-        raise DomainError(f"parameter t={t!r} outside [0, {S}]")
-    t = min(max(t, 0.0), S)
+    t = _clamp_s(t, S)
     c = S * (1.0 + profile.r) * (profile.kappa0 - profile.kappa1)
     return 1.0 + 2.0 * profile.n1 * (profile.r * t + S) / c
 
@@ -402,28 +395,14 @@ def gradient_from_samples(
 
 # -- serialization -------------------------------------------------------
 
-def _write_text(target: Union[str, IO[str]], text: str) -> None:
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
 def lcg_points_to_csv(points: Sequence[LcgPoint], target: Union[str, IO[str]]) -> None:
-    rows = ["t,log_rho,log_freq"]
-    for p in points:
-        rows.append(f"{p.t:.17g},{p.log_rho:.17g},{p.log_freq:.17g}")
-    _write_text(target, "\n".join(rows) + "\n")
+    write_table(target, "t,log_rho,log_freq", ((p.t, p.log_rho, p.log_freq) for p in points))
 
 
 def gradient_to_csv(
     samples: Sequence[tuple[float, float]], target: Union[str, IO[str]]
 ) -> None:
-    rows = ["s,gradient"]
-    for s_val, g_val in samples:
-        rows.append(f"{s_val:.17g},{g_val:.17g}")
-    _write_text(target, "\n".join(rows) + "\n")
+    write_table(target, "s,gradient", samples)
 
 
 def lcg_line_to_json_dict(line: LcgLine, aesthetic: AestheticClass) -> dict:
@@ -434,7 +413,3 @@ def lcg_line_to_json_dict(line: LcgLine, aesthetic: AestheticClass) -> dict:
         "residual": line.residual,
         "class": aesthetic.value,
     }
-
-
-def lcg_line_to_json(line: LcgLine, aesthetic: AestheticClass) -> str:
-    return json.dumps(lcg_line_to_json_dict(line, aesthetic))

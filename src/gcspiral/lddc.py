@@ -21,6 +21,7 @@ from .lcg import NEAR_INFLECTION_REL_TOL, LcgLine
 from .profiles import GcsProfile, coefficient_scale, inflection
 from .svg import bar_chart_svg
 from .synthesis import PlanarCurve
+from .tables import read_table, write_table, write_text
 
 __all__ = [
     "LddcHistogram",
@@ -231,22 +232,9 @@ def lddc_vs_lcg(
 _LDDC_HEADER = "bin_lo_log10rho,bin_hi_log10rho,length"
 
 
-def _write_text(target: Union[str, IO[str]], text: str) -> None:
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
 def lddc_to_csv(histogram: LddcHistogram, target: Union[str, IO[str]]) -> None:
-    rows = [_LDDC_HEADER]
-    for i in range(histogram.num_bins):
-        rows.append(
-            f"{histogram.bin_edges[i]:.17g},{histogram.bin_edges[i + 1]:.17g},"
-            f"{histogram.lengths[i]:.17g}"
-        )
-    _write_text(target, "\n".join(rows) + "\n")
+    edges = histogram.bin_edges.tolist()
+    write_table(target, _LDDC_HEADER, zip(edges[:-1], edges[1:], histogram.lengths.tolist()))
 
 
 def lddc_from_csv(source: Union[str, IO[str]]) -> LddcHistogram:
@@ -255,57 +243,26 @@ def lddc_from_csv(source: Union[str, IO[str]]) -> LddcHistogram:
     The CSV does not carry the excluded length, so the rebuilt total equals
     the sum of the stored bins.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _LDDC_HEADER:
-        raise DomainError(f"LDDC CSV must start with header '{_LDDC_HEADER}'")
-    lo_edges: list[float] = []
-    hi_edges: list[float] = []
-    lengths: list[float] = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise DomainError(f"LDDC CSV row has {len(parts)} fields, expected 3: {ln!r}")
-        try:
-            lo, hi, length = (float(p) for p in parts)
-        except ValueError:
-            raise DomainError(f"LDDC CSV row is not numeric: {ln!r}") from None
-        lo_edges.append(lo)
-        hi_edges.append(hi)
-        lengths.append(length)
-    if not lengths:
+    lo_edges, hi_edges, lengths = read_table(source, _LDDC_HEADER, "LDDC CSV").T
+    if not len(lengths):
         raise DomainError("LDDC CSV holds no bins")
-    for i in range(1, len(lo_edges)):
-        if lo_edges[i] != hi_edges[i - 1]:
-            raise DomainError("LDDC CSV bins must be contiguous")
-    edges = lo_edges + [hi_edges[-1]]
-    total = sum(lengths)
+    if np.any(lo_edges[1:] != hi_edges[:-1]):
+        raise DomainError("LDDC CSV bins must be contiguous")
+    total = sum(lengths.tolist())
     if total <= 0.0:
         raise DomainError("LDDC CSV carries no arc length")
-    return LddcHistogram(np.asarray(edges), np.asarray(lengths), total)
+    return LddcHistogram(np.append(lo_edges, hi_edges[-1]), lengths, total)
 
 
 def lddc_to_svg(histogram: LddcHistogram, target: Union[str, IO[str]]) -> None:
-    _write_text(
-        target,
-        bar_chart_svg(
-            histogram.bin_edges.tolist(),
-            histogram.lengths.tolist(),
-            x_label="log10 rho",
-            y_label="log10 length",
-        ),
-    )
+    edges, lengths = histogram.bin_edges.tolist(), histogram.lengths.tolist()
+    write_text(target, bar_chart_svg(edges, lengths, x_label="log10 rho", y_label="log10 length"))
 
 
 def comparison_to_csv(comparison: LddcComparison, target: Union[str, IO[str]]) -> None:
-    rows = ["bin_lo_log10rho,bin_hi_log10rho,measured_length,predicted_length"]
-    for i in range(len(comparison.measured)):
-        rows.append(
-            f"{comparison.bin_edges[i]:.17g},{comparison.bin_edges[i + 1]:.17g},"
-            f"{comparison.measured[i]:.17g},{comparison.predicted[i]:.17g}"
-        )
-    _write_text(target, "\n".join(rows) + "\n")
+    edges = comparison.bin_edges
+    write_table(
+        target,
+        "bin_lo_log10rho,bin_hi_log10rho,measured_length,predicted_length",
+        zip(edges[:-1], edges[1:], comparison.measured, comparison.predicted),
+    )

@@ -19,6 +19,7 @@ from .errors import DomainError
 from .profiles import CurvatureProfile, profile_to_dict
 from .quadrature import adaptive_tangent_integral, gauss_legendre_adaptive
 from .svg import polyline_svg
+from .tables import read_table, write_table, write_text
 
 __all__ = [
     "Pose",
@@ -194,53 +195,20 @@ def frames(curve: PlanarCurve) -> tuple[np.ndarray, np.ndarray]:
 _CURVE_HEADER = "s,x,y,theta,kappa"
 
 
-def _write_text(target: Union[str, IO[str]], text: str) -> None:
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
 def curve_to_csv(curve: PlanarCurve, target: Union[str, IO[str]]) -> None:
     """Write `s,x,y,theta,kappa` rows with round-trip-exact formatting."""
-    rows = [_CURVE_HEADER]
-    for i in range(len(curve)):
-        rows.append(
-            ",".join(
-                f"{v:.17g}"
-                for v in (curve.s[i], curve.x[i], curve.y[i], curve.theta[i], curve.kappa[i])
-            )
-        )
-    _write_text(target, "\n".join(rows) + "\n")
+    columns = (curve.s, curve.x, curve.y, curve.theta, curve.kappa)
+    write_table(target, _CURVE_HEADER, zip(*(c.tolist() for c in columns)))
 
 
 def curve_from_csv(source: Union[str, IO[str]]) -> PlanarCurve:
-    if hasattr(source, "read"):
-        text = source.read()
-        origin = "<stream>"
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        origin = str(source)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _CURVE_HEADER:
-        raise DomainError(f"curve CSV must start with header '{_CURVE_HEADER}'")
-    data = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise DomainError(f"curve CSV row has {len(parts)} fields, expected 5: {ln!r}")
-        try:
-            data.append([float(p) for p in parts])
-        except ValueError:
-            raise DomainError(f"curve CSV row is not numeric: {ln!r}") from None
+    origin = "<stream>" if hasattr(source, "read") else str(source)
+    data = read_table(source, _CURVE_HEADER, "curve CSV")
     if len(data) < 2:
         raise DomainError("curve CSV needs at least 2 sample rows")
-    cols = np.asarray(data, dtype=float).T
-    return PlanarCurve(cols[0], cols[1], cols[2], cols[3], cols[4], {"type": "csv", "path": origin})
+    return PlanarCurve(*data.T, {"type": "csv", "path": origin})
 
 
 def curve_to_svg(curve: PlanarCurve, target: Union[str, IO[str]], title: str = "") -> None:
     points = list(zip(curve.x.tolist(), curve.y.tolist()))
-    _write_text(target, polyline_svg([points], title=title))
+    write_text(target, polyline_svg([points], title=title))

@@ -1,0 +1,63 @@
+"""Text output and the package's one CSV table format.
+
+A table is a header line of comma-separated column names followed by one
+line per row, every value written as ``%.17g`` (so it reads back bit for
+bit), with LF line ends and a trailing newline. Targets and sources are a
+path or an open text stream.
+"""
+
+from __future__ import annotations
+
+from typing import IO, Iterable, Sequence, Union
+
+import numpy as np
+
+from .errors import DomainError
+
+__all__ = ["write_text", "write_table", "read_table"]
+
+
+def write_text(target: Union[str, IO[str]], text: str) -> None:
+    if hasattr(target, "write"):
+        target.write(text)
+    else:
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+
+def write_table(
+    target: Union[str, IO[str]], header: str, rows: Iterable[Sequence[float]]
+) -> None:
+    """Write `header`, then each row through one row template built from it."""
+    template = ",".join(["%.17g"] * len(header.split(",")))
+    lines = [header]
+    lines.extend(template % tuple(row) for row in rows)
+    write_text(target, "\n".join(lines) + "\n")
+
+
+def read_table(source: Union[str, IO[str]], header: str, what: str) -> np.ndarray:
+    """Parse a table into a (rows, columns) float array.
+
+    Checks the header, the width of every row and that every field is
+    numeric; `what` names the table in the DomainError raised otherwise.
+    Blank lines are ignored.
+    """
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != header:
+        raise DomainError(f"{what} must start with header '{header}'")
+    width = len(header.split(","))
+    data = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != width:
+            raise DomainError(f"{what} row has {len(parts)} fields, expected {width}: {ln!r}")
+        try:
+            data.append([float(p) for p in parts])
+        except ValueError:
+            raise DomainError(f"{what} row is not numeric: {ln!r}") from None
+    return np.asarray(data, dtype=float).reshape(len(data), width)

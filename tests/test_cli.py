@@ -3,10 +3,27 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import gcspiral
+from gcspiral import (
+    GcsProfile,
+    LinearProfile,
+    QuadratureConfig,
+    gradient_gcs,
+    gradient_line,
+    lcg_gcs_points,
+    lddc_histogram,
+    lddc_vs_lcg,
+    synthesize,
+)
 from gcspiral.cli import OUT_ENV_VAR, R_SWEEP, main
+from gcspiral.tables import read_table
 
 PI = repr(math.pi)
 
@@ -336,6 +353,30 @@ class TestFiguresCommand:
         svgs = sorted(p.name for p in tmp_path.glob("*.svg"))
         assert svgs == ["fig1.svg", "fig2.svg", "fig3.svg", "fig4.svg", "fig5.svg"]
 
+    def test_formats_govern_every_file(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys, "figures", "--samples", "32", "--formats", "svg", "--out", str(tmp_path / "s")
+        )
+        assert code == 0
+        assert summary_of(out)["csv_count"] == 0
+        names = sorted(p.name for p in (tmp_path / "s").iterdir())
+        assert names == ["fig1.svg", "fig2.svg", "fig3.svg", "fig4.svg", "fig5.svg"]
+
+        code, out, _ = run(
+            capsys, "figures", "--samples", "32", "--formats", "json", "--out", str(tmp_path / "j")
+        )
+        assert code == 0
+        assert [p.name for p in (tmp_path / "j").iterdir()] == ["figures.json"]
+        on_disk = json.loads((tmp_path / "j" / "figures.json").read_text())
+        assert on_disk == {"csv_count": 0, "files": [], "r_values": list(R_SWEEP)}
+        assert summary_of(out)["files"] == [str(tmp_path / "j" / "figures.json")]
+
+    def test_prefix_rejected(self, tmp_path, capsys):
+        code, _, err = run(capsys, "figures", "--prefix", "zz", "--out", str(tmp_path))
+        assert code == 2
+        assert "--prefix" in err
+        assert not any(tmp_path.iterdir())
+
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for d in (a_dir, b_dir):
@@ -356,6 +397,26 @@ class TestExitPaths:
         assert code == 3
         assert "quadrature failure" in err
 
+    def test_usage_error_is_exit_2(self, capsys):
+        # A value starting with "-" reads as an option unless given as --gcs=...
+        code, _, err = run(capsys, "classify", "--gcs", "-1,2,3,1")
+        assert code == 2
+        assert "--gcs" in err
+
+    def test_module_entry_point(self, tmp_path):
+        src = str(Path(gcspiral.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gcspiral", "classify", "--gcs", "0,2,3,1"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["class"] == "gcs"
+        assert not any(tmp_path.iterdir())
+
     def test_no_command_is_exit_2(self, capsys):
         code, _, err = run(capsys)
         assert code == 2
@@ -372,3 +433,81 @@ class TestExitPaths:
             "gradient_line_identity",
             "finite_difference_gradient",
         }
+
+
+CURVE = "s,x,y,theta,kappa"
+LCG = "t,log_rho,log_freq"
+GRADIENT = "s,gradient"
+
+
+def curve_rows(curve):
+    return np.column_stack((curve.s, curve.x, curve.y, curve.theta, curve.kappa))
+
+
+def lcg_rows(profile, grid):
+    points, _ = lcg_gcs_points(profile, grid)
+    return np.array([(p.t, p.log_rho, p.log_freq) for p in points])
+
+
+def gradient_rows(profile, grid):
+    return np.array([(t, gradient_gcs(profile, t)) for t in grid.tolist()])
+
+
+class TestWrittenTablesRoundTrip:
+    """Every CSV the CLI writes reads back bit for bit as the library's values."""
+
+    def assert_tables(self, out_dir, expected):
+        assert sorted(p.name for p in out_dir.glob("*.csv")) == sorted(expected)
+        for name, (header, rows) in expected.items():
+            read = read_table(str(out_dir / name), header, name)
+            assert read.shape == rows.shape, name
+            assert np.array_equal(read, rows), name
+
+    def test_commands(self, tmp_path, capsys):
+        profile = GcsProfile(0.5, 2.0, math.pi, 1.0)
+        gcs = "0.5,2," + PI + ",1"
+        grid = np.linspace(0.0, math.pi, 256)
+        for argv in (
+            ["synth", "--gcs", gcs],
+            ["lcg", "--gcs", gcs],
+            ["gradient", "--gcs", gcs],
+            ["lddc", "--gcs", gcs, "--compare", "--samples", "1024"],
+        ):
+            code, _, err = run(capsys, *argv, "--formats", "csv", "--out", str(tmp_path))
+            assert code == 0, err
+
+        curve = synthesize(profile, config=QuadratureConfig(samples_per_curve=1024))
+        hist = lddc_histogram(curve, 16)
+        comparison = lddc_vs_lcg(hist, gradient_line(profile), profile)
+        edges = hist.bin_edges
+        self.assert_tables(tmp_path, {
+            "curve.csv": (CURVE, curve_rows(synthesize(profile))),
+            "lcg.csv": (LCG, lcg_rows(profile, grid)),
+            "gradient.csv": (GRADIENT, gradient_rows(profile, grid)),
+            "lddc.csv": (
+                "bin_lo_log10rho,bin_hi_log10rho,length",
+                np.column_stack((edges[:-1], edges[1:], hist.lengths)),
+            ),
+            "lddc_compare.csv": (
+                "bin_lo_log10rho,bin_hi_log10rho,measured_length,predicted_length",
+                np.column_stack((edges[:-1], edges[1:], comparison.measured, comparison.predicted)),
+            ),
+        })
+
+    def test_figures(self, tmp_path, capsys):
+        n = 64
+        code, _, err = run(capsys, "figures", "--samples", str(n), "--out", str(tmp_path))
+        assert code == 0, err
+        config = QuadratureConfig(samples_per_curve=n)
+        demo = synthesize(LinearProfile(0.0, 2.0, 1.0), config=config)
+        expected = {"fig1_curve.csv": (CURVE, curve_rows(demo))}
+        for r in R_SWEEP:
+            profile = GcsProfile(0.0, 2.0, math.pi, r)
+            grid = np.linspace(0.0, math.pi, n)
+            kappas = [(t, profile.kappa(t)) for t in grid.tolist()]
+            expected[f"fig2_profile_r{r:g}.csv"] = ("s,kappa", np.array(kappas))
+            curve = synthesize(profile, config=config)
+            expected[f"fig3_curve_r{r:g}.csv"] = (CURVE, curve_rows(curve))
+            expected[f"fig4_lcg_r{r:g}.csv"] = (LCG, lcg_rows(profile, grid))
+            expected[f"fig5_gradient_r{r:g}.csv"] = (GRADIENT, gradient_rows(profile, grid))
+        self.assert_tables(tmp_path, expected)

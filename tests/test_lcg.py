@@ -31,7 +31,7 @@ from gcspiral import (
     lcg_gcs_closed_form,
     lcg_gcs_points,
     lcg_gradient_numeric,
-    lcg_line_to_json,
+    lcg_line_to_json_dict,
     lcg_numeric,
     lcg_points_to_csv,
     line_residual,
@@ -351,7 +351,7 @@ class TestSerialization:
 
     def test_line_json_shape(self):
         line = gradient_line(GcsProfile(0.0, 2.0, math.pi, 1.0))
-        payload = json.loads(lcg_line_to_json(line, AestheticClass.GCS))
+        payload = json.loads(json.dumps(lcg_line_to_json_dict(line, AestheticClass.GCS)))
         assert set(payload) == {"A", "B", "domain", "residual", "class"}
         assert payload["class"] == "gcs"
         assert payload["B"] == -1.0
