@@ -92,7 +92,7 @@ class LcgLine:
             raise DomainError(f"LCG line domain must be a nonempty interval, got {self.domain!r}")
         object.__setattr__(self, "domain", (float(lo), float(hi)))
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
         return self.slope_a * t + self.intercept_b
 
 
@@ -236,17 +236,10 @@ def lcg_gcs_closed_form(
     First coordinate: log|(r*t+S)/(n1*t+n0)|. Second: log of the rho/rho'
     quotient, |(r*t+S)*(n1*t+n0) / (S*(1+r)*(kappa0-kappa1))|.
     """
-    _require_noncircular(profile, tol)
-    S = profile.arc_length
-    t = _clamp_s(t, S)
-    nu = profile.n1 * t + profile.n0
-    den = profile.r * t + S
-    if abs(nu / den) < tol * coefficient_scale(profile):
-        raise SingularPointError(
-            f"curvature vanishes at t={t!r} (inflection); LCG point undefined"
-        )
-    c = S * (1.0 + profile.r) * (profile.kappa0 - profile.kappa1)
-    return LcgPoint(t, math.log(abs(den / nu)), math.log(abs(den * nu / c)))
+    points, skipped = lcg_gcs_points(profile, [t], tol)
+    if skipped:
+        raise SingularPointError(skipped[0].reason)
+    return points[0]
 
 
 def lcg_gcs_points(
@@ -255,18 +248,28 @@ def lcg_gcs_points(
     tol: float = NEAR_INFLECTION_REL_TOL,
 ) -> tuple[list[LcgPoint], list[SkippedPoint]]:
     """Closed-form LCG over a grid; near-inflection values become diagnostics."""
-    points: list[LcgPoint] = []
-    skipped: list[SkippedPoint] = []
-    for t in np.asarray(t_grid, dtype=float).tolist():
-        try:
-            points.append(lcg_gcs_closed_form(profile, t, tol))
-        except SingularPointError as exc:
-            skipped.append(SkippedPoint(t, str(exc)))
+    _require_noncircular(profile, tol)
+    S = profile.arc_length
+    t = _clamp_s(np.asarray(t_grid, dtype=float), S)
+    nu = profile.n1 * t + profile.n0
+    den = profile.r * t + S
+    c = S * (1.0 + profile.r) * (profile.kappa0 - profile.kappa1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kept = ~(np.abs(nu / den) < tol * coefficient_scale(profile))
+        log_rho = np.log(np.abs(den[kept] / nu[kept]))
+        log_freq = np.log(np.abs(den[kept] * nu[kept] / c))
+    points = [
+        LcgPoint(*row) for row in zip(t[kept].tolist(), log_rho.tolist(), log_freq.tolist())
+    ]
+    skipped = [
+        SkippedPoint(v, f"curvature vanishes at t={v!r} (inflection); LCG point undefined")
+        for v in t[~kept].tolist()
+    ]
     return points, skipped
 
 
-def gradient_gcs(profile: GcsProfile, t: float, tol: float = NEAR_INFLECTION_REL_TOL) -> float:
-    """Exact LCG gradient of a rational-linear profile at parameter t.
+def gradient_gcs(profile: GcsProfile, t, tol: float = NEAR_INFLECTION_REL_TOL):
+    """Exact LCG gradient of a rational-linear profile at parameter t (float or array).
 
     The rho/rho'/rho'' combination simplifies to the rational expression
     1 + 2*n1*(r*t+S) / (S*(1+r)*(kappa0-kappa1)), which stays finite through
@@ -298,10 +301,7 @@ def line_residual(profile: GcsProfile, line: LcgLine, num: int = 50) -> float:
     if num < 2:
         raise DomainError(f"num must be >= 2, got {num!r}")
     grid = np.linspace(0.0, profile.arc_length, num)
-    worst = 0.0
-    for t in grid.tolist():
-        worst = max(worst, abs(gradient_gcs(profile, t) - line(t)))
-    return worst
+    return float(np.max(np.abs(gradient_gcs(profile, grid) - line(grid))))
 
 
 def classify_aesthetic(

@@ -10,6 +10,8 @@ whose synthesized curve is the Generalized Cornu Spiral (GCS).  The shape
 factor is restricted to r > -1 so the denominator stays positive on [0, S].
 Every profile exposes kappa(s), kappa_prime(s) and theta(s) with the
 convention theta(0) = 0; the starting pose is applied by the synthesis layer.
+Each method takes a float or an ndarray of arc lengths and returns the same
+kind; array values equal the scalar calls element by element, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from typing import Union
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -54,33 +58,62 @@ def _check_arc_length(arc_length: float) -> None:
         raise DomainError(f"arc_length must be > 0, got {arc_length!r}")
 
 
-def _clamp_s(s, arc_length: float) -> float:
-    """Validate s in [0, S] (tiny roundoff slack) and clamp onto the interval."""
-    s = float(s)
+def _clamp_s(s, arc_length: float):
+    """Validate s in [0, S] (tiny roundoff slack) and clamp onto the interval.
+
+    An ndarray is checked as a whole and returned as a clamped float array;
+    anything else is taken as one number and returned as a float.
+    """
     slack = 1e-12 * max(1.0, arc_length)
+    if isinstance(s, np.ndarray):
+        s = s.astype(float)
+        bad = ~((s >= -slack) & (s <= arc_length + slack))
+        if bad.any():
+            raise DomainError(f"arc length s={float(s[bad][0])!r} outside [0, {arc_length}]")
+        return np.clip(s, 0.0, arc_length)
+    s = float(s)
     if not math.isfinite(s) or s < -slack or s > arc_length + slack:
         raise DomainError(f"arc length s={s!r} outside [0, {arc_length}]")
     return min(max(s, 0.0), arc_length)
 
 
-def _log1p_remainder(u: float) -> float:
-    """(u - log1p(u)) / u**2, continued by 1/2 at u = 0.
+def _like(s, value: float):
+    """`value`, shaped like s when s is an array."""
+    return np.full_like(s, value) if isinstance(s, np.ndarray) else value
+
+
+def _log1p_remainder(u):
+    """(u - log1p(u)) / u**2, continued by 1/2 at u = 0; float or ndarray.
 
     The direct expression cancels catastrophically for small |u|; a series
-    branch keeps full precision there.
+    branch keeps full precision there. log1p is numpy's for floats too, so
+    a float and an array element round alike.
     """
+    if isinstance(u, np.ndarray):
+        out = np.empty_like(u)
+        small = np.abs(u) < 0.25
+        out[small] = _remainder_series(u[small])
+        big = u[~small]
+        out[~small] = (1.0 - np.log1p(big) / big) / big
+        return out
     if abs(u) < 0.25:
-        total = 0.0
-        power = 1.0
-        for k in range(64):
-            term = power / (k + 2)
-            total += term
-            power *= -u
-            if abs(term) <= 1e-18 * abs(total):
-                break
-        return total
+        return _remainder_series(u)
     # Grouped to avoid overflow of u*u for very large shape factors.
-    return (1.0 - math.log1p(u) / u) / u
+    return (1.0 - float(np.log1p(u)) / u) / u
+
+
+def _remainder_series(u):
+    """sum_k (-u)**k / (k+2) for |u| < 1/4, float or ndarray.
+
+    The sum is at least 0.41 there and the 32nd term below 1e-19, under
+    half an ulp of it, so a fixed term count is fully converged.
+    """
+    total = 0.0
+    power = 1.0
+    for k in range(32):
+        total = total + power / (k + 2)
+        power = power * -u
+    return total
 
 
 @dataclass(frozen=True)
@@ -95,15 +128,13 @@ class ConstantProfile:
         object.__setattr__(self, "arc_length", _finite("arc_length", self.arc_length))
         _check_arc_length(self.arc_length)
 
-    def kappa(self, s) -> float:
-        _clamp_s(s, self.arc_length)
-        return self.kappa_value
+    def kappa(self, s):
+        return _like(_clamp_s(s, self.arc_length), self.kappa_value)
 
-    def kappa_prime(self, s) -> float:
-        _clamp_s(s, self.arc_length)
-        return 0.0
+    def kappa_prime(self, s):
+        return _like(_clamp_s(s, self.arc_length), 0.0)
 
-    def theta(self, s) -> float:
+    def theta(self, s):
         return self.kappa_value * _clamp_s(s, self.arc_length)
 
 
@@ -121,16 +152,16 @@ class LinearProfile:
         object.__setattr__(self, "arc_length", _finite("arc_length", self.arc_length))
         _check_arc_length(self.arc_length)
 
-    def kappa(self, s) -> float:
+    def kappa(self, s):
         s = _clamp_s(s, self.arc_length)
         w = s / self.arc_length
         return (1.0 - w) * self.kappa0 + w * self.kappa1
 
-    def kappa_prime(self, s) -> float:
-        _clamp_s(s, self.arc_length)
-        return (self.kappa1 - self.kappa0) / self.arc_length
+    def kappa_prime(self, s):
+        s = _clamp_s(s, self.arc_length)
+        return _like(s, (self.kappa1 - self.kappa0) / self.arc_length)
 
-    def theta(self, s) -> float:
+    def theta(self, s):
         s = _clamp_s(s, self.arc_length)
         return self.kappa0 * s + (self.kappa1 - self.kappa0) * s * s / (2.0 * self.arc_length)
 
@@ -159,15 +190,15 @@ class QuadraticProfile:
         S = self.arc_length
         return (self.kappa1 - self.kappa0 - self.a * S * S) / S
 
-    def kappa(self, s) -> float:
+    def kappa(self, s):
         s = _clamp_s(s, self.arc_length)
         return (self.a * s + self.b) * s + self.kappa0
 
-    def kappa_prime(self, s) -> float:
+    def kappa_prime(self, s):
         s = _clamp_s(s, self.arc_length)
         return 2.0 * self.a * s + self.b
 
-    def theta(self, s) -> float:
+    def theta(self, s):
         s = _clamp_s(s, self.arc_length)
         return ((self.a * s / 3.0 + self.b / 2.0) * s + self.kappa0) * s
 
@@ -203,16 +234,16 @@ class GcsProfile:
         object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "n0", n0)
 
-    def kappa(self, s) -> float:
+    def kappa(self, s):
         s = _clamp_s(s, self.arc_length)
         return (self.n1 * s + self.n0) / (self.r * s + self.arc_length)
 
-    def kappa_prime(self, s) -> float:
+    def kappa_prime(self, s):
         s = _clamp_s(s, self.arc_length)
         den = self.r * s + self.arc_length
         return (self.n1 * self.arc_length - self.n0 * self.r) / (den * den)
 
-    def theta(self, s) -> float:
+    def theta(self, s):
         # kappa0*s + (1+r)(kappa1-kappa0)*(s^2/S)*f(r*s/S) with
         # f(u) = (u - log1p(u))/u^2; equal to the log antiderivative for
         # r != 0 and free of the removable singularity at r = 0.

@@ -1,221 +1,152 @@
-"""Numerical integration kernels used by curve synthesis.
+"""The tangent-integral kernel used by curve synthesis.
 
-Two independent families are provided so results can be cross-checked:
+`tangent_integrals` integrates the unit tangent (cos(theta(t)), sin(theta(t)))
+over every gap of a grid at once. Each gap starts with the power-of-two panel
+count that keeps its phase swing |delta theta| at or below pi/2 per panel,
+because a doubling estimate under-reports on full oscillation periods. The
+error estimate compares p panels against 2p; only the gaps that miss their
+tolerance are doubled again.
 
-* adaptive Simpson with Richardson error estimation (scalar and paired
-  tangent-vector variants), and
-* composite Gauss-Legendre with panel doubling.
-
-The adaptive routines accept an optional phase function; a sub-interval is
-never accepted while the phase swings more than pi/2 across it, because the
-embedded error estimate under-reports on full oscillation periods.
+The panel rule is data, and two independent rules are provided so results
+can be cross-checked: composite Gauss-Legendre of order 16, and composite
+Simpson with the Richardson (fine - coarse)/15 correction.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Callable, Optional
+import numbers
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
 
-__all__ = [
-    "adaptive_simpson",
-    "adaptive_tangent_integral",
-    "gauss_legendre",
-    "gauss_legendre_adaptive",
-]
+__all__ = ["Rule", "GAUSS_LEGENDRE", "SIMPSON", "MAX_PANELS", "tangent_integrals"]
 
 _MAX_PHASE_SPAN = 0.5 * math.pi
 
+# Work ceiling: the panels one tangent_integrals call may evaluate. It is
+# checked before each pass, so an impossible request fails before any
+# allocation. Phase swings of 1e5 rad need about 2e5 panels per pass.
+MAX_PANELS = 2**22
 
-def _check_interval(a: float, b: float) -> None:
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
-    if b < a:
-        raise DomainError(f"integration bounds out of order: [{a!r}, {b!r}]")
-
-
-def _raise_worst(abs_tol: float, max_subdivisions: int, failures: list) -> None:
-    err, lo, hi = max(failures)
-    raise QuadratureError(
-        f"tolerance {abs_tol:g} not met after {max_subdivisions} subdivisions; "
-        f"worst sub-interval [{lo:.17g}, {hi:.17g}] with error estimate {err:.3g}"
-    )
+# Panels whose nodes are evaluated together; bounds the scratch memory.
+_BLOCK_PANELS = 256
 
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
+class Rule(NamedTuple):
+    """A panel rule on [0, 1] and how a p-panel and a 2p-panel sum combine.
+
+    A panel contributes its width times the weighted mean of the integrand
+    at the nodes, so the weights may have any scale; integer weights keep a
+    constant integrand exact. The error estimate is
+    error_factor * |fine - coarse|, and the result
+    fine + correction * (fine - coarse).
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    error_factor: float
+    correction: float
+
+
+def _gauss_legendre(order: int) -> Rule:
+    x, w = np.polynomial.legendre.leggauss(order)
+    return Rule(0.5 * (x + 1.0), w, 1.0, 0.0)
+
+
+GAUSS_LEGENDRE = _gauss_legendre(16)
+SIMPSON = Rule(np.array([0.0, 0.5, 1.0]), np.array([1.0, 4.0, 1.0]), 1.0 / 15.0, 1.0 / 15.0)
+
+
+def _panel_sums(theta, lo, width, panels, rule: Rule) -> tuple[np.ndarray, np.ndarray]:
+    """Composite sums of the rule over each gap [lo, lo + width] in `panels` panels."""
+    h = width / panels
+    weight_sum = rule.weights.sum()
+    ends = np.cumsum(panels)
+    starts = ends - panels
+    sx = np.zeros(len(lo))
+    sy = np.zeros(len(lo))
+    total = int(ends[-1])
+    for first in range(0, total, _BLOCK_PANELS):
+        ids = np.arange(first, min(first + _BLOCK_PANELS, total))
+        gap = np.searchsorted(ends, ids, side="right")
+        hg = h[gap]
+        angle = theta((lo[gap] + (ids - starts[gap]) * hg)[:, None] + hg[:, None] * rule.nodes)
+        sx += np.bincount(gap, hg * ((np.cos(angle) @ rule.weights) / weight_sum), len(lo))
+        sy += np.bincount(gap, hg * ((np.sin(angle) @ rule.weights) / weight_sum), len(lo))
+    return sx, sy
+
+
+def _count(name: str, value, least: int = 1) -> int:
+    """`value` as an int, if it is an integer (not a bool) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def tangent_integrals(
+    theta: Callable,
+    edges,
     abs_tol: float = 1e-10,
     max_subdivisions: int = 40,
-    phase: Optional[Callable[[float], float]] = None,
-) -> float:
-    """Integrate f over [a, b] to within abs_tol (absolute).
+    rule: Rule = GAUSS_LEGENDRE,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate (cos(theta(t)), sin(theta(t))) over each gap of `edges`.
 
-    Simpson halves are accepted when the Richardson estimate |S2 - S1|/15
-    falls under the local budget, which itself halves with each split.
-    Raises QuadratureError when max_subdivisions levels are exhausted,
-    reporting the worst offending sub-interval.
+    `theta` maps an array of t to an array of angles; `edges` is a
+    nondecreasing grid of finite values. Returns (dx, dy), one entry per
+    gap, each within abs_tol (absolute) by the rule's doubling estimate.
+    A gap may be halved at most max_subdivisions times, so it never has
+    more than 2**max_subdivisions panels. Raises QuadratureError naming
+    the worst gap when that budget is spent, and, before a pass is
+    evaluated, when it would take the call above MAX_PANELS panels.
     """
-    _check_interval(a, b)
-    if abs_tol <= 0.0:
-        raise DomainError(f"abs_tol must be > 0, got {abs_tol!r}")
-    if max_subdivisions < 1:
-        raise DomainError(f"max_subdivisions must be >= 1, got {max_subdivisions!r}")
-    if a == b:
-        return 0.0
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or len(edges) < 2 or not np.all(np.isfinite(edges)):
+        raise DomainError(f"integration bounds must be finite, got {edges!r}")
+    if np.any(np.diff(edges) < 0.0):
+        raise DomainError(f"integration bounds out of order: {edges!r}")
+    if not (isinstance(abs_tol, (int, float)) and 0.0 < abs_tol < math.inf):
+        raise DomainError(f"abs_tol must be finite and > 0, got {abs_tol!r}")
+    # Beyond 2**62 panels the work ceiling binds first.
+    limit = 2.0 ** min(_count("max_subdivisions", max_subdivisions), 62)
 
-    failures: list[tuple[float, float, float]] = []
+    lo = edges[:-1]
+    width = np.diff(edges)
+    need = np.maximum(np.abs(np.diff(theta(edges))) / _MAX_PHASE_SPAN, 1.0)
+    coarse = np.minimum(np.exp2(np.ceil(np.log2(need))), 0.5 * limit)
 
-    def recurse(lo, hi, flo, fmid, fhi, whole, plo, phi, tol, depth):
-        mid = 0.5 * (lo + hi)
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm = f(lm)
-        frm = f(rm)
-        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        delta = left + right - whole
-        phase_ok = phase is None or abs(phi - plo) <= _MAX_PHASE_SPAN
-        if phase_ok and abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        if depth <= 0:
-            failures.append((abs(delta) / 15.0, lo, hi))
-            return left + right + delta / 15.0
-        pmid = phase(mid) if phase is not None else 0.0
-        return recurse(lo, mid, flo, flm, fmid, left, plo, pmid, 0.5 * tol, depth - 1) + recurse(
-            mid, hi, fmid, frm, fhi, right, pmid, phi, 0.5 * tol, depth - 1
-        )
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    pa = phase(a) if phase is not None else 0.0
-    pb = phase(b) if phase is not None else 0.0
-    total = recurse(a, b, fa, fm, fb, whole, pa, pb, abs_tol, max_subdivisions)
-    if failures:
-        _raise_worst(abs_tol, max_subdivisions, failures)
-    return total
-
-
-def adaptive_tangent_integral(
-    theta: Callable[[float], float],
-    a: float,
-    b: float,
-    abs_tol: float = 1e-10,
-    max_subdivisions: int = 40,
-) -> tuple[float, float]:
-    """Integrate (cos(theta(t)), sin(theta(t))) over [a, b], each to abs_tol.
-
-    Shares tangent-angle evaluations between the two coordinates and uses
-    them directly for the phase-span safeguard.
-    """
-    _check_interval(a, b)
-    if abs_tol <= 0.0:
-        raise DomainError(f"abs_tol must be > 0, got {abs_tol!r}")
-    if max_subdivisions < 1:
-        raise DomainError(f"max_subdivisions must be >= 1, got {max_subdivisions!r}")
-    if a == b:
-        return 0.0, 0.0
-
-    failures: list[tuple[float, float, float]] = []
-
-    def node(t):
-        ang = theta(t)
-        return ang, math.cos(ang), math.sin(ang)
-
-    def simpson(lo, hi, n_lo, n_mid, n_hi):
-        w = (hi - lo) / 6.0
-        return (
-            w * (n_lo[1] + 4.0 * n_mid[1] + n_hi[1]),
-            w * (n_lo[2] + 4.0 * n_mid[2] + n_hi[2]),
-        )
-
-    def recurse(lo, hi, n_lo, n_mid, n_hi, whole, tol, depth):
-        mid = 0.5 * (lo + hi)
-        n_lm = node(0.5 * (lo + mid))
-        n_rm = node(0.5 * (mid + hi))
-        left = simpson(lo, mid, n_lo, n_lm, n_mid)
-        right = simpson(mid, hi, n_mid, n_rm, n_hi)
-        dx = left[0] + right[0] - whole[0]
-        dy = left[1] + right[1] - whole[1]
-        err = max(abs(dx), abs(dy))
-        phase_ok = abs(n_hi[0] - n_lo[0]) <= _MAX_PHASE_SPAN
-        if phase_ok and err <= 15.0 * tol:
-            return left[0] + right[0] + dx / 15.0, left[1] + right[1] + dy / 15.0
-        if depth <= 0:
-            failures.append((err / 15.0, lo, hi))
-            return left[0] + right[0] + dx / 15.0, left[1] + right[1] + dy / 15.0
-        lx, ly = recurse(lo, mid, n_lo, n_lm, n_mid, left, 0.5 * tol, depth - 1)
-        rx, ry = recurse(mid, hi, n_mid, n_rm, n_hi, right, 0.5 * tol, depth - 1)
-        return lx + rx, ly + ry
-
-    n_a, n_m, n_b = node(a), node(0.5 * (a + b)), node(b)
-    whole = simpson(a, b, n_a, n_m, n_b)
-    total = recurse(a, b, n_a, n_m, n_b, whole, abs_tol, max_subdivisions)
-    if failures:
-        _raise_worst(abs_tol, max_subdivisions, failures)
-    return total
-
-
-@lru_cache(maxsize=16)
-def _gl_nodes(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return tuple(nodes.tolist()), tuple(weights.tolist())
-
-
-def gauss_legendre(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    order: int = 16,
-    panels: int = 1,
-) -> float:
-    """Composite Gauss-Legendre rule with `panels` equal sub-intervals."""
-    _check_interval(a, b)
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order!r}")
-    if panels < 1:
-        raise DomainError(f"panels must be >= 1, got {panels!r}")
-    if a == b:
-        return 0.0
-    nodes, weights = _gl_nodes(order)
-    h = (b - a) / panels
-    total = 0.0
-    for k in range(panels):
-        lo = a + k * h
-        center = lo + 0.5 * h
-        half = 0.5 * h
-        acc = 0.0
-        for x, w in zip(nodes, weights):
-            acc += w * f(center + half * x)
-        total += half * acc
-    return total
-
-
-def gauss_legendre_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    abs_tol: float = 1e-10,
-    order: int = 16,
-    max_doublings: int = 16,
-) -> float:
-    """Double the panel count until two successive composites agree to abs_tol."""
-    if abs_tol <= 0.0:
-        raise DomainError(f"abs_tol must be > 0, got {abs_tol!r}")
-    prev = gauss_legendre(f, a, b, order, 1)
-    panels = 2
-    for _ in range(max_doublings):
-        cur = gauss_legendre(f, a, b, order, panels)
-        if abs(cur - prev) <= abs_tol:
-            return cur
-        prev = cur
-        panels *= 2
-    raise QuadratureError(
-        f"Gauss-Legendre panel doubling did not converge to {abs_tol:g} "
-        f"within {max_doublings} doublings over [{a:.17g}, {b:.17g}]"
-    )
+    dx = np.empty(len(lo))
+    dy = np.empty(len(lo))
+    todo = np.arange(len(lo))
+    work = 0.0
+    cx = cy = None
+    while True:
+        fine = 2.0 * coarse
+        work += float(np.sum(fine)) + (float(np.sum(coarse)) if cx is None else 0.0)
+        if not work <= MAX_PANELS:
+            raise QuadratureError(
+                f"integration needs {work:.0f} panels, above the ceiling of {MAX_PANELS} "
+                "panels per call; the tangent angle turns too far"
+            )
+        if cx is None:
+            cx, cy = _panel_sums(theta, lo, width, coarse.astype(np.int64), rule)
+        fx, fy = _panel_sums(theta, lo[todo], width[todo], fine.astype(np.int64), rule)
+        err = rule.error_factor * np.maximum(np.abs(fx - cx), np.abs(fy - cy))
+        dx[todo] = fx + rule.correction * (fx - cx)
+        dy[todo] = fy + rule.correction * (fy - cy)
+        failing = ~(err <= abs_tol) | (coarse < need)
+        if not failing.any():
+            return dx, dy
+        spent = failing & (2.0 * fine > limit)
+        if spent.any():
+            worst = int(np.argmax(np.where(spent, err, -1.0)))
+            raise QuadratureError(
+                f"tolerance {abs_tol:g} not met after {max_subdivisions} subdivisions; "
+                f"worst sub-interval [{lo[todo[worst]]:.17g}, {edges[todo[worst] + 1]:.17g}] "
+                f"with error estimate {err[worst]:.3g}"
+            )
+        todo, need, coarse = todo[failing], need[failing], fine[failing]
+        cx, cy = fx[failing], fy[failing]

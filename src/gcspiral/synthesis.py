@@ -2,9 +2,9 @@
 
 A planar curve is recovered from its curvature profile by integrating the
 unit tangent (cos(theta0 + theta(t)), sin(theta0 + theta(t))) in arc length.
-Samples are laid out uniformly in s; each inter-sample gap is integrated
-adaptively and accumulated, so sample i+1 always reuses the prefix up to
-sample i instead of re-integrating from zero.
+Samples are laid out uniformly in s; all inter-sample gaps are integrated
+in one batched call and accumulated, so sample i+1 always reuses the prefix
+up to sample i instead of re-integrating from zero.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .profiles import CurvatureProfile, profile_to_dict
-from .quadrature import adaptive_tangent_integral, gauss_legendre_adaptive
+from .quadrature import GAUSS_LEGENDRE, SIMPSON, _count, tangent_integrals
 from .svg import polyline_svg
 from .tables import read_table, write_table, write_text
 
@@ -35,6 +35,13 @@ __all__ = [
 ]
 
 
+_SCHEMES = {"simpson": SIMPSON, "gauss": GAUSS_LEGENDRE}
+
+
+def _finite_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class Pose:
     """Starting position and tangent direction of a synthesized curve."""
@@ -46,7 +53,7 @@ class Pose:
     def __post_init__(self):
         for name in ("x0", "y0", "theta0"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not _finite_real(v):
                 raise DomainError(f"pose field {name} must be finite, got {v!r}")
             object.__setattr__(self, name, float(v))
 
@@ -57,7 +64,8 @@ class QuadratureConfig:
 
     abs_tol bounds the absolute error of each coordinate integral over any
     prefix [0, s_i]; the per-gap budget is abs_tol / (N - 1) so accumulated
-    gap errors stay within it.
+    gap errors stay within it. A gap may be halved at most max_subdivisions
+    times, so it has at most 2**max_subdivisions panels.
     """
 
     abs_tol: float = 1e-10
@@ -65,12 +73,10 @@ class QuadratureConfig:
     samples_per_curve: int = 256
 
     def __post_init__(self):
-        if not (isinstance(self.abs_tol, (int, float)) and self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be > 0, got {self.abs_tol!r}")
-        if self.max_subdivisions < 1:
-            raise DomainError(f"max_subdivisions must be >= 1, got {self.max_subdivisions!r}")
-        if self.samples_per_curve < 2:
-            raise DomainError(f"samples_per_curve must be >= 2, got {self.samples_per_curve!r}")
+        if not (_finite_real(self.abs_tol) and self.abs_tol > 0.0):
+            raise DomainError(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
+        _count("max_subdivisions", self.max_subdivisions)
+        _count("samples_per_curve", self.samples_per_curve, least=2)
 
 
 @dataclass(frozen=True)
@@ -128,32 +134,23 @@ def synthesize(
     """Sample the curve whose curvature is `profile`, starting at `pose`.
 
     Returns N = config.samples_per_curve samples uniformly spaced in arc
-    length on [0, S]; positions accumulate adaptive integrals of the unit
-    tangent gap by gap. Raises QuadratureError if any gap cannot meet its
-    error budget.
+    length on [0, S]; positions accumulate the integrals of the unit tangent
+    over the gaps. Raises QuadratureError if any gap cannot meet its error
+    budget.
     """
     S = profile.arc_length
     n = config.samples_per_curve
     s_grid = np.linspace(0.0, S, n)
-    gap_tol = config.abs_tol / (n - 1)
 
-    def angle(t: float) -> float:
+    def angle(t):
         return pose.theta0 + profile.theta(t)
 
-    xs = np.empty(n)
-    ys = np.empty(n)
-    xs[0] = pose.x0
-    ys[0] = pose.y0
-    for i in range(n - 1):
-        dx, dy = adaptive_tangent_integral(
-            angle, float(s_grid[i]), float(s_grid[i + 1]), gap_tol, config.max_subdivisions
-        )
-        xs[i + 1] = xs[i] + dx
-        ys[i + 1] = ys[i] + dy
-
-    thetas = np.fromiter((angle(float(t)) for t in s_grid), dtype=float, count=n)
-    kappas = np.fromiter((profile.kappa(float(t)) for t in s_grid), dtype=float, count=n)
-    return PlanarCurve(s_grid, xs, ys, thetas, kappas, profile_to_dict(profile))
+    dx, dy = tangent_integrals(angle, s_grid, config.abs_tol / (n - 1), config.max_subdivisions)
+    xs = np.cumsum(np.concatenate(([pose.x0], dx)))
+    ys = np.cumsum(np.concatenate(([pose.y0], dy)))
+    return PlanarCurve(
+        s_grid, xs, ys, angle(s_grid), profile.kappa(s_grid), profile_to_dict(profile)
+    )
 
 
 def endpoint(
@@ -164,23 +161,22 @@ def endpoint(
 ) -> EndState:
     """Final state at s = S via a single whole-interval integration.
 
-    scheme selects the integration family: "simpson" (adaptive Simpson) or
-    "gauss" (panel-doubling composite Gauss-Legendre). The two are
-    independent implementations and serve as mutual cross-checks.
+    scheme selects the panel rule: "simpson" (composite Simpson with the
+    Richardson correction) or "gauss" (composite Gauss-Legendre). The two
+    are independent rules and serve as mutual cross-checks.
     """
+    rule = _SCHEMES.get(scheme)
+    if rule is None:
+        raise DomainError(f"unknown quadrature scheme {scheme!r}")
     S = profile.arc_length
 
-    def angle(t: float) -> float:
+    def angle(t):
         return pose.theta0 + profile.theta(t)
 
-    if scheme == "simpson":
-        dx, dy = adaptive_tangent_integral(angle, 0.0, S, config.abs_tol, config.max_subdivisions)
-    elif scheme == "gauss":
-        dx = gauss_legendre_adaptive(lambda t: math.cos(angle(t)), 0.0, S, config.abs_tol)
-        dy = gauss_legendre_adaptive(lambda t: math.sin(angle(t)), 0.0, S, config.abs_tol)
-    else:
-        raise DomainError(f"unknown quadrature scheme {scheme!r}")
-    return EndState(pose.x0 + dx, pose.y0 + dy, angle(S))
+    (dx,), (dy,) = tangent_integrals(
+        angle, (0.0, S), config.abs_tol, config.max_subdivisions, rule
+    )
+    return EndState(pose.x0 + float(dx), pose.y0 + float(dy), angle(S))
 
 
 def frames(curve: PlanarCurve) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,16 @@ class TestExitPaths:
         )
         assert code == 3
         assert "quadrature failure" in err
+
+    def test_work_ceiling_is_exit_3(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "synth", "--constant", "1e9", "--length", "1", "--out", str(tmp_path)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "above the ceiling" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_usage_error_is_exit_2(self, capsys):
         # A value starting with "-" reads as an option unless given as --gcs=...

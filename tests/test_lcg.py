@@ -104,6 +104,20 @@ class TestClosedForm:
             assert cf.log_rho == pytest.approx(np_point.log_rho, abs=1e-12)
             assert cf.log_freq == pytest.approx(np_point.log_freq, abs=1e-12)
 
+    def test_grid_matches_per_point_closed_form(self):
+        # kappa = (t - 1) exactly, so the grid hits the inflection at t = 1.
+        p = GcsProfile(-1.0, 1.0, 2.0, 0.0)
+        points, skipped = lcg_gcs_points(p, np.linspace(0.0, 2.0, 9))
+        expect_points, expect_reasons = [], []
+        for t in np.linspace(0.0, 2.0, 9).tolist():
+            try:
+                expect_points.append(lcg_gcs_closed_form(p, t))
+            except SingularPointError as exc:
+                expect_reasons.append((t, str(exc)))
+        assert points == expect_points
+        assert [(sp.t, sp.reason) for sp in skipped] == expect_reasons
+        assert [sp.t for sp in skipped] == [1.0]
+
     def test_unit_curvature_point(self):
         # kappa(pi/2) = 1 for this profile, so log|rho| = 0 there.
         point = lcg_gcs_closed_form(CLOTHOID, math.pi / 2.0)

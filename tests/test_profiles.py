@@ -90,6 +90,39 @@ class TestKappa:
         assert p.kappa(math.pi * (1.0 + 1e-16)) == p.kappa(math.pi)
 
 
+ARRAY_CASES = [
+    ConstantProfile(-1.25, 2.5),
+    LinearProfile(-0.75, 2.0, 1.5),
+    QuadraticProfile(0.3, -0.1, 1.1, 4.0),
+    GcsProfile(0.5, -2.0, 3.0, 4.0),  # both branches of the log1p remainder
+    GcsProfile(2.0, 0.3, 1.5, -0.99),
+    GcsProfile(0.0, 2.0, math.pi, 0.0),
+]
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("method", ["kappa", "kappa_prime", "theta"])
+    @pytest.mark.parametrize("profile", ARRAY_CASES, ids=lambda p: type(p).__name__)
+    def test_array_equals_scalar_calls_bit_for_bit(self, profile, method):
+        S = profile.arc_length
+        s = np.concatenate(([-1e-15], np.linspace(0.0, S, 101), [S * (1.0 + 1e-16)]))
+        values = getattr(profile, method)(s)
+        scalar = np.array([getattr(profile, method)(v) for v in s.tolist()])
+        assert isinstance(values, np.ndarray) and values.shape == s.shape
+        assert np.array_equal(values.view(np.int64), scalar.view(np.int64))
+        grid = s[:102].reshape(6, 17)
+        assert np.array_equal(getattr(profile, method)(grid), values[:102].reshape(6, 17))
+
+    @pytest.mark.parametrize("profile", ARRAY_CASES, ids=lambda p: type(p).__name__)
+    def test_out_of_domain_array_value_named(self, profile):
+        S = profile.arc_length
+        for bad in (-0.5, S + 0.5, math.nan):
+            s = np.array([0.0, 0.5 * S, bad, S])
+            for method in (profile.kappa, profile.kappa_prime, profile.theta):
+                with pytest.raises(DomainError, match=f"s={bad!r} outside"):
+                    method(s)
+
+
 class TestKappaPrime:
     def test_clothoid_slope(self):
         p = GcsProfile(0.0, 2.0, math.pi, 0.0)

@@ -2,6 +2,7 @@
 
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -158,6 +159,22 @@ class TestSynthesize:
             )
         assert "worst sub-interval" in str(exc_info.value)
 
+    def test_work_ceiling_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError, match="panels, above the ceiling"):
+            synthesize(ConstantProfile(1e9, 1.0))
+        assert time.perf_counter() - start < 1.0
+
+    def test_phase_swing_of_1e5_rad_runs(self):
+        c = 1e5
+        curve = synthesize(ConstantProfile(c, 1.0))
+        assert float(np.max(np.abs(curve.x - np.sin(c * curve.s) / c))) <= 1e-10
+        assert float(np.max(np.abs(curve.y - (1.0 - np.cos(c * curve.s)) / c))) <= 1e-10
+        for scheme in ("simpson", "gauss"):
+            end = endpoint(ConstantProfile(c, 1.0), scheme=scheme)
+            assert end.x == pytest.approx(math.sin(c) / c, abs=1e-10)
+            assert end.y == pytest.approx((1.0 - math.cos(c)) / c, abs=1e-10)
+
 
 class TestValidation:
     def test_config_rejects_bad_values(self):
@@ -167,10 +184,21 @@ class TestValidation:
             QuadratureConfig(max_subdivisions=0)
         with pytest.raises(DomainError):
             QuadratureConfig(samples_per_curve=1)
+        for bad in (2.5, True, "8"):
+            with pytest.raises(DomainError):
+                QuadratureConfig(samples_per_curve=bad)
+            with pytest.raises(DomainError):
+                QuadratureConfig(max_subdivisions=bad)
+        for bad in (math.inf, math.nan, True):
+            with pytest.raises(DomainError):
+                QuadratureConfig(abs_tol=bad)
 
     def test_pose_rejects_non_finite(self):
         with pytest.raises(DomainError):
             Pose(math.nan, 0.0, 0.0)
+        for bad in ((True,), (0.0, False), (0.0, 0.0, True)):
+            with pytest.raises(DomainError):
+                Pose(*bad)
 
     def test_curve_rejects_decreasing_arc_length(self):
         with pytest.raises(DomainError):
