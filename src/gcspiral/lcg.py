@@ -331,16 +331,32 @@ def classify_aesthetic(
     return AestheticClass.GCS
 
 
+def _stencil_derivatives(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Second-order f' and f'' on a uniform grid of step h (one-sided at the ends)."""
+    d1 = np.empty(len(f))
+    d1[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    d1[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    d1[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    d2 = np.empty(len(f))
+    d2[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
+    d2[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / (h * h)
+    d2[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / (h * h)
+    return d1, d2
+
+
 def gradient_from_samples(
     curve: PlanarCurve,
 ) -> tuple[list[tuple[float, float]], LcgLine]:
     """Estimate the LCG gradient from a uniformly sampled curve and fit a line.
 
-    Radius of curvature is taken as 1/kappa per sample; rho' and rho'' come
-    from second-order central differences with second-order one-sided
-    stencils at the two boundary samples. The ordinary-least-squares line is
-    fitted over interior samples only and reported with its max residual.
-    Requires at least 7 samples and strictly monotone curvature.
+    The gradient is 1 - rho*rho''/rho'**2 with rho = 1/kappa per sample.
+    Where the sampled curvature changes sign, rho diverges, so the same
+    identity is taken in its kappa form, kappa*kappa''/kappa'**2 - 1.
+    Derivatives come from second-order central differences with
+    second-order one-sided stencils at the two boundary samples. The
+    ordinary-least-squares line is fitted over interior samples only and
+    reported with its max residual. Requires at least 7 samples and
+    strictly monotone curvature.
     """
     n = len(curve)
     if n < 7:
@@ -361,25 +377,20 @@ def gradient_from_samples(
             "curvature is not strictly monotone (interior extremum or flat run)"
         )
 
-    with np.errstate(divide="ignore", over="ignore"):
-        rho = 1.0 / kappa
-    rho_p = np.empty(n)
-    rho_p[1:-1] = (rho[2:] - rho[:-2]) / (2.0 * h)
-    rho_p[0] = (-3.0 * rho[0] + 4.0 * rho[1] - rho[2]) / (2.0 * h)
-    rho_p[-1] = (3.0 * rho[-1] - 4.0 * rho[-2] + rho[-3]) / (2.0 * h)
-    rho_pp = np.empty(n)
-    rho_pp[1:-1] = (rho[2:] - 2.0 * rho[1:-1] + rho[:-2]) / (h * h)
-    rho_pp[0] = (2.0 * rho[0] - 5.0 * rho[1] + 4.0 * rho[2] - rho[3]) / (h * h)
-    rho_pp[-1] = (2.0 * rho[-1] - 5.0 * rho[-2] + 4.0 * rho[-3] - rho[-4]) / (h * h)
-
     keep = np.abs(kappa) >= NEAR_INFLECTION_REL_TOL * scale
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        grad = 1.0 - rho * rho_pp / (rho_p * rho_p)
+        if kappa.min() < 0.0 < kappa.max():
+            k_p, k_pp = _stencil_derivatives(kappa, h)
+            grad = kappa * k_pp / (k_p * k_p) - 1.0
+        else:
+            rho = 1.0 / kappa
+            rho_p, rho_pp = _stencil_derivatives(rho, h)
+            grad = 1.0 - rho * rho_pp / (rho_p * rho_p)
     keep &= np.isfinite(grad)
     if int(np.count_nonzero(keep)) < 3:
         raise DegenerateDataError("too few usable samples after excluding inflections")
 
-    trace = [(float(s[i]), float(grad[i])) for i in range(n) if keep[i]]
+    trace = list(zip(s[keep].tolist(), grad[keep].tolist()))
 
     interior = keep.copy()
     interior[0] = interior[-1] = False

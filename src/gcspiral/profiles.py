@@ -90,29 +90,67 @@ def _log1p_remainder(u):
     a float and an array element round alike.
     """
     if isinstance(u, np.ndarray):
-        out = np.empty_like(u)
         small = np.abs(u) < 0.25
+        if small.all():
+            return _remainder_series(u)
+        if not small.any():
+            return _remainder_direct(u)
+        big = ~small
+        out = np.empty_like(u)
         out[small] = _remainder_series(u[small])
-        big = u[~small]
-        out[~small] = (1.0 - np.log1p(big) / big) / big
+        out[big] = _remainder_direct(u[big])
         return out
     if abs(u) < 0.25:
         return _remainder_series(u)
+    return _remainder_direct(u)
+
+
+def _remainder_direct(u):
     # Grouped to avoid overflow of u*u for very large shape factors.
+    if isinstance(u, np.ndarray):
+        return (1.0 - np.log1p(u) / u) / u
     return (1.0 - float(np.log1p(u)) / u) / u
+
+
+# Every partial sum of the series lies in [0.41, 0.61] for |u| < 1/4, where
+# half an ulp is at least 2**-55; a term below this floor cannot change it.
+_TERM_FLOOR = 2.0**-56
+
+
+def _series_terms(largest: float) -> int:
+    """Terms k = 0..K-1 needed once |u| <= largest: max|u|**K / (K+2) < _TERM_FLOOR."""
+    terms, power = 1, largest
+    while power / (terms + 2) >= _TERM_FLOOR:
+        power *= largest
+        terms += 1
+    return terms
 
 
 def _remainder_series(u):
     """sum_k (-u)**k / (k+2) for |u| < 1/4, float or ndarray.
 
-    The sum is at least 0.41 there and the 32nd term below 1e-19, under
-    half an ulp of it, so a fixed term count is fully converged.
+    The sum stops once no later term can change it, so the result is the
+    converged sum of every term (at most 26 for |u| just below 1/4, one
+    for u = 0). An array runs the same recurrence in place, term by term
+    in the same order, so each element equals the float call bit for bit.
     """
-    total = 0.0
-    power = 1.0
-    for k in range(32):
-        total = total + power / (k + 2)
-        power = power * -u
+    neg = -u
+    if not isinstance(u, np.ndarray):
+        total = 0.0
+        power = 1.0
+        for k in range(_series_terms(abs(u))):
+            total = total + power / (k + 2)
+            power = power * neg
+        return total
+    largest = max(float(u.max()), float(neg.max())) if u.size else 0.0
+    # Term k = 0 is 1/2 and term 1's power is 1.0 * -u, both exact.
+    total = np.full(u.shape, 0.5)
+    power = neg.copy()
+    term = np.empty_like(u)
+    for k in range(1, _series_terms(largest)):
+        np.divide(power, k + 2, out=term)
+        np.add(total, term, out=total)
+        np.multiply(power, neg, out=power)
     return total
 
 

@@ -10,6 +10,7 @@ up to sample i instead of re-integrating from zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import IO, Union
 
@@ -126,6 +127,16 @@ class PlanarCurve:
         return float(self.s[-1] - self.s[0])
 
 
+def _check_tolerance(profile: CurvatureProfile, config: QuadratureConfig) -> None:
+    """Reject an abs_tol below S * eps, which no arc-length integral can meet."""
+    floor = profile.arc_length * sys.float_info.epsilon
+    if config.abs_tol < floor:
+        raise DomainError(
+            f"abs_tol {config.abs_tol!r} is below the float floor S*eps = {floor:.3g} "
+            f"for arc length S = {profile.arc_length!r}"
+        )
+
+
 def synthesize(
     profile: CurvatureProfile,
     pose: Pose = Pose(),
@@ -135,9 +146,10 @@ def synthesize(
 
     Returns N = config.samples_per_curve samples uniformly spaced in arc
     length on [0, S]; positions accumulate the integrals of the unit tangent
-    over the gaps. Raises QuadratureError if any gap cannot meet its error
-    budget.
+    over the gaps. Raises DomainError if abs_tol is below S * eps, and
+    QuadratureError if any gap cannot meet its error budget.
     """
+    _check_tolerance(profile, config)
     S = profile.arc_length
     n = config.samples_per_curve
     s_grid = np.linspace(0.0, S, n)
@@ -163,11 +175,13 @@ def endpoint(
 
     scheme selects the panel rule: "simpson" (composite Simpson with the
     Richardson correction) or "gauss" (composite Gauss-Legendre). The two
-    are independent rules and serve as mutual cross-checks.
+    are independent rules and serve as mutual cross-checks. Raises
+    DomainError if abs_tol is below S * eps.
     """
     rule = _SCHEMES.get(scheme)
     if rule is None:
         raise DomainError(f"unknown quadrature scheme {scheme!r}")
+    _check_tolerance(profile, config)
     S = profile.arc_length
 
     def angle(t):

@@ -251,6 +251,18 @@ class TestGradientCommand:
         assert abs(sampled["B"] - closed["B"]) <= 1e-3
         assert sampled["class"] == "gcs"
 
+    def test_sampled_estimate_through_inflection(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys,
+            "gradient", "--gcs=-1,2,3,1", "--sampled", "--samples", "2000",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        line = summary_of(out)["line"]
+        assert abs(line["A"] + 5.0 / 9.0) <= 1e-3
+        assert abs(line["B"] + 2.0 / 3.0) <= 1e-3
+        assert line["class"] == "gcs"
+
     def test_closed_form_requires_rational_linear(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "gradient", "--quadratic", "1,0,2", "--length", "1", "--out", str(tmp_path)
@@ -397,6 +409,16 @@ class TestExitPaths:
         )
         assert code == 3
         assert "quadrature failure" in err
+
+    def test_tolerance_below_float_floor_is_exit_2(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys,
+            "synth", "--constant", "0", "--length", "1e6", "--abs-tol", "1e-10",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "float floor" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_work_ceiling_is_exit_3(self, tmp_path, capsys):
         start = time.perf_counter()

@@ -311,6 +311,26 @@ class TestSampledGradient:
         assert line.residual <= 1e-3
         assert len(trace) == 2000
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            GcsProfile(-1.0, 2.0, 3.0, 1.0),
+            GcsProfile(2.0, -1.0, 3.0, -0.5),
+            GcsProfile(-2.0, 1.0, 2.0, 0.5),
+        ],
+        ids=repr,
+    )
+    def test_recovers_line_through_inflection(self, p):
+        # rho = 1/kappa diverges at the sign change; the kappa form does not.
+        assert inflection(p) is not None
+        exact = gradient_line(p)
+        curve = synthesize(p, config=QuadratureConfig(samples_per_curve=2000))
+        trace, line = gradient_from_samples(curve)
+        assert abs(line.slope_a - exact.slope_a) <= 1e-3
+        assert abs(line.intercept_b - exact.intercept_b) <= 1e-3
+        assert classify_aesthetic(line, line.residual, tol_fit=1e-2) == AestheticClass.GCS
+        assert all(type(s) is float and type(g) is float for s, g in trace)
+
     def test_reciprocal_linear_fit_is_exact_for_stencils(self):
         # rho is linear in s, so second differences vanish and the
         # estimated gradient is 1 at machine precision.

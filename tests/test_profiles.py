@@ -24,6 +24,7 @@ from gcspiral import (
     profile_to_json,
     to_gcs,
 )
+from gcspiral.profiles import _log1p_remainder, _remainder_series, _series_terms
 from tutil import arc_lengths, gcs_profiles, kappas, shape_factors, unit_fractions
 
 FIG_R_VALUES = [-0.99, -0.9, -0.5, 0.0, 1.0, 2.0, 5.0, 100.0]
@@ -121,6 +122,81 @@ class TestArrayEvaluation:
             for method in (profile.kappa, profile.kappa_prime, profile.theta):
                 with pytest.raises(DomainError, match=f"s={bad!r} outside"):
                     method(s)
+
+
+def _reference_series(u):
+    """The former fixed 32-term series, kept verbatim as the bit-exact reference."""
+    total = 0.0
+    power = 1.0
+    for k in range(32):
+        total = total + power / (k + 2)
+        power = power * -u
+    return total
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+QUARTER_BELOW = math.nextafter(0.25, 0.0)
+SERIES_CASES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300,
+    -1e-17, 1e-9, -0.1, 0.1, 0.2415, -0.2415, QUARTER_BELOW, -QUARTER_BELOW,
+]
+small_u = st.floats(min_value=-QUARTER_BELOW, max_value=QUARTER_BELOW, allow_nan=False)
+
+
+class TestRemainderSeries:
+    @pytest.mark.parametrize("u", SERIES_CASES)
+    def test_float_matches_reference(self, u):
+        assert _bits(_remainder_series(u)) == _bits(_reference_series(u))
+
+    @given(small_u)
+    def test_float_matches_reference_property(self, u):
+        assert _bits(_remainder_series(u)) == _bits(_reference_series(u))
+
+    @given(st.lists(small_u, max_size=40))
+    def test_array_matches_reference_property(self, values):
+        u = np.array(values, dtype=float)
+        assert np.array_equal(_bits(_remainder_series(u)), _bits(_reference_series(u)))
+
+    @pytest.mark.parametrize(
+        "u",
+        [
+            np.array(SERIES_CASES),
+            np.array(SERIES_CASES[:14]).reshape(2, 7),
+            np.array([]),
+            np.zeros(9),
+            np.array([1e-300, 0.24, -3e-8, -0.2, 5e-324, 0.0]),
+        ],
+        ids=["1d", "2d", "empty", "zeros", "mixed"],
+    )
+    def test_array_matches_reference(self, u):
+        values = _remainder_series(u)
+        assert values.shape == u.shape
+        assert np.array_equal(_bits(values), _bits(_reference_series(u)))
+
+    def test_term_count_follows_the_data(self):
+        assert _series_terms(0.0) == 1
+        assert _series_terms(1e-300) == 1
+        assert _series_terms(QUARTER_BELOW) <= 26
+
+
+class TestLog1pRemainder:
+    @pytest.mark.parametrize(
+        "u",
+        [
+            np.array([0.0, -1e-12, 0.1, -0.2, QUARTER_BELOW]),
+            np.array([-0.99, -0.25, 0.25, 1.0, 100.0, 1e300]),
+            np.array([-0.5, 0.0, 0.3, -QUARTER_BELOW, 1e10, 1e-20, 0.25]).reshape(1, 7),
+        ],
+        ids=["all-small", "all-big", "mixed"],
+    )
+    def test_array_equals_float_calls(self, u):
+        values = _log1p_remainder(u)
+        assert values.shape == u.shape
+        scalar = np.array([_log1p_remainder(v) for v in u.ravel().tolist()])
+        assert np.array_equal(_bits(values.ravel()), _bits(scalar))
 
 
 class TestKappaPrime:

@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 import time
 
 import numpy as np
@@ -192,6 +193,19 @@ class TestValidation:
         for bad in (math.inf, math.nan, True):
             with pytest.raises(DomainError):
                 QuadratureConfig(abs_tol=bad)
+
+    def test_tolerance_below_float_floor_rejected(self):
+        # S*eps = 2.2e-10 for S = 1e6: no arc-length integral is that exact.
+        wide = ConstantProfile(0.0, 1e6)
+        tight = QuadratureConfig(abs_tol=1e-10, samples_per_curve=8)
+        with pytest.raises(DomainError, match="float floor"):
+            synthesize(wide, config=tight)
+        for scheme in ("simpson", "gauss"):
+            with pytest.raises(DomainError, match="float floor"):
+                endpoint(wide, config=tight, scheme=scheme)
+        at_floor = QuadratureConfig(abs_tol=1e6 * sys.float_info.epsilon, samples_per_curve=8)
+        assert synthesize(wide, config=at_floor).x[-1] == pytest.approx(1e6)
+        assert endpoint(wide, config=at_floor).x == pytest.approx(1e6)
 
     def test_pose_rejects_non_finite(self):
         with pytest.raises(DomainError):
