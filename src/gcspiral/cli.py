@@ -281,17 +281,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _generic_rho_handles(profile: CurvatureProfile):
-    def rho(t: float) -> float:
-        return 1.0 / profile.kappa(t)
-
-    def rho_prime(t: float) -> float:
-        k = profile.kappa(t)
-        return -profile.kappa_prime(t) / (k * k)
-
-    return rho, rho_prime, (lambda t: 1.0)
-
-
 def cmd_lcg(args) -> int:
     profile = profile_from_args(args)
     config = _config_from_args(args)
@@ -302,14 +291,17 @@ def cmd_lcg(args) -> int:
     if gcs is not None:
         points, skipped = lcg_gcs_points(gcs, grid)
     else:
-        rho, rho_prime, s_prime = _generic_rho_handles(profile)
-        points, skipped = lcg_numeric(rho, rho_prime, s_prime, grid)
+        points, skipped = lcg_numeric(
+            lambda t: 1.0 / profile.kappa(t),
+            lambda t: -profile.kappa_prime(t) / np.square(profile.kappa(t)),
+            lambda t: 1.0,
+            grid,
+        )
     if not points:
         raise DegenerateDataError("the LCG is undefined at every grid value for this profile")
 
-    coords = [(p.log_rho, p.log_freq) for p in points]
     out.write("csv", f"{out.base}.csv", lambda path: lcg_points_to_csv(points, path))
-    out.write("svg", f"{out.base}.svg", _svg_writer([coords], title=out.base))
+    out.write("svg", f"{out.base}.svg", _svg_writer([np.asarray(points)[:, 1:]], title=out.base))
     skipped_doc = [{"t": sp.t, "reason": sp.reason} for sp in skipped]
     out.emit({"points": len(points), "skipped": skipped_doc})
     return 0
@@ -335,7 +327,7 @@ def cmd_gradient(args) -> int:
         residual = line_residual(gcs, line, num=config.samples_per_curve)
         line = dataclasses.replace(line, residual=residual)
         grid = np.linspace(0.0, gcs.arc_length, config.samples_per_curve)
-        trace = list(zip(grid.tolist(), gradient_gcs(gcs, grid).tolist()))
+        trace = np.column_stack((grid, gradient_gcs(gcs, grid)))
         aesthetic = classify_aesthetic(line, residual, tol_fit=1e-6)
 
     out.write("csv", f"{out.base}.csv", lambda path: gradient_to_csv(trace, path))
@@ -419,16 +411,13 @@ def cmd_figures(args) -> int:
         lambda path: curve_to_svg(demo_curve, path, title="linear curvature demo curve"),
     )
 
-    profile_lines = []
-    curve_lines = []
-    lcg_lines = []
-    gradient_lines = []
+    profile_lines, curve_lines, lcg_lines, gradient_lines = [], [], [], []
     labels = [f"r={tag(r)}" for r in R_SWEEP]
     for r in R_SWEEP:
         profile = GcsProfile(0.0, 2.0, math.pi, r)
         grid = np.linspace(0.0, profile.arc_length, config.samples_per_curve)
 
-        kappa_trace = list(zip(grid.tolist(), profile.kappa(grid).tolist()))
+        kappa_trace = np.column_stack((grid, profile.kappa(grid)))
         out.write(
             "csv",
             f"fig2_profile_r{tag(r)}.csv",
@@ -441,13 +430,13 @@ def cmd_figures(args) -> int:
         except QuadratureError as exc:
             raise QuadratureError(f"curve synthesis failed at r={tag(r)}: {exc}") from None
         out.write("csv", f"fig3_curve_r{tag(r)}.csv", lambda path: curve_to_csv(curve, path))
-        curve_lines.append(list(zip(curve.x.tolist(), curve.y.tolist())))
+        curve_lines.append(np.column_stack((curve.x, curve.y)))
 
         points, _skipped = lcg_gcs_points(profile, grid)
         out.write("csv", f"fig4_lcg_r{tag(r)}.csv", lambda path: lcg_points_to_csv(points, path))
-        lcg_lines.append([(p.log_rho, p.log_freq) for p in points])
+        lcg_lines.append(np.asarray(points)[:, 1:])
 
-        trace = list(zip(grid.tolist(), gradient_gcs(profile, grid).tolist()))
+        trace = np.column_stack((grid, gradient_gcs(profile, grid)))
         out.write("csv", f"fig5_gradient_r{tag(r)}.csv", lambda path: gradient_to_csv(trace, path))
         gradient_lines.append(trace)
 
@@ -493,19 +482,16 @@ def run_seed_check() -> int:
 
     profile = GcsProfile(0.1, 2.0, math.pi, 2.0)
     handles = gcs_rho_handles(profile)
-    ok = True
     h = 1e-5 * profile.arc_length
-    for t in np.linspace(0.2, profile.arc_length - 0.2, 9).tolist():
-        lo = lcg_gcs_points(profile, [t - h])[0][0]
-        hi = lcg_gcs_points(profile, [t + h])[0][0]
-        fd = (hi.log_freq - lo.log_freq) / (hi.log_rho - lo.log_rho)
-        exact = lcg_gradient_numeric(
-            handles.rho, handles.rho_prime, handles.rho_double_prime,
-            handles.s_prime, handles.s_double_prime, t,
-        )
-        if abs(fd - exact) > 1e-6:
-            ok = False
-    checks["finite_difference_gradient"] = ok
+    t = np.linspace(0.2, profile.arc_length - 0.2, 9)
+    lo = np.asarray(lcg_gcs_points(profile, t - h)[0])
+    hi = np.asarray(lcg_gcs_points(profile, t + h)[0])
+    fd = (hi[:, 2] - lo[:, 2]) / (hi[:, 1] - lo[:, 1])
+    exact = lcg_gradient_numeric(
+        handles.rho, handles.rho_prime, handles.rho_double_prime,
+        handles.s_prime, handles.s_double_prime, t,
+    )
+    checks["finite_difference_gradient"] = bool(np.all(np.abs(fd - exact) <= 1e-6))
 
     passed = all(checks.values())
     print(json.dumps({"checks": checks, "ok": passed}, sort_keys=True))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, IO, Optional, Sequence, Union
+from typing import Callable, IO, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "lcg_numeric",
     "lcg_gradient_numeric",
     "gcs_rho_handles",
-    "lcg_gcs_closed_form",
     "lcg_gcs_points",
     "gradient_gcs",
     "gradient_line",
@@ -58,17 +57,15 @@ __all__ = [
 NEAR_INFLECTION_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LcgPoint:
-    """One LCG sample: parameter value plus both log coordinates."""
+class LcgPoint(NamedTuple):
+    """One LCG sample, a table row: parameter value plus both log coordinates."""
 
     t: float
     log_rho: float
     log_freq: float
 
 
-@dataclass(frozen=True)
-class SkippedPoint:
+class SkippedPoint(NamedTuple):
     """Diagnostic for a grid value where the LCG is undefined."""
 
     t: float
@@ -106,90 +103,90 @@ class AestheticClass(enum.Enum):
 
 @dataclass(frozen=True)
 class RhoHandles:
-    """Callable bundle (rho, rho', rho'', s', s'') describing one curve."""
+    """Callable bundle (rho, rho', rho'', s', s''): each maps an array of t to an array."""
 
-    rho: Callable[[float], float]
-    rho_prime: Callable[[float], float]
-    rho_double_prime: Callable[[float], float]
-    s_prime: Callable[[float], float]
-    s_double_prime: Callable[[float], float]
-
-
-def _call(fn: Callable[[float], float], t: float) -> float:
-    """Evaluate a handle, mapping division blowups to signed infinity."""
-    try:
-        return float(fn(t))
-    except ZeroDivisionError:
-        return math.inf
+    rho: Callable
+    rho_prime: Callable
+    rho_double_prime: Callable
+    s_prime: Callable
+    s_double_prime: Callable
 
 
-def lcg_numeric(
-    rho: Callable[[float], float],
-    rho_prime: Callable[[float], float],
-    s_prime: Callable[[float], float],
-    t_grid: Sequence[float],
-) -> tuple[list[LcgPoint], list[SkippedPoint]]:
-    """Evaluate the LCG on a grid from radius-of-curvature handles.
-
-    Grid values where either log coordinate fails to be finite are skipped
-    and reported with a cause rather than raising.
-    """
+def _check_grid(t_grid: Sequence[float]) -> np.ndarray:
+    """`t_grid` as a float array: nonempty, one-dimensional, finite, strictly increasing."""
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise DomainError("t_grid must be a nonempty one-dimensional sequence")
     if not np.all(np.isfinite(grid)):
         raise DomainError("t_grid must be finite")
-    if len(grid) > 1 and not np.all(np.diff(grid) > 0.0):
+    if not np.all(np.diff(grid) > 0.0):
         raise DomainError("t_grid must be strictly increasing")
+    return grid
 
-    points: list[LcgPoint] = []
-    skipped: list[SkippedPoint] = []
-    for t in grid.tolist():
-        r = _call(rho, t)
-        rp = _call(rho_prime, t)
-        sp = _call(s_prime, t)
-        if not math.isfinite(r):
-            skipped.append(SkippedPoint(t, "rho is not finite (inflection)"))
-            continue
-        if r == 0.0:
-            skipped.append(SkippedPoint(t, "rho = 0"))
-            continue
-        if rp == 0.0:
-            skipped.append(SkippedPoint(t, "rho' = 0 (curvature extremum)"))
-            continue
-        if not (math.isfinite(rp) and math.isfinite(sp)):
-            skipped.append(SkippedPoint(t, "rho' or s' is not finite"))
-            continue
-        freq = abs(r * sp / rp)
-        if freq == 0.0 or not math.isfinite(freq):
-            skipped.append(SkippedPoint(t, "log frequency is not finite"))
-            continue
-        points.append(LcgPoint(t, math.log(abs(r)), math.log(freq)))
+
+def _evaluate(handles, t: np.ndarray) -> list[np.ndarray]:
+    """Each handle called once on t, a scalar return broadcast to t's shape."""
+    return [np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape) for fn in handles]
+
+
+def lcg_numeric(
+    rho: Callable, rho_prime: Callable, s_prime: Callable, t_grid: Sequence[float]
+) -> tuple[list[LcgPoint], list[SkippedPoint]]:
+    """Evaluate the LCG on a grid from radius-of-curvature handles.
+
+    Each handle is called once on the whole grid. Grid values where either
+    log coordinate fails to be finite are skipped and reported with the
+    first cause that applies rather than raising.
+    """
+    grid = _check_grid(t_grid)
+    with np.errstate(all="ignore"):
+        r, rp, sp = _evaluate((rho, rho_prime, s_prime), grid)
+        freq = np.abs(r * sp / rp)
+        masks, reasons = zip(
+            (~np.isfinite(r), "rho is not finite (inflection)"),
+            (r == 0.0, "rho = 0"),
+            (rp == 0.0, "rho' = 0 (curvature extremum)"),
+            (~(np.isfinite(rp) & np.isfinite(sp)), "rho' or s' is not finite"),
+            ((freq == 0.0) | ~np.isfinite(freq), "log frequency is not finite"),
+        )
+        reason = np.select(masks, reasons, default="")
+        kept = reason == ""
+        log_rho = np.log(np.abs(r[kept]))
+        log_freq = np.log(freq[kept])
+    points = [
+        LcgPoint(*row) for row in zip(grid[kept].tolist(), log_rho.tolist(), log_freq.tolist())
+    ]
+    skipped = [
+        SkippedPoint(*row) for row in zip(grid[~kept].tolist(), reason[~kept].tolist())
+    ]
     return points, skipped
 
 
 def lcg_gradient_numeric(
-    rho: Callable[[float], float],
-    rho_prime: Callable[[float], float],
-    rho_double_prime: Callable[[float], float],
-    s_prime: Callable[[float], float],
-    s_double_prime: Callable[[float], float],
-    t: float,
-) -> float:
-    """Gradient of the LCG at t from general parametric handles."""
-    r = _call(rho, t)
-    rp = _call(rho_prime, t)
-    rpp = _call(rho_double_prime, t)
-    sp = _call(s_prime, t)
-    spp = _call(s_double_prime, t)
-    if rp == 0.0:
-        raise SingularPointError(f"rho'({t!r}) = 0: LCG gradient undefined at curvature extremum")
-    if sp == 0.0:
-        raise SingularPointError(f"s'({t!r}) = 0: parameterization is singular")
-    for name, v in (("rho", r), ("rho'", rp), ("rho''", rpp), ("s'", sp), ("s''", spp)):
-        if not math.isfinite(v):
-            raise SingularPointError(f"{name}({t!r}) is not finite")
-    return 1.0 + (r / (rp * rp)) * (rp * spp / sp - rpp)
+    rho: Callable, rho_prime: Callable, rho_double_prime: Callable,
+    s_prime: Callable, s_double_prime: Callable, t,
+):
+    """Gradient of the LCG at t (float or array) from general parametric handles.
+
+    Each handle is called once. Raises SingularPointError naming the first
+    t where the gradient is undefined.
+    """
+    t = np.asarray(t, dtype=float)
+    with np.errstate(all="ignore"):
+        values = _evaluate((rho, rho_prime, rho_double_prime, s_prime, s_double_prime), t)
+        r, rp, rpp, sp, spp = values
+        names = ("rho", "rho'", "rho''", "s'", "s''")
+        masks, reasons = zip(
+            (rp == 0.0, "rho'({!r}) = 0: LCG gradient undefined at curvature extremum"),
+            (sp == 0.0, "s'({!r}) = 0: parameterization is singular"),
+            *((~np.isfinite(v), name + "({!r}) is not finite") for name, v in zip(names, values)),
+        )
+        reason = np.select(masks, reasons, default="")
+        bad = np.flatnonzero(reason)
+        if len(bad):
+            raise SingularPointError(reason.flat[bad[0]].format(t.flat[bad[0]].item()))
+        gradient = 1.0 + (r / (rp * rp)) * (rp * spp / sp - rpp)
+    return gradient if t.ndim else float(gradient)
 
 
 def _require_noncircular(profile: GcsProfile, tol: float) -> None:
@@ -214,32 +211,18 @@ def gcs_rho_handles(profile: GcsProfile, tol: float = NEAR_INFLECTION_REL_TOL) -
     r, S = profile.r, profile.arc_length
     c = S * (1.0 + r) * (profile.kappa0 - profile.kappa1)
 
-    def rho(t: float) -> float:
+    def rho(t):
         return (r * t + S) / (n1 * t + n0)
 
-    def rho_prime(t: float) -> float:
+    def rho_prime(t):
         nu = n1 * t + n0
         return c / (nu * nu)
 
-    def rho_double_prime(t: float) -> float:
+    def rho_double_prime(t):
         nu = n1 * t + n0
         return -2.0 * n1 * c / (nu * nu * nu)
 
     return RhoHandles(rho, rho_prime, rho_double_prime, lambda t: 1.0, lambda t: 0.0)
-
-
-def lcg_gcs_closed_form(
-    profile: GcsProfile, t: float, tol: float = NEAR_INFLECTION_REL_TOL
-) -> LcgPoint:
-    """Exact LCG point of a rational-linear profile at parameter t.
-
-    First coordinate: log|(r*t+S)/(n1*t+n0)|. Second: log of the rho/rho'
-    quotient, |(r*t+S)*(n1*t+n0) / (S*(1+r)*(kappa0-kappa1))|.
-    """
-    points, skipped = lcg_gcs_points(profile, [t], tol)
-    if skipped:
-        raise SingularPointError(skipped[0].reason)
-    return points[0]
 
 
 def lcg_gcs_points(
@@ -247,10 +230,15 @@ def lcg_gcs_points(
     t_grid: Sequence[float],
     tol: float = NEAR_INFLECTION_REL_TOL,
 ) -> tuple[list[LcgPoint], list[SkippedPoint]]:
-    """Closed-form LCG over a grid; near-inflection values become diagnostics."""
+    """Exact LCG of a rational-linear profile over a grid.
+
+    First coordinate: log|(r*t+S)/(n1*t+n0)|. Second: log of the rho/rho'
+    quotient, |(r*t+S)*(n1*t+n0) / (S*(1+r)*(kappa0-kappa1))|. The grid is
+    checked as in lcg_numeric; near-inflection values become diagnostics.
+    """
     _require_noncircular(profile, tol)
     S = profile.arc_length
-    t = _clamp_s(np.asarray(t_grid, dtype=float), S)
+    t = _clamp_s(_check_grid(t_grid), S)
     nu = profile.n1 * t + profile.n0
     den = profile.r * t + S
     c = S * (1.0 + profile.r) * (profile.kappa0 - profile.kappa1)
@@ -344,9 +332,7 @@ def _stencil_derivatives(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarra
     return d1, d2
 
 
-def gradient_from_samples(
-    curve: PlanarCurve,
-) -> tuple[list[tuple[float, float]], LcgLine]:
+def gradient_from_samples(curve: PlanarCurve) -> tuple[np.ndarray, LcgLine]:
     """Estimate the LCG gradient from a uniformly sampled curve and fit a line.
 
     The gradient is 1 - rho*rho''/rho'**2 with rho = 1/kappa per sample.
@@ -355,8 +341,9 @@ def gradient_from_samples(
     Derivatives come from second-order central differences with
     second-order one-sided stencils at the two boundary samples. The
     ordinary-least-squares line is fitted over interior samples only and
-    reported with its max residual. Requires at least 7 samples and
-    strictly monotone curvature.
+    reported with its max residual. The trace is an (n, 2) array of
+    (s, gradient) rows. Requires at least 7 samples and strictly monotone
+    curvature.
     """
     n = len(curve)
     if n < 7:
@@ -390,7 +377,7 @@ def gradient_from_samples(
     if int(np.count_nonzero(keep)) < 3:
         raise DegenerateDataError("too few usable samples after excluding inflections")
 
-    trace = list(zip(s[keep].tolist(), grad[keep].tolist()))
+    trace = np.column_stack((s[keep], grad[keep]))
 
     interior = keep.copy()
     interior[0] = interior[-1] = False
@@ -407,12 +394,11 @@ def gradient_from_samples(
 # -- serialization -------------------------------------------------------
 
 def lcg_points_to_csv(points: Sequence[LcgPoint], target: Union[str, IO[str]]) -> None:
-    write_table(target, "t,log_rho,log_freq", ((p.t, p.log_rho, p.log_freq) for p in points))
+    write_table(target, "t,log_rho,log_freq", points)
 
 
-def gradient_to_csv(
-    samples: Sequence[tuple[float, float]], target: Union[str, IO[str]]
-) -> None:
+def gradient_to_csv(samples, target: Union[str, IO[str]]) -> None:
+    """Write an (n, 2) array-like of (s, gradient) rows."""
     write_table(target, "s,gradient", samples)
 
 

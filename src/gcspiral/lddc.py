@@ -233,8 +233,8 @@ _LDDC_HEADER = "bin_lo_log10rho,bin_hi_log10rho,length"
 
 
 def lddc_to_csv(histogram: LddcHistogram, target: Union[str, IO[str]]) -> None:
-    edges = histogram.bin_edges.tolist()
-    write_table(target, _LDDC_HEADER, zip(edges[:-1], edges[1:], histogram.lengths.tolist()))
+    edges = histogram.bin_edges
+    write_table(target, _LDDC_HEADER, np.column_stack((edges[:-1], edges[1:], histogram.lengths)))
 
 
 def lddc_from_csv(source: Union[str, IO[str]]) -> LddcHistogram:
@@ -264,5 +264,5 @@ def comparison_to_csv(comparison: LddcComparison, target: Union[str, IO[str]]) -
     write_table(
         target,
         "bin_lo_log10rho,bin_hi_log10rho,measured_length,predicted_length",
-        zip(edges[:-1], edges[1:], comparison.measured, comparison.predicted),
+        np.column_stack((edges[:-1], edges[1:], comparison.measured, comparison.predicted)),
     )

@@ -7,8 +7,11 @@ mathematical y grows upward.
 
 from __future__ import annotations
 
+import html
 import math
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -33,15 +36,14 @@ def _fmt(v: float) -> str:
     return f"{v:.8g}"
 
 
-def _bounds(polylines) -> tuple[float, float, float, float]:
-    xs = [p[0] for line in polylines for p in line]
-    ys = [p[1] for line in polylines for p in line]
-    if not xs:
+def _bounds(polylines: list[np.ndarray]) -> tuple[float, float, float, float]:
+    points = np.concatenate([np.empty((0, 2))] + polylines)
+    if not len(points):
         raise DomainError("cannot plot an empty point set")
-    for v in xs + ys:
-        if not math.isfinite(v):
-            raise DomainError("cannot plot non-finite coordinates")
-    return min(xs), max(xs), min(ys), max(ys)
+    if not np.all(np.isfinite(points)):
+        raise DomainError("cannot plot non-finite coordinates")
+    (x_lo, y_lo), (x_hi, y_hi) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+    return x_lo, x_hi, y_lo, y_hi
 
 
 def _frame(x_lo, x_hi, y_lo, y_hi):
@@ -54,15 +56,19 @@ def _frame(x_lo, x_hi, y_lo, y_hi):
 
 
 def polyline_svg(
-    polylines: Sequence[Sequence[tuple[float, float]]],
+    polylines: Sequence,
     labels: Optional[Sequence[str]] = None,
     title: str = "",
 ) -> str:
-    """Render one or more polylines in data coordinates.
+    """Render one or more polylines, each an (n, 2) array-like of data coordinates.
 
     Coordinates are emitted with the y axis flipped about the frame, along
-    with left/bottom axis lines and corner range labels.
+    with left/bottom axis lines and corner range labels. The title and
+    labels are escaped as XML text.
     """
+    polylines = [np.asarray(line, dtype=float).reshape(-1, 2) for line in polylines]
+    title = html.escape(title, quote=False)
+    labels = None if labels is None else [html.escape(text, quote=False) for text in labels]
     x_lo, x_hi, y_lo, y_hi = _bounds(polylines)
     fx_lo, fx_hi, fy_lo, fy_hi = _frame(x_lo, x_hi, y_lo, y_hi)
     width = fx_hi - fx_lo
@@ -81,9 +87,7 @@ def polyline_svg(
         f'height="{_fmt(height)}" fill="#ffffff"/>',
     ]
     if title:
-        parts.append(
-            f'<title>{title}</title>'
-        )
+        parts.append(f"<title>{title}</title>")
     axis = (
         f'<polyline points="{_fmt(x_lo)},{_fmt(flip(y_hi))} {_fmt(x_lo)},{_fmt(flip(y_lo))} '
         f'{_fmt(x_hi)},{_fmt(flip(y_lo))}" fill="none" stroke="#333333" '
@@ -96,7 +100,8 @@ def polyline_svg(
     )
     for i, line in enumerate(polylines):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_fmt(px)},{_fmt(flip(py))}" for px, py in line)
+        xy = np.column_stack((line[:, 0], flip(line[:, 1])))
+        pts = " ".join(["%.8g,%.8g"] * len(xy)) % tuple(xy.ravel().tolist())
         label = labels[i] if labels is not None and i < len(labels) else ""
         title_el = f"<title>{label}</title>" if label else ""
         parts.append(
@@ -166,7 +171,7 @@ def bar_chart_svg(
         f'{_fmt(x_hi)},{_fmt(flip(base))}" fill="none" stroke="#333333" '
         f'stroke-width="{_fmt(0.002 * max(width, height))}"/>'
     )
-    caption = f"{x_label} / {y_label}" if x_label or y_label else ""
+    caption = html.escape(f"{x_label} / {y_label}", quote=False) if x_label or y_label else ""
     if caption:
         parts.append(
             f'<text x="{_fmt(fx_lo + 0.02 * width)}" y="{_fmt(fy_lo + 1.5 * font)}" '

@@ -29,7 +29,6 @@ __all__ = [
     "PlanarCurve",
     "synthesize",
     "endpoint",
-    "frames",
     "curve_to_csv",
     "curve_from_csv",
     "curve_to_svg",
@@ -193,13 +192,6 @@ def endpoint(
     return EndState(pose.x0 + float(dx), pose.y0 + float(dy), angle(S))
 
 
-def frames(curve: PlanarCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample unit tangent and unit normal (tangent rotated +90 degrees)."""
-    tangent = np.column_stack((np.cos(curve.theta), np.sin(curve.theta)))
-    normal = np.column_stack((-tangent[:, 1], tangent[:, 0]))
-    return tangent, normal
-
-
 # -- serialization -------------------------------------------------------
 
 _CURVE_HEADER = "s,x,y,theta,kappa"
@@ -208,7 +200,7 @@ _CURVE_HEADER = "s,x,y,theta,kappa"
 def curve_to_csv(curve: PlanarCurve, target: Union[str, IO[str]]) -> None:
     """Write `s,x,y,theta,kappa` rows with round-trip-exact formatting."""
     columns = (curve.s, curve.x, curve.y, curve.theta, curve.kappa)
-    write_table(target, _CURVE_HEADER, zip(*(c.tolist() for c in columns)))
+    write_table(target, _CURVE_HEADER, np.column_stack(columns))
 
 
 def curve_from_csv(source: Union[str, IO[str]]) -> PlanarCurve:
@@ -220,5 +212,4 @@ def curve_from_csv(source: Union[str, IO[str]]) -> PlanarCurve:
 
 
 def curve_to_svg(curve: PlanarCurve, target: Union[str, IO[str]], title: str = "") -> None:
-    points = list(zip(curve.x.tolist(), curve.y.tolist()))
-    write_text(target, polyline_svg([points], title=title))
+    write_text(target, polyline_svg([np.column_stack((curve.x, curve.y))], title=title))

@@ -2,13 +2,14 @@
 
 A table is a header line of comma-separated column names followed by one
 line per row, every value written as ``%.17g`` (so it reads back bit for
-bit), with LF line ends and a trailing newline. Targets and sources are a
-path or an open text stream.
+bit), with LF line ends and a trailing newline. Rows are an (n, k)
+array-like; targets and sources are a path or an open text stream.
 """
 
 from __future__ import annotations
 
-from typing import IO, Iterable, Sequence, Union
+from itertools import chain
+from typing import IO, Union
 
 import numpy as np
 
@@ -25,14 +26,15 @@ def write_text(target: Union[str, IO[str]], text: str) -> None:
             fh.write(text)
 
 
-def write_table(
-    target: Union[str, IO[str]], header: str, rows: Iterable[Sequence[float]]
-) -> None:
-    """Write `header`, then each row through one row template built from it."""
-    template = ",".join(["%.17g"] * len(header.split(",")))
-    lines = [header]
-    lines.extend(template % tuple(row) for row in rows)
-    write_text(target, "\n".join(lines) + "\n")
+def write_table(target: Union[str, IO[str]], header: str, rows) -> None:
+    """Write `header`, then the (n, k) array-like `rows` in one format call."""
+    # A list of rows is flattened as it is: np.asarray over thousands of
+    # tuples costs more than formatting them.
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    row_template = "\n" + ",".join(["%.17g"] * len(header.split(",")))
+    body = row_template * len(rows) % tuple(chain.from_iterable(rows))
+    write_text(target, header + body + "\n")
 
 
 def read_table(source: Union[str, IO[str]], header: str, what: str) -> np.ndarray:

@@ -21,7 +21,6 @@ from gcspiral import (
     gradient_gcs,
     gradient_line,
     inflection,
-    lcg_gcs_closed_form,
     lcg_gradient_numeric,
     lcg_numeric,
     lddc_histogram,
@@ -29,7 +28,7 @@ from gcspiral import (
     synthesize,
 )
 from gcspiral.cli import main as cli_main
-from tutil import FIG_SWEEP_R, fig_sweep_profiles, random_gcs
+from tutil import FIG_SWEEP_R, fig_sweep_profiles, lcg_point, random_gcs
 
 RNG_SEED = 20260814
 
@@ -125,7 +124,7 @@ def test_criterion_06_numeric_analytic_agreement(capsys):
                 continue
             drawn += 1
             handles = gcs_rho_handles(p)
-            exact = lcg_gcs_closed_form(p, t)
+            exact = lcg_point(p, t)
             points, skipped = lcg_numeric(handles.rho, handles.rho_prime, handles.s_prime, [t])
             assert skipped == []
             assert abs(points[0].log_rho - exact.log_rho) <= 1e-10 * max(1.0, abs(exact.log_rho))
@@ -149,8 +148,8 @@ def test_criterion_06_numeric_analytic_agreement(capsys):
                 continue
             drawn += 1
             h = 1e-5 * p.arc_length
-            hi = lcg_gcs_closed_form(p, t + h)
-            lo = lcg_gcs_closed_form(p, t - h)
+            hi = lcg_point(p, t + h)
+            lo = lcg_point(p, t - h)
             fd = (hi.log_freq - lo.log_freq) / (hi.log_rho - lo.log_rho)
             assert abs(fd - gradient_gcs(p, t)) <= 1e-6
 

@@ -1,11 +1,13 @@
 """End-to-end command-line behavior: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +77,15 @@ class TestSynth:
         assert summary["endpoint"]["x"] == pytest.approx(1.0, abs=1e-9)
         assert summary["endpoint"]["y"] == pytest.approx(6.0, abs=1e-9)
         assert (tmp_path / "segment.csv").is_file()
+
+    def test_svg_text_is_escaped(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "synth", "--gcs", "0.5,2,3,1", "--prefix", "a<b&c", "--formats", "svg",
+            "--out", str(tmp_path),
+        )
+        assert code == 0, err
+        root = ET.parse(str(tmp_path / "a<b&c.svg")).getroot()
+        assert root.find("{http://www.w3.org/2000/svg}title").text == "a<b&c"
 
     def test_json_format_writes_summary_file(self, tmp_path, capsys):
         code, out, _ = run(
@@ -390,6 +401,17 @@ class TestFiguresCommand:
         assert "--prefix" in err
         assert not any(tmp_path.iterdir())
 
+    def test_writer_bytes_match_golden_digests(self, tmp_path, capsys):
+        # These files need only +, -, *, / and formatting, so their bytes do
+        # not depend on the platform's libm.
+        code, _, err = run(capsys, "figures", "--out", str(tmp_path))
+        assert code == 0, err
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_DIGESTS
+        }
+        assert digests == GOLDEN_DIGESTS
+
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for d in (a_dir, b_dir):
@@ -466,6 +488,29 @@ class TestExitPaths:
             "gradient_line_identity",
             "finite_difference_gradient",
         }
+
+
+# sha256 of the gallery files at the default --samples.
+GOLDEN_DIGESTS = {
+    "fig2_profile_r-0.5.csv": "ff03107ebf52f63c5da458205bfbf02a01bc23a0b9abf7b878f605877b66e78a",
+    "fig2_profile_r-0.9.csv": "b3efa3b71538b8d25f5cd9cdbc8c5d6a1fea54647909dea17f3fa3e33ec8a389",
+    "fig2_profile_r-0.99.csv": "7da78bea2f79becada67de554a1bad38cfea2e6535102a88a4a3a1aecd3c9356",
+    "fig2_profile_r0.csv": "c0457d38fbcdf877b8cb9defbeb03e331d4c0070e3c6faca6372c14a51472599",
+    "fig2_profile_r1.csv": "d17bab8e93b5d6af3be430d8a29b5ad6ac47f2ccb6882570ba1b4c0b66b5ceff",
+    "fig2_profile_r100.csv": "cc57fe1ec1e90a76860471076def087ce27a48d0edded12a469f6822143ec145",
+    "fig2_profile_r2.csv": "2796ed45382b8a2399d919902ba0b33071b0497f384e8b96cb95e29726836d4d",
+    "fig2_profile_r5.csv": "6feb11f5defd0bb4d8c63007520bb78cacbb506ccebeadb0a4be9f05ed75700f",
+    "fig5_gradient_r-0.5.csv": "81717b8379281318ab0a514e295043c29ba75344bf44ac5c89efd62472394405",
+    "fig5_gradient_r-0.9.csv": "7faa74e15a8521f9a811d3a846ba0cd0ac2354b923ffb20393fc07b48f636939",
+    "fig5_gradient_r-0.99.csv": "7800d4619063396d0ec57ddc0684205dfc967dd745833cbfb380ff56653bd7c4",
+    "fig5_gradient_r0.csv": "fda5a849d136ab17b1705ce255f2c9eb8a0832361392feadf85ebae5e4c911bc",
+    "fig5_gradient_r1.csv": "c52a7df42e02b0486952866e32f5e2b7e5f5d9f6a52c677a4d7b464fc3b3d2b3",
+    "fig5_gradient_r100.csv": "005158b2175ad38b2b36f3201e9c5182ad7992a1c89d7d672257e4a9aa4669d1",
+    "fig5_gradient_r2.csv": "dc4eedd756d4499abdc4ee02794ba194622a10feb4f642789b06ddd6ea3ba270",
+    "fig5_gradient_r5.csv": "1e99d246e925517d8948c22eda42405801f20ddad8119ea1e1fd795fe21dab9a",
+    "fig2.svg": "129766389096988bf5979f097f7231be568a6cf58a0b9aef5b4adcbbc59bf6f3",
+    "fig5.svg": "630dcd3f995473e9c82d36aa28c18f9ee0b53747d7c41b35106a35133648e5fd",
+}
 
 
 CURVE = "s,x,y,theta,kappa"

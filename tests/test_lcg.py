@@ -28,7 +28,6 @@ from gcspiral import (
     gradient_line,
     gradient_to_csv,
     inflection,
-    lcg_gcs_closed_form,
     lcg_gcs_points,
     lcg_gradient_numeric,
     lcg_line_to_json_dict,
@@ -37,7 +36,7 @@ from gcspiral import (
     line_residual,
     synthesize,
 )
-from tutil import FIG_SWEEP_R, gcs_profiles, unit_fractions
+from tutil import FIG_SWEEP_R, gcs_profiles, lcg_point, unit_fractions
 
 # n1 = kappa1 - kappa0 + r*kappa1 = 0: reciprocal-linear curvature.
 LOG_SPIRAL = GcsProfile(3.0, 1.0, 1.0, 2.0)
@@ -49,7 +48,55 @@ def grid(profile, num=33):
     return np.linspace(0.0, profile.arc_length, num)
 
 
+def _reference_lcg_numeric(rho, rho_prime, s_prime, t_grid):
+    """The per-point loop lcg_numeric replaced, on float t and math.log."""
+
+    def call(fn, t):
+        try:
+            return float(fn(t))
+        except ZeroDivisionError:
+            return math.inf
+
+    points, skipped = [], []
+    with np.errstate(all="ignore"):
+        for t in t_grid:
+            r, rp, sp = call(rho, t), call(rho_prime, t), call(s_prime, t)
+            freq = abs(r * sp / rp) if rp != 0.0 else math.inf
+            if not math.isfinite(r):
+                skipped.append((t, "rho is not finite (inflection)"))
+            elif r == 0.0:
+                skipped.append((t, "rho = 0"))
+            elif rp == 0.0:
+                skipped.append((t, "rho' = 0 (curvature extremum)"))
+            elif not (math.isfinite(rp) and math.isfinite(sp)):
+                skipped.append((t, "rho' or s' is not finite"))
+            elif freq == 0.0 or not math.isfinite(freq):
+                skipped.append((t, "log frequency is not finite"))
+            else:
+                points.append((t, math.log(abs(r)), math.log(freq)))
+    return points, skipped
+
+
 class TestNumericGraph:
+    @pytest.mark.parametrize(
+        "profile",
+        [INFLECTING, LOG_SPIRAL, QuadraticProfile(1.0, 0.5, 2.0, 1.0),
+         QuadraticProfile(-1.0, 0.5, 0.5, 2.0), ConstantProfile(1.5, 2.0)],
+        ids=repr,
+    )
+    def test_matches_per_point_reference(self, profile):
+        # Same arithmetic as the loop; np.log and math.log may differ by 1 ulp.
+        rho = lambda t: 1.0 / profile.kappa(t)
+        rho_prime = lambda t: -profile.kappa_prime(t) / (profile.kappa(t) * profile.kappa(t))
+        t_grid = grid(profile, 65).tolist()
+        s_prime = lambda t: 1.0
+        points, skipped = lcg_numeric(rho, rho_prime, s_prime, t_grid)
+        expect_points, expect_skipped = _reference_lcg_numeric(rho, rho_prime, s_prime, t_grid)
+        assert skipped == expect_skipped
+        assert [p.t for p in points] == [p[0] for p in expect_points]
+        got, want = np.array(points).reshape(-1, 3), np.array(expect_points).reshape(-1, 3)
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
+
     def test_constant_rho_skips_everything(self):
         points, skipped = lcg_numeric(
             lambda t: 1.0, lambda t: 0.0, lambda t: 1.0, [0.0, 0.5, 1.0]
@@ -92,6 +139,46 @@ class TestNumericGraph:
             lcg_numeric(lambda t: 1.0, lambda t: 1.0, lambda t: 1.0, [0.0, 0.0])
         with pytest.raises(DomainError):
             lcg_numeric(lambda t: 1.0, lambda t: 1.0, lambda t: 1.0, [0.0, math.nan])
+        # The closed-form route checks its grid the same way.
+        for bad in ([], [2.0, 1.0, 0.5], [1.0, 1.0], [[0.5, 1.0]]):
+            with pytest.raises(DomainError):
+                lcg_numeric(lambda t: 1.0, lambda t: 1.0, lambda t: 1.0, bad)
+            with pytest.raises(DomainError):
+                lcg_gcs_points(CLOTHOID, bad)
+
+    def test_each_handle_called_once_per_grid(self):
+        handles = gcs_rho_handles(INFLECTING)
+        calls = {"rho": 0, "rho_prime": 0, "s_prime": 0}
+
+        def counted(name, fn):
+            def wrapper(t):
+                calls[name] += 1
+                return fn(t)
+
+            return wrapper
+
+        points, skipped = lcg_numeric(
+            *(counted(name, getattr(handles, name)) for name in calls), grid(INFLECTING)
+        )
+        assert calls == {"rho": 1, "rho_prime": 1, "s_prime": 1}
+        assert len(points) == 32 and [sp.t for sp in skipped] == [1.0]
+
+    def test_skip_reasons_keep_first_match_order(self):
+        # At t = 0 every check fails; later values fail fewer of them.
+        t_grid = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        rho = lambda t: np.where(t == 0.0, np.inf, np.where(t == 1.0, 0.0, 1.0))
+        rho_prime = lambda t: np.where(t <= 2.0, 0.0, np.where(t == 3.0, np.nan, 1e-300))
+        s_prime = lambda t: np.where(t == 5.0, 1e300, 1.0)
+        points, skipped = lcg_numeric(rho, rho_prime, s_prime, t_grid)
+        assert [(p.t, p.log_rho) for p in points] == [(4.0, 0.0)]
+        assert points[0].log_freq == pytest.approx(math.log(1e300), rel=1e-15)
+        assert skipped == [
+            (0.0, "rho is not finite (inflection)"),
+            (1.0, "rho = 0"),
+            (2.0, "rho' = 0 (curvature extremum)"),
+            (3.0, "rho' or s' is not finite"),
+            (5.0, "log frequency is not finite"),
+        ]
 
 
 class TestClosedForm:
@@ -100,7 +187,7 @@ class TestClosedForm:
         handles = gcs_rho_handles(p)
         numeric, _ = lcg_numeric(handles.rho, handles.rho_prime, handles.s_prime, grid(p))
         for np_point in numeric:
-            cf = lcg_gcs_closed_form(p, np_point.t)
+            cf = lcg_point(p, np_point.t)
             assert cf.log_rho == pytest.approx(np_point.log_rho, abs=1e-12)
             assert cf.log_freq == pytest.approx(np_point.log_freq, abs=1e-12)
 
@@ -111,7 +198,7 @@ class TestClosedForm:
         expect_points, expect_reasons = [], []
         for t in np.linspace(0.0, 2.0, 9).tolist():
             try:
-                expect_points.append(lcg_gcs_closed_form(p, t))
+                expect_points.append(lcg_point(p, t))
             except SingularPointError as exc:
                 expect_reasons.append((t, str(exc)))
         assert points == expect_points
@@ -120,7 +207,7 @@ class TestClosedForm:
 
     def test_unit_curvature_point(self):
         # kappa(pi/2) = 1 for this profile, so log|rho| = 0 there.
-        point = lcg_gcs_closed_form(CLOTHOID, math.pi / 2.0)
+        point = lcg_point(CLOTHOID, math.pi / 2.0)
         assert point.log_rho == pytest.approx(0.0, abs=1e-15)
 
     @given(gcs_profiles(min_kappa_gap=0.1), unit_fractions)
@@ -131,7 +218,7 @@ class TestClosedForm:
             assume(abs(t - s_star) > 1e-3 * profile.arc_length)
         handles = gcs_rho_handles(profile)
         try:
-            cf = lcg_gcs_closed_form(profile, t)
+            cf = lcg_point(profile, t)
         except SingularPointError:
             assume(False)
         numeric, skipped = lcg_numeric(
@@ -143,19 +230,22 @@ class TestClosedForm:
 
     def test_circular_profile_rejected(self):
         with pytest.raises(SingularProfileError):
-            lcg_gcs_closed_form(GcsProfile(1.0, 1.0, 1.0, 0.5), 0.5)
+            lcg_point(GcsProfile(1.0, 1.0, 1.0, 0.5), 0.5)
         with pytest.raises(SingularProfileError):
             gcs_rho_handles(GcsProfile(2.0, 2.0, 3.0, 0.0))
 
     def test_inflection_point_rejected(self):
-        with pytest.raises(SingularPointError):
-            lcg_gcs_closed_form(INFLECTING, 1.0)
+        points, skipped = lcg_gcs_points(INFLECTING, [1.0])
+        assert points == []
+        assert skipped == [
+            (1.0, "curvature vanishes at t=1.0 (inflection); LCG point undefined")
+        ]
 
     def test_out_of_domain_rejected(self):
         with pytest.raises(DomainError):
-            lcg_gcs_closed_form(CLOTHOID, -0.5)
+            lcg_point(CLOTHOID, -0.5)
         with pytest.raises(DomainError):
-            lcg_gcs_closed_form(CLOTHOID, 2.0 * math.pi)
+            lcg_point(CLOTHOID, 2.0 * math.pi)
 
     def test_grid_wrapper_collects_diagnostics(self):
         points, skipped = lcg_gcs_points(INFLECTING, [0.0, 0.5, 1.0, 1.5, 2.0])
@@ -195,8 +285,8 @@ class TestGradient:
             p = GcsProfile(0.0, 2.0, math.pi, r)
             h = 1e-5 * p.arc_length
             for t in np.linspace(0.15 * p.arc_length, 0.85 * p.arc_length, 9).tolist():
-                hi = lcg_gcs_closed_form(p, t + h)
-                lo = lcg_gcs_closed_form(p, t - h)
+                hi = lcg_point(p, t + h)
+                lo = lcg_point(p, t - h)
                 fd = (hi.log_freq - lo.log_freq) / (hi.log_rho - lo.log_rho)
                 assert gradient_gcs(p, t) == pytest.approx(fd, abs=1e-6)
 
@@ -209,6 +299,37 @@ class TestGradient:
             lcg_gradient_numeric(
                 lambda t: 1.0, lambda t: 1.0, lambda t: 0.0, lambda t: 0.0, lambda t: 0.0, 0.5
             )
+
+    def test_numeric_array_equals_per_element_calls(self):
+        p = GcsProfile(0.3, 1.7, 2.0, 1.5)
+        handles = gcs_rho_handles(p)
+        t = grid(p)
+        whole = lcg_gradient_numeric(*_five(handles), t)
+        assert whole.dtype == np.float64 and whole.shape == t.shape
+        single = [lcg_gradient_numeric(*_five(handles), v) for v in t.tolist()]
+        assert all(type(v) is float for v in single)
+        assert whole.tolist() == single
+
+    def test_numeric_names_first_singular_t(self):
+        handles = gcs_rho_handles(INFLECTING)
+        with pytest.raises(SingularPointError, match=r"^rho\(1\.0\) is not finite$"):
+            lcg_gradient_numeric(*_five(handles), [0.0, 0.5, 1.0, 1.5, 2.0])
+        rho_prime = lambda t: np.where(np.asarray(t) >= 0.5, 0.0, 1.0)
+        with pytest.raises(SingularPointError, match=r"^rho'\(0\.5\) = 0"):
+            lcg_gradient_numeric(
+                lambda t: 1.0, rho_prime, lambda t: 0.0, lambda t: 1.0, lambda t: 0.0,
+                np.array([0.25, 0.5, 0.75]),
+            )
+
+
+def _five(handles):
+    return (
+        handles.rho,
+        handles.rho_prime,
+        handles.rho_double_prime,
+        handles.s_prime,
+        handles.s_double_prime,
+    )
 
 
 class TestGradientLine:
@@ -329,7 +450,8 @@ class TestSampledGradient:
         assert abs(line.slope_a - exact.slope_a) <= 1e-3
         assert abs(line.intercept_b - exact.intercept_b) <= 1e-3
         assert classify_aesthetic(line, line.residual, tol_fit=1e-2) == AestheticClass.GCS
-        assert all(type(s) is float and type(g) is float for s, g in trace)
+        assert type(trace) is np.ndarray and trace.dtype == np.float64
+        assert trace.ndim == 2 and trace.shape[1] == 2 and len(trace) > 1900
 
     def test_reciprocal_linear_fit_is_exact_for_stencils(self):
         # rho is linear in s, so second differences vanish and the

@@ -2,6 +2,7 @@
 
 import io
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gcspiral import (
     lddc_vs_lcg,
     synthesize,
 )
+from gcspiral.svg import bar_chart_svg
 
 RAMP = GcsProfile(0.5, 2.0, math.pi, 0.0)
 INFLECTING = GcsProfile(-1.0, 1.0, 2.0, 0.0)
@@ -217,6 +219,12 @@ class TestSerialization:
         text = buffer.getvalue()
         assert text.startswith("<?xml")
         assert text.count("<rect") >= 1 + int(np.count_nonzero(hist.lengths))
+
+    def test_bar_chart_caption_is_escaped(self):
+        text = bar_chart_svg([0.0, 1.0, 2.0], [1.0, 2.0], x_label="a<b", y_label="c&d")
+        root = ET.fromstring(text.encode("utf-8"))
+        caption = root.find("{http://www.w3.org/2000/svg}text")
+        assert caption.text == "a<b / c&d"
 
     def test_comparison_csv_shape(self):
         hist = lddc_histogram(dense(RAMP), 8)

@@ -1,4 +1,4 @@
-"""Curve synthesis: endpoint oracles, invariants, frames, serialization."""
+"""Curve synthesis: endpoint oracles, invariants, serialization."""
 
 import io
 import math
@@ -23,9 +23,10 @@ from gcspiral import (
     curve_to_csv,
     curve_to_svg,
     endpoint,
-    frames,
     synthesize,
 )
+from gcspiral.svg import polyline_svg
+from gcspiral.tables import write_table
 from tutil import fig_sweep_profiles, menger_curvature
 
 # Independently computed with 40-digit arithmetic.
@@ -227,27 +228,6 @@ class TestValidation:
             PlanarCurve([0.0, 1.0], [0.0, math.inf], [0.0] * 2, [0.0] * 2, [0.0] * 2)
 
 
-class TestFrames:
-    def test_axis_aligned_sample(self):
-        curve = synthesize(ConstantProfile(0.0, 1.0))
-        tangent, normal = frames(curve)
-        assert tangent[0] == pytest.approx([1.0, 0.0], abs=1e-15)
-        assert normal[0] == pytest.approx([0.0, 1.0], abs=1e-15)
-
-    def test_quarter_turn_sample(self):
-        curve = synthesize(ConstantProfile(0.0, 1.0), Pose(0.0, 0.0, math.pi / 2.0))
-        tangent, normal = frames(curve)
-        assert tangent[0] == pytest.approx([0.0, 1.0], abs=1e-15)
-        assert normal[0] == pytest.approx([-1.0, 0.0], abs=1e-15)
-
-    def test_unit_length_and_orthogonality(self):
-        curve = synthesize(GcsProfile(0.0, 2.0, math.pi, 1.0))
-        tangent, normal = frames(curve)
-        assert np.max(np.abs(np.hypot(tangent[:, 0], tangent[:, 1]) - 1.0)) <= 1e-15
-        assert np.max(np.abs(np.hypot(normal[:, 0], normal[:, 1]) - 1.0)) <= 1e-15
-        assert np.max(np.abs(np.sum(tangent * normal, axis=1))) <= 1e-15
-
-
 class TestSerialization:
     def test_csv_round_trip_exact(self):
         curve = synthesize(GcsProfile(0.1, 2.0, math.pi, 2.0), Pose(0.5, -0.25, 0.1))
@@ -268,6 +248,29 @@ class TestSerialization:
     def test_csv_numeric_validated(self):
         with pytest.raises(DomainError):
             curve_from_csv(io.StringIO("s,x,y,theta,kappa\n0,0,zero,0,0\n1,1,1,1,1\n"))
+
+    def test_polyline_svg_takes_arrays_or_tuples(self):
+        curve = synthesize(GcsProfile(0.1, 2.0, math.pi, 2.0), Pose(0.5, -0.25, 0.1))
+        xy = np.column_stack((curve.x, curve.y))
+        as_tuples = list(zip(curve.x.tolist(), curve.y.tolist()))
+        labels = ["a<b", "c&d"]
+        expect = polyline_svg([xy, xy[::-1]], labels=labels, title="t>u")
+        assert polyline_svg([as_tuples, as_tuples[::-1]], labels=labels, title="t>u") == expect
+        assert "<title>t&gt;u</title>" in expect and "a&lt;b" in expect and "c&amp;d" in expect
+        with pytest.raises(DomainError):
+            polyline_svg([[], np.empty((0, 2))])
+        with pytest.raises(DomainError):
+            polyline_svg([[(0.0, 1.0), (math.nan, 2.0)]])
+
+    def test_table_writer_takes_any_row_array(self):
+        rows = [(0.5, -1.0), (1.0, 1.0 / 3.0)]
+        written = []
+        for table in (rows, np.array(rows), [], np.empty((0, 2))):
+            buffer = io.StringIO()
+            write_table(buffer, "a,b", table)
+            written.append(buffer.getvalue())
+        assert written[0] == written[1] == "a,b\n0.5,-1\n1,0.33333333333333331\n"
+        assert written[2] == written[3] == "a,b\n"
 
     def test_svg_viewbox_has_margin(self):
         curve = synthesize(ConstantProfile(1.0, math.pi))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from gcspiral import GcsProfile
+from gcspiral import GcsProfile, SingularPointError, lcg_gcs_points
 
 kappas = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 arc_lengths = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
@@ -46,6 +46,14 @@ def random_gcs(rng: np.random.Generator, min_kappa_gap: float = 0.0) -> GcsProfi
         s_total = rng.uniform(0.05, 20.0)
         r = rng.uniform(-0.99, 100.0)
         return GcsProfile(k0, k1, s_total, r)
+
+
+def lcg_point(profile: GcsProfile, t: float):
+    """The closed-form LCG point at one t; SingularPointError where it is skipped."""
+    points, skipped = lcg_gcs_points(profile, [t])
+    if skipped:
+        raise SingularPointError(skipped[0].reason)
+    return points[0]
 
 
 FIG_SWEEP_R = (100.0, 5.0, 2.0, 1.0, 0.0, -0.5, -0.9, -0.99)
