@@ -2,10 +2,10 @@
 
 The histogram accumulates, per log10(rho) bin, the arc length of curve
 segments whose midpoint radius of curvature falls in the bin. For
-rational-linear profiles the same quantity has a closed form: the rho(s)
-map is invertible on each sign-constant piece, so the exact arc length in
-any rho interval follows from inverting rho at the bin edges. The discrete
-histogram must converge to that analytic distribution as sampling refines.
+rational-linear profiles the same quantity has a closed form: kappa(s) is
+monotone, so the exact arc length in any rho interval follows from
+inverting kappa at the bin edges. The discrete histogram must converge to
+that analytic distribution as sampling refines.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError, MismatchedInputsError
 from .lcg import NEAR_INFLECTION_REL_TOL, LcgLine
-from .profiles import GcsProfile, coefficient_scale, inflection
+from .profiles import GcsProfile, coefficient_scale
+from .quadrature import _count
 from .svg import bar_chart_svg
 from .synthesis import PlanarCurve
 from .tables import read_table, write_table, write_text
@@ -59,8 +60,8 @@ class LddcHistogram:
             raise DomainError("bin lengths must be finite and >= 0")
         if not (self.total_length > 0.0 and math.isfinite(self.total_length)):
             raise DomainError(f"total_length must be finite and > 0, got {self.total_length!r}")
-        if self.excluded_length < 0.0:
-            raise DomainError("excluded_length must be >= 0")
+        if not (self.excluded_length >= 0.0 and math.isfinite(self.excluded_length)):
+            raise DomainError(f"excluded_length must be finite and >= 0, got {self.excluded_length!r}")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "lengths", lengths)
 
@@ -83,8 +84,7 @@ def lddc_histogram(
     With no explicit `edges`, bins span the observed log10 range (padded by
     half a decade each way when the range is degenerate, e.g. for a circle).
     """
-    if num_bins < 1:
-        raise DomainError(f"num_bins must be >= 1, got {num_bins!r}")
+    num_bins = _count("num_bins", num_bins)
     seg_len = np.diff(curve.s)
     kappa_mid = 0.5 * (curve.kappa[:-1] + curve.kappa[1:])
     scale = max(float(np.max(np.abs(curve.kappa))), 1.0 / curve.total_length)
@@ -118,8 +118,7 @@ def lddc_histogram(
         weights = weights[in_range]
 
     idx = np.clip(np.searchsorted(edge_arr, log_rho, side="right") - 1, 0, num_bins - 1)
-    lengths = np.zeros(num_bins)
-    np.add.at(lengths, idx, weights)
+    lengths = np.bincount(idx, weights, num_bins)
     return LddcHistogram(edge_arr, lengths, curve.total_length, excluded)
 
 
@@ -133,66 +132,23 @@ class LddcComparison:
     max_abs_deviation: float
 
 
-def _invert_abs_rho(profile: GcsProfile, sign: float, rho_abs: float, lo: float, hi: float) -> float:
-    """Arc length where the signed radius equals sign*rho_abs, clamped to [lo, hi].
-
-    Solving (r*s + S)/(n1*s + n0) = rho_signed gives
-    s = (S - rho_signed*n0) / (rho_signed*n1 - r).
-    """
-    rho_signed = sign * rho_abs
-    den = rho_signed * profile.n1 - profile.r
-    if den == 0.0:
-        # rho pole of the inverse; the corresponding s lies beyond the piece.
-        return hi if sign * profile.n1 >= 0.0 else lo
-    s = (profile.arc_length - rho_signed * profile.n0) / den
-    return min(max(s, lo), hi)
-
-
-def _piece_length_in_band(
-    profile: GcsProfile, lo: float, hi: float, rho_a: float, rho_b: float
-) -> float:
-    """Arc length of {s in [lo, hi] : |rho(s)| in [rho_a, rho_b]} for one piece.
-
-    The piece must not contain an interior inflection so that |rho| is
-    monotone on it.
-    """
-    mid = 0.5 * (lo + hi)
-    k_mid = profile.kappa(mid)
-    sign = 1.0 if k_mid >= 0.0 else -1.0
-
-    def abs_rho_at(s: float) -> float:
-        k = profile.kappa(s)
-        if k == 0.0:
-            return math.inf
-        return abs(1.0 / k)
-
-    end_lo, end_hi = abs_rho_at(lo), abs_rho_at(hi)
-    piece_min = min(end_lo, end_hi)
-    piece_max = max(end_lo, end_hi)
-    band_lo = max(rho_a, piece_min)
-    band_hi = min(rho_b, piece_max)
-    if band_lo >= band_hi:
-        return 0.0
-    s_at_lo = lo if band_lo == piece_min and end_lo <= end_hi else (
-        hi if band_lo == piece_min else _invert_abs_rho(profile, sign, band_lo, lo, hi)
-    )
-    if band_hi == piece_max:
-        s_at_hi = lo if end_lo >= end_hi else hi
-    else:
-        s_at_hi = _invert_abs_rho(profile, sign, band_hi, lo, hi)
-    return abs(s_at_hi - s_at_lo)
-
-
 def lddc_vs_lcg(
     histogram: LddcHistogram,
     line: LcgLine,
     profile: GcsProfile,
 ) -> LddcComparison:
-    """Compare measured bin lengths against the exact rho-inversion prediction.
+    """Compare measured bin lengths against the exact curvature-inversion prediction.
 
-    The profile's |rho(s)| is monotone on each side of its (at most one)
-    inflection, so the exact arc length inside any rho band is obtained by
-    inverting rho at the band edges piece by piece.
+    kappa(s) = (n1*s + n0)/(r*s + S) is monotone on [0, S] (r > -1), so the
+    arc length where |kappa| <= k is |s(k+) - s(k-)|, with k+ and k- the
+    values +k and -k clipped to the attained range between kappa0 and
+    kappa1. The inverse is written from the end curvatures as
+    s(kappa) = S / (1 + (1 + r)*(kappa1 - kappa)/(kappa - kappa0)):
+    it has no pole on that range, gives exactly 0 at kappa0 (where the ratio
+    is infinite) and S at kappa1, and each of its steps is monotone in
+    floating point, so no bin is predicted a negative length. That length
+    is taken once at k = 10**-edge for every bin edge; each bin's prediction
+    is the difference at its two edges.
     """
     S = profile.arc_length
     if abs(histogram.total_length - S) > 1e-9 * max(1.0, S):
@@ -208,21 +164,14 @@ def lddc_vs_lcg(
             "profile has constant curvature: the radius range is a point and not invertible"
         )
 
-    s_star = inflection(profile)
-    pieces: list[tuple[float, float]] = []
-    if s_star is not None and 0.0 < s_star < S:
-        pieces = [(0.0, s_star), (s_star, S)]
-    else:
-        pieces = [(0.0, S)]
-
     edges = histogram.bin_edges
-    predicted = np.zeros(histogram.num_bins)
-    for i in range(histogram.num_bins):
-        rho_a = 10.0 ** float(edges[i])
-        rho_b = 10.0 ** float(edges[i + 1])
-        predicted[i] = sum(
-            _piece_length_in_band(profile, lo, hi, rho_a, rho_b) for lo, hi in pieces
-        )
+    k0, k1 = profile.kappa0, profile.kappa1
+    with np.errstate(over="ignore", divide="ignore"):
+        k = np.power(10.0, -edges)
+        k_hat = np.clip(np.stack((k, -k)), min(k0, k1), max(k0, k1))
+        s = S / (1.0 + (1.0 + profile.r) * ((k1 - k_hat) / (k_hat - k0)))
+    within = np.abs(s[0] - s[1])
+    predicted = within[:-1] - within[1:]
     deviation = float(np.max(np.abs(histogram.lengths - predicted)))
     return LddcComparison(edges.copy(), histogram.lengths.copy(), predicted, deviation)
 
