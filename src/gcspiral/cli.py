@@ -20,9 +20,8 @@ import numpy as np
 from .errors import (
     DegenerateDataError,
     DomainError,
-    MismatchedInputsError,
+    InputError,
     QuadratureError,
-    SingularPointError,
     SingularProfileError,
 )
 from .lcg import (
@@ -524,16 +523,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("error: a command is required (or --seed-check)", file=sys.stderr)
             return 2
         return _DISPATCH[args.command](args)
-    except (
-        DomainError,
-        SingularProfileError,
-        SingularPointError,
-        DegenerateDataError,
-        MismatchedInputsError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:

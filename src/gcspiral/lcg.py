@@ -15,9 +15,8 @@ class. Natural logarithms are used throughout this module.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Callable, IO, NamedTuple, Optional, Sequence, Union
+from typing import Callable, IO, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +25,9 @@ from .errors import (
     DomainError,
     SingularPointError,
     SingularProfileError,
+    count,
+    increasing,
+    real,
 )
 from .profiles import GcsProfile, _clamp_s, coefficient_scale
 from .synthesis import PlanarCurve
@@ -82,12 +84,12 @@ class LcgLine:
     residual: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.slope_a) and math.isfinite(self.intercept_b)):
-            raise DomainError("LCG line coefficients must be finite")
-        lo, hi = self.domain
-        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-            raise DomainError(f"LCG line domain must be a nonempty interval, got {self.domain!r}")
-        object.__setattr__(self, "domain", (float(lo), float(hi)))
+        for name in ("slope_a", "intercept_b"):
+            object.__setattr__(self, name, real(name, getattr(self, name)))
+        domain = increasing("LCG line domain", self.domain, least=2)
+        if len(domain) != 2:
+            raise DomainError(f"LCG line domain must be an interval (lo, hi), got {self.domain!r}")
+        object.__setattr__(self, "domain", tuple(domain.tolist()))
 
     def __call__(self, t):
         return self.slope_a * t + self.intercept_b
@@ -112,18 +114,6 @@ class RhoHandles:
     s_double_prime: Callable
 
 
-def _check_grid(t_grid: Sequence[float]) -> np.ndarray:
-    """`t_grid` as a float array: nonempty, one-dimensional, finite, strictly increasing."""
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise DomainError("t_grid must be a nonempty one-dimensional sequence")
-    if not np.all(np.isfinite(grid)):
-        raise DomainError("t_grid must be finite")
-    if not np.all(np.diff(grid) > 0.0):
-        raise DomainError("t_grid must be strictly increasing")
-    return grid
-
-
 def _evaluate(handles, t: np.ndarray) -> list[np.ndarray]:
     """Each handle called once on t, a scalar return broadcast to t's shape."""
     return [np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape) for fn in handles]
@@ -138,7 +128,7 @@ def lcg_numeric(
     log coordinate fails to be finite are skipped and reported with the
     first cause that applies rather than raising.
     """
-    grid = _check_grid(t_grid)
+    grid = increasing("t_grid", t_grid, least=1)
     with np.errstate(all="ignore"):
         r, rp, sp = _evaluate((rho, rho_prime, s_prime), grid)
         freq = np.abs(r * sp / rp)
@@ -189,24 +179,22 @@ def lcg_gradient_numeric(
     return gradient if t.ndim else float(gradient)
 
 
-def _require_noncircular(profile: GcsProfile, tol: float) -> None:
-    if tol < 0.0:
-        raise DomainError(f"tol must be >= 0, got {tol!r}")
-    if abs(profile.kappa0 - profile.kappa1) <= tol * coefficient_scale(profile):
+def _require_noncircular(profile: GcsProfile) -> None:
+    if abs(profile.kappa0 - profile.kappa1) <= NEAR_INFLECTION_REL_TOL * coefficient_scale(profile):
         raise SingularProfileError(
             "LCG closed forms divide by kappa0 - kappa1; "
             f"profile has kappa0 = {profile.kappa0!r}, kappa1 = {profile.kappa1!r}"
         )
 
 
-def gcs_rho_handles(profile: GcsProfile, tol: float = NEAR_INFLECTION_REL_TOL) -> RhoHandles:
+def gcs_rho_handles(profile: GcsProfile) -> RhoHandles:
     """Exact (rho, rho', rho'', s', s'') for an arc-length rational-linear profile.
 
     With numerator Nu(t) = n1*t + n0 and denominator D(t) = r*t + S:
     rho = D/Nu, rho' = C/Nu^2 and rho'' = -2*n1*C/Nu^3 where the constant
     C = S*(1+r)*(kappa0-kappa1) is nonzero away from the circular case.
     """
-    _require_noncircular(profile, tol)
+    _require_noncircular(profile)
     n1, n0 = profile.n1, profile.n0
     r, S = profile.r, profile.arc_length
     c = S * (1.0 + r) * (profile.kappa0 - profile.kappa1)
@@ -226,9 +214,7 @@ def gcs_rho_handles(profile: GcsProfile, tol: float = NEAR_INFLECTION_REL_TOL) -
 
 
 def lcg_gcs_points(
-    profile: GcsProfile,
-    t_grid: Sequence[float],
-    tol: float = NEAR_INFLECTION_REL_TOL,
+    profile: GcsProfile, t_grid: Sequence[float]
 ) -> tuple[list[LcgPoint], list[SkippedPoint]]:
     """Exact LCG of a rational-linear profile over a grid.
 
@@ -236,14 +222,14 @@ def lcg_gcs_points(
     quotient, |(r*t+S)*(n1*t+n0) / (S*(1+r)*(kappa0-kappa1))|. The grid is
     checked as in lcg_numeric; near-inflection values become diagnostics.
     """
-    _require_noncircular(profile, tol)
+    _require_noncircular(profile)
     S = profile.arc_length
-    t = _clamp_s(_check_grid(t_grid), S)
+    t = _clamp_s(increasing("t_grid", t_grid, least=1), S)
     nu = profile.n1 * t + profile.n0
     den = profile.r * t + S
     c = S * (1.0 + profile.r) * (profile.kappa0 - profile.kappa1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kept = ~(np.abs(nu / den) < tol * coefficient_scale(profile))
+        kept = ~(np.abs(nu / den) < NEAR_INFLECTION_REL_TOL * coefficient_scale(profile))
         log_rho = np.log(np.abs(den[kept] / nu[kept]))
         log_freq = np.log(np.abs(den[kept] * nu[kept] / c))
     points = [
@@ -256,27 +242,27 @@ def lcg_gcs_points(
     return points, skipped
 
 
-def gradient_gcs(profile: GcsProfile, t, tol: float = NEAR_INFLECTION_REL_TOL):
+def gradient_gcs(profile: GcsProfile, t):
     """Exact LCG gradient of a rational-linear profile at parameter t (float or array).
 
     The rho/rho'/rho'' combination simplifies to the rational expression
     1 + 2*n1*(r*t+S) / (S*(1+r)*(kappa0-kappa1)), which stays finite through
     inflections.
     """
-    _require_noncircular(profile, tol)
+    _require_noncircular(profile)
     S = profile.arc_length
     t = _clamp_s(t, S)
     c = S * (1.0 + profile.r) * (profile.kappa0 - profile.kappa1)
     return 1.0 + 2.0 * profile.n1 * (profile.r * t + S) / c
 
 
-def gradient_line(profile: GcsProfile, tol: float = NEAR_INFLECTION_REL_TOL) -> LcgLine:
+def gradient_line(profile: GcsProfile) -> LcgLine:
     """Slope and intercept of the exact linear gradient A*t + B.
 
     A = 2*r*n1 / ((1+r)*S*(kappa0-kappa1)) and
     B = 2*r*kappa0 / ((1+r)*(kappa0-kappa1)) - 1.
     """
-    _require_noncircular(profile, tol)
+    _require_noncircular(profile)
     k0, k1 = profile.kappa0, profile.kappa1
     r, S = profile.r, profile.arc_length
     a = 2.0 * r * profile.n1 / ((1.0 + r) * S * (k0 - k1))
@@ -286,35 +272,22 @@ def gradient_line(profile: GcsProfile, tol: float = NEAR_INFLECTION_REL_TOL) -> 
 
 def line_residual(profile: GcsProfile, line: LcgLine, num: int = 50) -> float:
     """Max deviation of the exact gradient from the line over a uniform grid."""
-    if num < 2:
-        raise DomainError(f"num must be >= 2, got {num!r}")
-    grid = np.linspace(0.0, profile.arc_length, num)
+    grid = np.linspace(0.0, profile.arc_length, count("num", num, least=2))
     return float(np.max(np.abs(gradient_gcs(profile, grid) - line(grid))))
 
 
-def classify_aesthetic(
-    line: LcgLine,
-    residual: float,
-    tol_a: Optional[float] = None,
-    tol_fit: float = 1e-6,
-) -> AestheticClass:
+def classify_aesthetic(line: LcgLine, residual: float, tol_fit: float = 1e-6) -> AestheticClass:
     """Apply the linear-gradient criterion to a fitted gradient line.
 
-    LOG_AESTHETIC: gradient constant within tol_a and linear within tol_fit.
-    GCS: gradient linear within tol_fit but not constant. OTHER: the linear
-    model itself misfits (residual > tol_fit). tol_a defaults to 1e-6 per
-    unit of the line's domain span.
+    LOG_AESTHETIC: gradient constant (|A| at most 1e-6 per unit of the
+    line's domain span) and linear within tol_fit. GCS: gradient linear
+    within tol_fit but not constant. OTHER: the linear model itself
+    misfits (residual > tol_fit).
     """
-    span = line.domain[1] - line.domain[0]
-    if tol_a is None:
-        tol_a = 1e-6 / span
-    if not (tol_a > 0.0 and tol_fit > 0.0):
-        raise DomainError(f"tolerances must be > 0, got tol_a={tol_a!r}, tol_fit={tol_fit!r}")
-    if residual < 0.0 or not math.isfinite(residual):
-        raise DomainError(f"residual must be finite and >= 0, got {residual!r}")
-    if residual > tol_fit:
+    tol_fit = real("tol_fit", tol_fit, above=0.0)
+    if real("residual", residual, least=0.0) > tol_fit:
         return AestheticClass.OTHER
-    if abs(line.slope_a) <= tol_a:
+    if abs(line.slope_a) <= 1e-6 / (line.domain[1] - line.domain[0]):
         return AestheticClass.LOG_AESTHETIC
     return AestheticClass.GCS
 

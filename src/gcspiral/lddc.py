@@ -10,16 +10,21 @@ that analytic distribution as sampling refines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError, MismatchedInputsError
+from .errors import (
+    DegenerateDataError,
+    DomainError,
+    MismatchedInputsError,
+    count,
+    increasing,
+    real,
+)
 from .lcg import NEAR_INFLECTION_REL_TOL, LcgLine
 from .profiles import GcsProfile, coefficient_scale
-from .quadrature import _count
 from .svg import bar_chart_svg
 from .synthesis import PlanarCurve
 from .tables import read_table, write_table, write_text
@@ -46,22 +51,16 @@ class LddcHistogram:
     excluded_length: float = 0.0
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float)
+        edges = increasing("bin_edges", self.bin_edges, least=2)
         lengths = np.asarray(self.lengths, dtype=float)
-        if edges.ndim != 1 or len(edges) < 2:
-            raise DomainError("bin_edges must hold at least 2 values")
-        if not np.all(np.isfinite(edges)):
-            raise DomainError("bin_edges must be finite")
-        if not np.all(np.diff(edges) > 0.0):
-            raise DomainError("bin_edges must be strictly increasing")
-        if lengths.ndim != 1 or len(lengths) != len(edges) - 1:
+        if lengths.shape != (len(edges) - 1,):
             raise DomainError("need exactly one length per bin")
-        if np.any(lengths < 0.0) or not np.all(np.isfinite(lengths)):
+        if not np.all((lengths >= 0.0) & np.isfinite(lengths)):
             raise DomainError("bin lengths must be finite and >= 0")
-        if not (self.total_length > 0.0 and math.isfinite(self.total_length)):
-            raise DomainError(f"total_length must be finite and > 0, got {self.total_length!r}")
-        if not (self.excluded_length >= 0.0 and math.isfinite(self.excluded_length)):
-            raise DomainError(f"excluded_length must be finite and >= 0, got {self.excluded_length!r}")
+        total = real("total_length", self.total_length, above=0.0)
+        held = float(np.sum(lengths)) + real("excluded_length", self.excluded_length, least=0.0)
+        if held > total * (1.0 + 1e-9):
+            raise DomainError(f"bins plus excluded length {held!r} exceed total_length {total!r}")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "lengths", lengths)
 
@@ -84,7 +83,7 @@ def lddc_histogram(
     With no explicit `edges`, bins span the observed log10 range (padded by
     half a decade each way when the range is degenerate, e.g. for a circle).
     """
-    num_bins = _count("num_bins", num_bins)
+    num_bins = count("num_bins", num_bins)
     seg_len = np.diff(curve.s)
     kappa_mid = 0.5 * (curve.kappa[:-1] + curve.kappa[1:])
     scale = max(float(np.max(np.abs(curve.kappa))), 1.0 / curve.total_length)

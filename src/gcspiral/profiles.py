@@ -19,12 +19,12 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, real
 
 __all__ = [
     "ConstantProfile",
@@ -41,21 +41,6 @@ __all__ = [
     "profile_to_json",
     "profile_from_json",
 ]
-
-
-def _finite(name: str, value) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _check_arc_length(arc_length: float) -> None:
-    if not arc_length > 0.0:
-        raise DomainError(f"arc_length must be > 0, got {arc_length!r}")
 
 
 def _clamp_s(s, arc_length: float):
@@ -154,17 +139,22 @@ def _remainder_series(u):
     return total
 
 
+class _RealFields:
+    """Stores every init field of a profile as a float: finite, arc_length > 0."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.init:
+                above = 0.0 if f.name == "arc_length" else None
+                object.__setattr__(self, f.name, real(f.name, getattr(self, f.name), above))
+
+
 @dataclass(frozen=True)
-class ConstantProfile:
+class ConstantProfile(_RealFields):
     """Constant curvature: a circular arc (or a straight line when kappa=0)."""
 
     kappa_value: float
     arc_length: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "kappa_value", _finite("kappa", self.kappa_value))
-        object.__setattr__(self, "arc_length", _finite("arc_length", self.arc_length))
-        _check_arc_length(self.arc_length)
 
     def kappa(self, s):
         return _like(_clamp_s(s, self.arc_length), self.kappa_value)
@@ -177,18 +167,12 @@ class ConstantProfile:
 
 
 @dataclass(frozen=True)
-class LinearProfile:
+class LinearProfile(_RealFields):
     """Linear curvature interpolating kappa0 at s=0 and kappa1 at s=S (a clothoid segment)."""
 
     kappa0: float
     kappa1: float
     arc_length: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "kappa0", _finite("kappa0", self.kappa0))
-        object.__setattr__(self, "kappa1", _finite("kappa1", self.kappa1))
-        object.__setattr__(self, "arc_length", _finite("arc_length", self.arc_length))
-        _check_arc_length(self.arc_length)
 
     def kappa(self, s):
         s = _clamp_s(s, self.arc_length)
@@ -205,7 +189,7 @@ class LinearProfile:
 
 
 @dataclass(frozen=True)
-class QuadraticProfile:
+class QuadraticProfile(_RealFields):
     """Quadratic curvature a*s^2 + b*s + kappa0 with b chosen so kappa(S) = kappa1.
 
     `a` is a free shape parameter; a = 0 reduces to the linear profile.
@@ -215,13 +199,6 @@ class QuadraticProfile:
     kappa0: float
     kappa1: float
     arc_length: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _finite("a", self.a))
-        object.__setattr__(self, "kappa0", _finite("kappa0", self.kappa0))
-        object.__setattr__(self, "kappa1", _finite("kappa1", self.kappa1))
-        object.__setattr__(self, "arc_length", _finite("arc_length", self.arc_length))
-        _check_arc_length(self.arc_length)
 
     @property
     def b(self) -> float:
@@ -242,7 +219,7 @@ class QuadraticProfile:
 
 
 @dataclass(frozen=True)
-class GcsProfile:
+class GcsProfile(_RealFields):
     """Rational-linear curvature kappa(s) = (n1*s + n0) / (r*s + S).
 
     Construction from endpoint data (kappa0, kappa1, S, r) caches the
@@ -258,11 +235,7 @@ class GcsProfile:
     n0: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa0", _finite("kappa0", self.kappa0))
-        object.__setattr__(self, "kappa1", _finite("kappa1", self.kappa1))
-        object.__setattr__(self, "arc_length", _finite("arc_length", self.arc_length))
-        object.__setattr__(self, "r", _finite("r", self.r))
-        _check_arc_length(self.arc_length)
+        super().__post_init__()
         if not self.r > -1.0:
             raise DomainError(f"shape factor r must be > -1, got {self.r!r}")
         n1 = self.kappa1 - self.kappa0 + self.r * self.kappa1
@@ -310,15 +283,14 @@ def coefficient_scale(profile: GcsProfile) -> float:
     return max(abs(profile.kappa0), abs(profile.kappa1), 1.0 / profile.arc_length)
 
 
-def classify_degenerate(profile: GcsProfile, tol: float = 1e-12) -> DegenerateClass:
+def classify_degenerate(profile: GcsProfile) -> DegenerateClass:
     """Classify which subfamily the profile degenerates to.
 
-    Curvature-valued quantities are compared against tol * coefficient_scale;
-    the dimensionless shape factor r against tol directly.  Branches are
+    Curvature-valued quantities are compared against 1e-12 * coefficient_scale;
+    the dimensionless shape factor r against 1e-12 directly.  Branches are
     checked in order, so the classes are mutually exclusive and exhaustive.
     """
-    if tol < 0.0:
-        raise DomainError(f"tol must be >= 0, got {tol!r}")
+    tol = 1e-12
     k_tol = tol * coefficient_scale(profile)
     if abs(profile.kappa0) <= k_tol and abs(profile.kappa1) <= k_tol:
         return DegenerateClass.STRAIGHT_LINE

@@ -15,12 +15,11 @@ Simpson with the Richardson (fine - coarse)/15 correction.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, count, real
 
 __all__ = ["Rule", "GAUSS_LEGENDRE", "SIMPSON", "MAX_PANELS", "tangent_integrals"]
 
@@ -79,13 +78,6 @@ def _panel_sums(theta, lo, width, panels, rule: Rule) -> tuple[np.ndarray, np.nd
     return sx, sy
 
 
-def _count(name: str, value, least: int = 1) -> int:
-    """`value` as an int, if it is an integer (not a bool) of at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 def tangent_integrals(
     theta: Callable,
     edges,
@@ -108,10 +100,9 @@ def tangent_integrals(
         raise DomainError(f"integration bounds must be finite, got {edges!r}")
     if np.any(np.diff(edges) < 0.0):
         raise DomainError(f"integration bounds out of order: {edges!r}")
-    if not (isinstance(abs_tol, (int, float)) and 0.0 < abs_tol < math.inf):
-        raise DomainError(f"abs_tol must be finite and > 0, got {abs_tol!r}")
+    abs_tol = real("abs_tol", abs_tol, above=0.0)
     # Beyond 2**62 panels the work ceiling binds first.
-    limit = 2.0 ** min(_count("max_subdivisions", max_subdivisions), 62)
+    limit = 2.0 ** min(count("max_subdivisions", max_subdivisions), 62)
 
     lo = edges[:-1]
     width = np.diff(edges)

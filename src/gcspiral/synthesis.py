@@ -9,16 +9,15 @@ up to sample i instead of re-integrating from zero.
 
 from __future__ import annotations
 
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Union
 
 import numpy as np
 
-from .errors import DomainError
-from .profiles import CurvatureProfile, profile_to_dict
-from .quadrature import GAUSS_LEGENDRE, SIMPSON, _count, tangent_integrals
+from .errors import DomainError, count, increasing, real
+from .profiles import CurvatureProfile
+from .quadrature import GAUSS_LEGENDRE, SIMPSON, tangent_integrals
 from .svg import polyline_svg
 from .tables import read_table, write_table, write_text
 
@@ -38,10 +37,6 @@ __all__ = [
 _SCHEMES = {"simpson": SIMPSON, "gauss": GAUSS_LEGENDRE}
 
 
-def _finite_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class Pose:
     """Starting position and tangent direction of a synthesized curve."""
@@ -52,10 +47,7 @@ class Pose:
 
     def __post_init__(self):
         for name in ("x0", "y0", "theta0"):
-            v = getattr(self, name)
-            if not _finite_real(v):
-                raise DomainError(f"pose field {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, real(f"pose field {name}", getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -73,10 +65,9 @@ class QuadratureConfig:
     samples_per_curve: int = 256
 
     def __post_init__(self):
-        if not (_finite_real(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be finite and > 0, got {self.abs_tol!r}")
-        _count("max_subdivisions", self.max_subdivisions)
-        _count("samples_per_curve", self.samples_per_curve, least=2)
+        object.__setattr__(self, "abs_tol", real("abs_tol", self.abs_tol, above=0.0))
+        count("max_subdivisions", self.max_subdivisions)
+        count("samples_per_curve", self.samples_per_curve, least=2)
 
 
 @dataclass(frozen=True)
@@ -97,26 +88,15 @@ class PlanarCurve:
     y: np.ndarray
     theta: np.ndarray
     kappa: np.ndarray
-    profile_descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("s", "x", "y", "theta", "kappa"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise DomainError(f"curve field {name} must be one-dimensional")
-            if not np.all(np.isfinite(arr)):
-                raise DomainError(f"curve field {name} contains non-finite values")
-            arrays[name] = arr
-            object.__setattr__(self, name, arr)
-        n = len(arrays["s"])
-        if n < 2:
-            raise DomainError("a curve needs at least 2 samples")
-        for name, arr in arrays.items():
-            if len(arr) != n:
-                raise DomainError("curve sample columns must have equal length")
-        if not np.all(np.diff(arrays["s"]) > 0.0):
-            raise DomainError("arc-length samples must be strictly increasing")
+        s = increasing("curve field s", self.s, least=2)
+        object.__setattr__(self, "s", s)
+        for name in ("x", "y", "theta", "kappa"):
+            column = np.asarray(getattr(self, name), dtype=float)
+            if column.shape != s.shape or not np.all(np.isfinite(column)):
+                raise DomainError(f"curve field {name} must hold {len(s)} finite values")
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.s)
@@ -159,9 +139,7 @@ def synthesize(
     dx, dy = tangent_integrals(angle, s_grid, config.abs_tol / (n - 1), config.max_subdivisions)
     xs = np.cumsum(np.concatenate(([pose.x0], dx)))
     ys = np.cumsum(np.concatenate(([pose.y0], dy)))
-    return PlanarCurve(
-        s_grid, xs, ys, angle(s_grid), profile.kappa(s_grid), profile_to_dict(profile)
-    )
+    return PlanarCurve(s_grid, xs, ys, angle(s_grid), profile.kappa(s_grid))
 
 
 def endpoint(
@@ -204,11 +182,7 @@ def curve_to_csv(curve: PlanarCurve, target: Union[str, IO[str]]) -> None:
 
 
 def curve_from_csv(source: Union[str, IO[str]]) -> PlanarCurve:
-    origin = "<stream>" if hasattr(source, "read") else str(source)
-    data = read_table(source, _CURVE_HEADER, "curve CSV")
-    if len(data) < 2:
-        raise DomainError("curve CSV needs at least 2 sample rows")
-    return PlanarCurve(*data.T, {"type": "csv", "path": origin})
+    return PlanarCurve(*read_table(source, _CURVE_HEADER, "curve CSV").T)
 
 
 def curve_to_svg(curve: PlanarCurve, target: Union[str, IO[str]], title: str = "") -> None:

@@ -15,9 +15,14 @@ import pytest
 
 import gcspiral
 from gcspiral import (
+    DegenerateDataError,
+    DomainError,
     GcsProfile,
     LinearProfile,
+    MismatchedInputsError,
     QuadratureConfig,
+    SingularPointError,
+    SingularProfileError,
     gradient_gcs,
     gradient_line,
     lcg_gcs_points,
@@ -26,6 +31,7 @@ from gcspiral import (
     synthesize,
 )
 from gcspiral.cli import OUT_ENV_VAR, R_SWEEP, main
+from gcspiral.errors import InputError
 from gcspiral.tables import read_table
 
 PI = repr(math.pi)
@@ -440,6 +446,18 @@ class TestExitPaths:
         )
         assert code == 2
         assert "float floor" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_input_errors_are_exit_2(self, tmp_path, capsys):
+        for error in (
+            DomainError, SingularProfileError, SingularPointError,
+            DegenerateDataError, MismatchedInputsError,
+        ):
+            assert issubclass(error, InputError)
+        doc = json.dumps({"type": "gcs", "kappa0": "1", "kappa1": 2, "arc_length": 3, "r": 0})
+        code, _, err = run(capsys, "synth", "--profile", doc, "--out", str(tmp_path))
+        assert code == 2
+        assert "kappa0 must be a finite real number, got '1'" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_work_ceiling_is_exit_3(self, tmp_path, capsys):

@@ -140,7 +140,7 @@ class TestNumericGraph:
         with pytest.raises(DomainError):
             lcg_numeric(lambda t: 1.0, lambda t: 1.0, lambda t: 1.0, [0.0, math.nan])
         # The closed-form route checks its grid the same way.
-        for bad in ([], [2.0, 1.0, 0.5], [1.0, 1.0], [[0.5, 1.0]]):
+        for bad in ([], [2.0, 1.0, 0.5], [1.0, 1.0], [[0.5, 1.0]], ["0", "1"], [0.0, [1.0]]):
             with pytest.raises(DomainError):
                 lcg_numeric(lambda t: 1.0, lambda t: 1.0, lambda t: 1.0, bad)
             with pytest.raises(DomainError):
@@ -370,12 +370,9 @@ class TestGradientLine:
 
     def test_residual_grid_validated(self):
         p = GcsProfile(0.3, 1.7, 2.0, 1.5)
-        with pytest.raises(DomainError):
-            line_residual(p, gradient_line(p), num=1)
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(DomainError):
-            gradient_line(CLOTHOID, tol=-1.0)
+        for num in (1, 2.5):
+            with pytest.raises(DomainError):
+                line_residual(p, gradient_line(p), num=num)
 
 
 class TestLcgLineModel:
@@ -386,10 +383,13 @@ class TestLcgLineModel:
     def test_rejects_non_finite_coefficients(self):
         with pytest.raises(DomainError):
             LcgLine(math.nan, 0.0, (0.0, 1.0))
+        with pytest.raises(DomainError):
+            LcgLine("1", 0, (0, 1))
 
     def test_rejects_empty_domain(self):
-        with pytest.raises(DomainError):
-            LcgLine(1.0, 0.0, (1.0, 1.0))
+        for bad in ((1.0, 1.0), (0.0, 1.0, 2.0), 5.0):
+            with pytest.raises(DomainError):
+                LcgLine(1.0, 0.0, bad)
 
 
 class TestClassification:
@@ -408,16 +408,18 @@ class TestClassification:
     def test_slope_tolerance_is_relative_to_domain_span(self):
         line = LcgLine(5e-7, 1.0, (0.0, 1.0))
         assert classify_aesthetic(line, 0.0) is AestheticClass.LOG_AESTHETIC
-        assert classify_aesthetic(line, 0.0, tol_a=1e-8) is AestheticClass.GCS
+        # On a span of 100 the slope tolerance is 1e-8.
+        wide = LcgLine(5e-7, 1.0, (0.0, 100.0))
+        assert classify_aesthetic(wide, 0.0) is AestheticClass.GCS
 
     def test_tolerance_validation(self):
         line = LcgLine(0.0, 1.0, (0.0, 1.0))
-        with pytest.raises(DomainError):
-            classify_aesthetic(line, 0.0, tol_a=0.0)
-        with pytest.raises(DomainError):
-            classify_aesthetic(line, 0.0, tol_fit=0.0)
-        with pytest.raises(DomainError):
-            classify_aesthetic(line, -1.0)
+        for tol_fit in (0.0, "x"):
+            with pytest.raises(DomainError):
+                classify_aesthetic(line, 0.0, tol_fit=tol_fit)
+        for residual in (-1.0, True):
+            with pytest.raises(DomainError):
+                classify_aesthetic(line, residual)
 
 
 class TestSampledGradient:

@@ -261,9 +261,10 @@ class TestHistogramModel:
             LddcHistogram([0.0, 1.0], [-1.0], 1.0)
 
     def test_rejects_bad_totals(self):
-        with pytest.raises(DomainError):
-            LddcHistogram([0.0, 1.0], [1.0], 0.0)
-        for excluded in (-0.1, math.nan, math.inf, -math.inf):
+        for total in (0.0, "3"):
+            with pytest.raises(DomainError):
+                LddcHistogram([0.0, 1.0], [1.0], total)
+        for excluded in (-0.1, math.nan, math.inf, -math.inf, 5.0):
             with pytest.raises(DomainError):
                 LddcHistogram([0.0, 1.0], [1.0], 1.0, excluded_length=excluded)
 

@@ -69,7 +69,7 @@ class TestAdaptiveSimpson:
                 tangent_integrals(lambda t: t, edges, 1e-10)
 
     def test_invalid_tolerance_rejected(self):
-        for tol in (0.0, -1e-10, math.inf, math.nan):
+        for tol in (0.0, -1e-10, math.inf, math.nan, True):
             with pytest.raises(DomainError):
                 tangent_integrals(lambda t: t, [0.0, 1.0], tol)
         for count in (0, 2.5, True):

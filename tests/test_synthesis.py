@@ -194,6 +194,7 @@ class TestValidation:
         for bad in (math.inf, math.nan, True):
             with pytest.raises(DomainError):
                 QuadratureConfig(abs_tol=bad)
+        assert QuadratureConfig(abs_tol=np.float32(1e-8)).abs_tol == float(np.float32(1e-8))
 
     def test_tolerance_below_float_floor_rejected(self):
         # S*eps = 2.2e-10 for S = 1e6: no arc-length integral is that exact.
@@ -214,6 +215,7 @@ class TestValidation:
         for bad in ((True,), (0.0, False), (0.0, 0.0, True)):
             with pytest.raises(DomainError):
                 Pose(*bad)
+        assert Pose(np.int64(1)).x0 == 1.0
 
     def test_curve_rejects_decreasing_arc_length(self):
         with pytest.raises(DomainError):
