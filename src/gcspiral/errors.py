@@ -1,9 +1,10 @@
 """Exception types and the input checks shared across the toolkit.
 
 One policy holds at every boundary: a real number is any `numbers.Real`
-but a bool (NumPy scalars count), a count is any integer but a bool, and
-a grid is a one-dimensional, finite, strictly increasing sequence of
-numbers. Every rejected input raises a subclass of InputError.
+but a bool (NumPy scalars count), a count is any integer but a bool, a
+column of numbers has an integer or float dtype (no strings, bools or
+ragged rows), and a grid is a one-dimensional, finite, strictly
+increasing column. Every rejected input raises a subclass of InputError.
 """
 
 from __future__ import annotations
@@ -67,15 +68,20 @@ def count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def numeric(name: str, values) -> np.ndarray:
+    """`values` as a float array, if its dtype is an integer or float one."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged sequence; rejected below as not numeric
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must hold only numbers")
+    return array.astype(float, copy=False)
+
+
 def increasing(name: str, values, least: int) -> np.ndarray:
     """`values` as a float array: at least `least` numbers, 1-D, finite, strictly increasing."""
-    try:
-        grid = np.asarray(values)
-    except ValueError:  # a ragged sequence; rejected below as not numeric
-        grid = np.asarray(None)
-    if grid.dtype.kind not in "iuf":
-        raise DomainError(f"{name} must hold only numbers")
-    grid = grid.astype(float, copy=False)
+    grid = numeric(name, values)
     if grid.ndim != 1 or len(grid) < least:
         raise DomainError(f"{name} must be a one-dimensional sequence of {least} or more values")
     if not np.all(np.isfinite(grid)):

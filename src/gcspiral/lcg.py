@@ -90,6 +90,7 @@ class LcgLine:
         if len(domain) != 2:
             raise DomainError(f"LCG line domain must be an interval (lo, hi), got {self.domain!r}")
         object.__setattr__(self, "domain", tuple(domain.tolist()))
+        object.__setattr__(self, "residual", real("residual", self.residual, least=0.0))
 
     def __call__(self, t):
         return self.slope_a * t + self.intercept_b

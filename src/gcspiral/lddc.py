@@ -21,6 +21,7 @@ from .errors import (
     MismatchedInputsError,
     count,
     increasing,
+    numeric,
     real,
 )
 from .lcg import NEAR_INFLECTION_REL_TOL, LcgLine
@@ -52,7 +53,7 @@ class LddcHistogram:
 
     def __post_init__(self):
         edges = increasing("bin_edges", self.bin_edges, least=2)
-        lengths = np.asarray(self.lengths, dtype=float)
+        lengths = numeric("bin lengths", self.lengths)
         if lengths.shape != (len(edges) - 1,):
             raise DomainError("need exactly one length per bin")
         if not np.all((lengths >= 0.0) & np.isfinite(lengths)):

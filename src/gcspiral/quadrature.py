@@ -3,13 +3,22 @@
 `tangent_integrals` integrates the unit tangent (cos(theta(t)), sin(theta(t)))
 over every gap of a grid at once. Each gap starts with the power-of-two panel
 count that keeps its phase swing |delta theta| at or below pi/2 per panel,
-because a doubling estimate under-reports on full oscillation periods. The
-error estimate compares p panels against 2p; only the gaps that miss their
-tolerance are doubled again.
+because a doubling estimate under-reports on full oscillation periods, and
+with at least the rule's min_panels. The error estimate compares p panels
+against 2p; only the gaps that miss their tolerance are doubled again.
 
 The panel rule is data, and two independent rules are provided so results
 can be cross-checked: composite Gauss-Legendre of order 16, and composite
 Simpson with the Richardson (fine - coarse)/15 correction.
+
+Simpson's nodes are nested: the panel ends and midpoints of p panels are
+all panel ends of 2p panels. So it keeps, per gap, the (cos, sin) sums of
+three node sets: the two gap ends E (from the theta(edges) call that sizes
+the first pass), the interior panel ends I and the panel midpoints M. The
+p-panel sum is h/6 * (E + 2I + 4M) with h = width / p, and a doubling sets
+I <- I + M and evaluates only the 2p new midpoints into M, so every node
+is evaluated once. Gauss-Legendre shares no nodes between passes and
+evaluates every panel afresh.
 """
 
 from __future__ import annotations
@@ -30,8 +39,10 @@ _MAX_PHASE_SPAN = 0.5 * math.pi
 # allocation. Phase swings of 1e5 rad need about 2e5 panels per pass.
 MAX_PANELS = 2**22
 
-# Panels whose nodes are evaluated together; bounds the scratch memory.
+# Panels, and single nodes of a nested rule, evaluated together; they bound
+# the scratch memory.
 _BLOCK_PANELS = 256
+_BLOCK_NODES = 4096
 
 
 class Rule(NamedTuple):
@@ -41,13 +52,20 @@ class Rule(NamedTuple):
     at the nodes, so the weights may have any scale; integer weights keep a
     constant integrand exact. The error estimate is
     error_factor * |fine - coarse|, and the result
-    fine + correction * (fine - coarse).
+    fine + correction * (fine - coarse). A gap's first coarse pass has at
+    least min_panels panels.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     error_factor: float
     correction: float
+    min_panels: int = 1
+
+    @property
+    def nested(self) -> bool:
+        """True for nodes (0, 1/2, 1): a doubling keeps every node and adds the new midpoints."""
+        return np.array_equal(self.nodes, (0.0, 0.5, 1.0))
 
 
 def _gauss_legendre(order: int) -> Rule:
@@ -56,26 +74,71 @@ def _gauss_legendre(order: int) -> Rule:
 
 
 GAUSS_LEGENDRE = _gauss_legendre(16)
-SIMPSON = Rule(np.array([0.0, 0.5, 1.0]), np.array([1.0, 4.0, 1.0]), 1.0 / 15.0, 1.0 / 15.0)
+# Simpson's /15 estimate holds only once the panels resolve how fast the
+# curvature changes. On fewer, wider panels it under-reports: by up to 6.7x
+# on one panel of a nearly straight GCS gap with r = -0.99 or r = 50, whose
+# curvature has its pole within S/50 of the gap. From 64 panels on it
+# over-reports there, so Simpson starts at 64 panels.
+SIMPSON = Rule(
+    np.array([0.0, 0.5, 1.0]), np.array([1.0, 4.0, 1.0]), 1.0 / 15.0, 1.0 / 15.0, min_panels=64
+)
 
 
-def _panel_sums(theta, lo, width, panels, rule: Rule) -> tuple[np.ndarray, np.ndarray]:
+def _blocks(counts, size: int):
+    """(gap, k) for every k < counts[gap], in blocks of at most `size` pairs."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1])
+    for first in range(0, total, size):
+        ids = np.arange(first, min(first + size, total))
+        gap = np.searchsorted(ends, ids, side="right")
+        yield gap, ids - starts[gap]
+
+
+def _panel_sums(theta, lo, width, panels, rule: Rule) -> np.ndarray:
     """Composite sums of the rule over each gap [lo, lo + width] in `panels` panels."""
     h = width / panels
     weight_sum = rule.weights.sum()
-    ends = np.cumsum(panels)
-    starts = ends - panels
-    sx = np.zeros(len(lo))
-    sy = np.zeros(len(lo))
-    total = int(ends[-1])
-    for first in range(0, total, _BLOCK_PANELS):
-        ids = np.arange(first, min(first + _BLOCK_PANELS, total))
-        gap = np.searchsorted(ends, ids, side="right")
+    sums = np.zeros((2, len(lo)))
+    for gap, k in _blocks(panels, _BLOCK_PANELS):
         hg = h[gap]
-        angle = theta((lo[gap] + (ids - starts[gap]) * hg)[:, None] + hg[:, None] * rule.nodes)
-        sx += np.bincount(gap, hg * ((np.cos(angle) @ rule.weights) / weight_sum), len(lo))
-        sy += np.bincount(gap, hg * ((np.sin(angle) @ rule.weights) / weight_sum), len(lo))
-    return sx, sy
+        angle = theta((lo[gap] + k * hg)[:, None] + hg[:, None] * rule.nodes)
+        sums[0] += np.bincount(gap, hg * ((np.cos(angle) @ rule.weights) / weight_sum), len(lo))
+        sums[1] += np.bincount(gap, hg * ((np.sin(angle) @ rule.weights) / weight_sum), len(lo))
+    return sums
+
+
+def _node_sums(theta, lo, h, offset: float, counts) -> np.ndarray:
+    """Per gap, the (cos, sin) of theta summed over t = lo + (k + offset) * h, k < counts."""
+    sums = np.zeros((2, len(lo)))
+    for gap, k in _blocks(counts, _BLOCK_NODES):
+        angle = theta(lo[gap] + (k + offset) * h[gap])
+        sums[0] += np.bincount(gap, np.cos(angle), len(lo))
+        sums[1] += np.bincount(gap, np.sin(angle), len(lo))
+    return sums
+
+
+def _unit(angle) -> np.ndarray:
+    return np.array([np.cos(angle), np.sin(angle)])
+
+
+def _composite(theta, rule: Rule, lo, width, panels, tips, inner):
+    """The rule's (cos, sin) sums over each gap in `panels` panels, and what a doubling keeps.
+
+    A nested rule evaluates only the panel midpoints: `tips` are its
+    weighted sums at the two gap ends and `inner` the sums at the interior
+    panel ends (None on the first pass, which evaluates them). It returns
+    the interior-end sums of 2 * panels panels: these ends and midpoints.
+    Any other rule evaluates every node and keeps nothing.
+    """
+    if not rule.nested:
+        return _panel_sums(theta, lo, width, panels, rule), None
+    h = width / panels
+    if inner is None:
+        inner = _node_sums(theta, lo, h, 1.0, panels - 1)
+    mids = _node_sums(theta, lo, h, 0.5, panels)
+    w = rule.weights
+    return h / w.sum() * (tips + (w[0] + w[-1]) * inner + w[1] * mids), inner + mids
 
 
 def tangent_integrals(
@@ -106,25 +169,34 @@ def tangent_integrals(
 
     lo = edges[:-1]
     width = np.diff(edges)
-    need = np.maximum(np.abs(np.diff(theta(edges))) / _MAX_PHASE_SPAN, 1.0)
-    coarse = np.minimum(np.exp2(np.ceil(np.log2(need))), 0.5 * limit)
+    phase = theta(edges)
+    need = np.maximum(np.abs(np.diff(phase)) / _MAX_PHASE_SPAN, 1.0)
+    coarse = np.minimum(np.maximum(np.exp2(np.ceil(np.log2(need))), rule.min_panels), 0.5 * limit)
+    tips = None
+    if rule.nested:  # the weighted (cos, sin) at the gap ends, reused by every pass
+        tips = rule.weights[0] * _unit(phase[:-1]) + rule.weights[-1] * _unit(phase[1:])
 
     dx = np.empty(len(lo))
     dy = np.empty(len(lo))
     todo = np.arange(len(lo))
     work = 0.0
-    cx = cy = None
+    coarse_sums = None
     while True:
         fine = 2.0 * coarse
-        work += float(np.sum(fine)) + (float(np.sum(coarse)) if cx is None else 0.0)
+        work += float(np.sum(fine)) + (float(np.sum(coarse)) if coarse_sums is None else 0.0)
         if not work <= MAX_PANELS:
             raise QuadratureError(
                 f"integration needs {work:.0f} panels, above the ceiling of {MAX_PANELS} "
                 "panels per call; the tangent angle turns too far"
             )
-        if cx is None:
-            cx, cy = _panel_sums(theta, lo, width, coarse.astype(np.int64), rule)
-        fx, fy = _panel_sums(theta, lo[todo], width[todo], fine.astype(np.int64), rule)
+        if coarse_sums is None:
+            coarse_sums, inner = _composite(
+                theta, rule, lo, width, coarse.astype(np.int64), tips, None
+            )
+        fine_sums, inner = _composite(
+            theta, rule, lo[todo], width[todo], fine.astype(np.int64), tips, inner
+        )
+        (fx, fy), (cx, cy) = fine_sums, coarse_sums
         err = rule.error_factor * np.maximum(np.abs(fx - cx), np.abs(fy - cy))
         dx[todo] = fx + rule.correction * (fx - cx)
         dy[todo] = fy + rule.correction * (fy - cy)
@@ -140,4 +212,6 @@ def tangent_integrals(
                 f"with error estimate {err[worst]:.3g}"
             )
         todo, need, coarse = todo[failing], need[failing], fine[failing]
-        cx, cy = fx[failing], fy[failing]
+        coarse_sums = fine_sums[:, failing]
+        if rule.nested:
+            tips, inner = tips[:, failing], inner[:, failing]

@@ -15,7 +15,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .errors import DomainError, count, increasing, real
+from .errors import DomainError, count, increasing, numeric, real
 from .profiles import CurvatureProfile
 from .quadrature import GAUSS_LEGENDRE, SIMPSON, tangent_integrals
 from .svg import polyline_svg
@@ -93,7 +93,7 @@ class PlanarCurve:
         s = increasing("curve field s", self.s, least=2)
         object.__setattr__(self, "s", s)
         for name in ("x", "y", "theta", "kappa"):
-            column = np.asarray(getattr(self, name), dtype=float)
+            column = numeric(f"curve field {name}", getattr(self, name))
             if column.shape != s.shape or not np.all(np.isfinite(column)):
                 raise DomainError(f"curve field {name} must hold {len(s)} finite values")
             object.__setattr__(self, name, column)

@@ -385,6 +385,10 @@ class TestLcgLineModel:
             LcgLine(math.nan, 0.0, (0.0, 1.0))
         with pytest.raises(DomainError):
             LcgLine("1", 0, (0, 1))
+        for residual in (-1.0, math.nan, math.inf, True, "0"):
+            with pytest.raises(DomainError, match="residual"):
+                LcgLine(0.0, 1.0, (0.0, 1.0), residual=residual)
+        assert LcgLine(0.0, 1.0, (0.0, 1.0), residual=np.float32(0.5)).residual == 0.5
 
     def test_rejects_empty_domain(self):
         for bad in ((1.0, 1.0), (0.0, 1.0, 2.0), 5.0):

@@ -259,6 +259,10 @@ class TestHistogramModel:
     def test_rejects_negative_length(self):
         with pytest.raises(DomainError):
             LddcHistogram([0.0, 1.0], [-1.0], 1.0)
+        for bad in (["x"], ["1"], [True], [[1.0], [1.0, 2.0]], None):
+            with pytest.raises(DomainError, match="must hold only numbers"):
+                LddcHistogram([0.0, 1.0, 2.0], bad, 3.0)
+        assert LddcHistogram([0.0, 1.0], [1], 1.0).lengths.dtype == np.float64
 
     def test_rejects_bad_totals(self):
         for total in (0.0, "3"):

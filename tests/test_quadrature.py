@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gcspiral import GcsProfile
 from gcspiral.errors import DomainError, QuadratureError
 from gcspiral.quadrature import GAUSS_LEGENDRE, MAX_PANELS, SIMPSON, tangent_integrals
 
@@ -165,3 +166,32 @@ class TestSchemeIndependence:
         a = integrate(chirp, 0.0, 2.0, 1e-11, SIMPSON)
         b = integrate(chirp, 0.0, 2.0, 1e-11, GAUSS_LEGENDRE)
         assert a == pytest.approx(b, abs=1e-9)
+
+
+class TestNestedSimpson:
+    @staticmethod
+    def evaluated_points(theta, edges, abs_tol):
+        seen = []
+
+        def counting(t):
+            seen.append(np.array(t, dtype=float).ravel())
+            return theta(t)
+
+        tangent_integrals(counting, edges, abs_tol, rule=SIMPSON)
+        return np.concatenate(seen)
+
+    def test_evaluates_each_node_once_on_a_stiff_gap(self):
+        profile = GcsProfile(-40.0, 90.0, 2.0, 1.0)
+        points = self.evaluated_points(profile.theta, [0.0, 2.0], 1e-10)
+        # 4096 panels at the last pass: their 4097 ends and 4096 midpoints.
+        assert len(points) == len(np.unique(points)) == 8193
+
+    def test_evaluates_each_node_once_on_a_grid(self):
+        points = self.evaluated_points(
+            lambda t: 2.0 * t * t / math.pi, np.linspace(0.0, math.pi, 9), 1e-12
+        )
+        assert len(points) == len(np.unique(points))
+
+    def test_nested_only_for_panel_ends_and_midpoint(self):
+        assert SIMPSON.nested
+        assert not GAUSS_LEGENDRE.nested

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcspiral import (
@@ -95,6 +95,40 @@ class TestSchemeAgreement:
         b = endpoint(profile, scheme="gauss")
         assert abs(a.x - b.x) <= 1e-9
         assert abs(a.y - b.y) <= 1e-9
+
+    @given(
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.floats(min_value=-300.0, max_value=300.0),
+        st.floats(min_value=0.5, max_value=5.0),
+        st.floats(min_value=-0.99, max_value=50.0),
+    )
+    @example(0.0, 1.192092896e-07, 1.0, 16.0)
+    @example(0.0, 2.200230415446468e-07, 3.6964160207572494, -0.989994481116497)
+    @settings(max_examples=40)
+    def test_schemes_agree_on_stiff_profiles(self, turn0, turn1, s_total, r):
+        # |kappa| * S up to 300 rad at either end. The examples are nearly
+        # straight gaps whose curvature has its pole within S/50 of the gap,
+        # where Simpson's estimate under-reports on fewer than 64 panels.
+        profile = GcsProfile(turn0 / s_total, turn1 / s_total, s_total, r)
+        tol = QuadratureConfig().abs_tol
+        a = endpoint(profile, scheme="simpson")
+        b = endpoint(profile, scheme="gauss")
+        assert abs(a.x - b.x) <= tol
+        assert abs(a.y - b.y) <= tol
+
+    @pytest.mark.parametrize("r", [-0.9, -0.5, 0.5, 4.0, 20.0])
+    @pytest.mark.parametrize("kappa0", [3.0, -7.5])
+    def test_log_spiral_closed_form(self, kappa0, r):
+        # n1 = 0, so kappa(s) = n0 / (S + r*s), theta = (n0/r) log(1 + r*s/S)
+        # and the endpoint is (S/r) / (1 + i*n0/r) * ((1 + r)**(1 + i*n0/r) - 1).
+        s_total = 2.0
+        profile = GcsProfile(kappa0, kappa0 / (1.0 + r), s_total, r)
+        a = kappa0 * s_total / r
+        z = (s_total / r) / (1.0 + 1j * a) * ((1.0 + r) ** (1.0 + 1j * a) - 1.0)
+        for scheme in ("simpson", "gauss"):
+            end = endpoint(profile, scheme=scheme)
+            assert abs(end.x - z.real) <= 1e-12
+            assert abs(end.y - z.imag) <= 1e-12
 
 
 class TestSynthesize:
@@ -228,6 +262,14 @@ class TestValidation:
     def test_curve_rejects_non_finite(self):
         with pytest.raises(DomainError):
             PlanarCurve([0.0, 1.0], [0.0, math.inf], [0.0] * 2, [0.0] * 2, [0.0] * 2)
+        for bad in (["a", "b"], ["1", "2"], [True, False], [[0.0], [1.0, 2.0]], None):
+            for column in range(4):
+                columns = [[0.0, 0.0] for _ in range(4)]
+                columns[column] = bad
+                with pytest.raises(DomainError, match="must hold only numbers"):
+                    PlanarCurve([0.0, 1.0], *columns)
+        curve = PlanarCurve([0, 1], np.array([0, 1], dtype=np.int64), [0, 0], [0, 0], [0, 0])
+        assert curve.x.dtype == np.float64
 
 
 class TestSerialization:
