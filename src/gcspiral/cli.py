@@ -58,7 +58,7 @@ from .synthesis import (
     endpoint,
     synthesize,
 )
-from .tables import write_table, write_text
+from .tables import row_array, write_table, write_text
 
 __all__ = ["main", "entrypoint", "build_parser", "R_SWEEP"]
 
@@ -300,7 +300,7 @@ def cmd_lcg(args) -> int:
         raise DegenerateDataError("the LCG is undefined at every grid value for this profile")
 
     out.write("csv", f"{out.base}.csv", lambda path: lcg_points_to_csv(points, path))
-    out.write("svg", f"{out.base}.svg", _svg_writer([np.asarray(points)[:, 1:]], title=out.base))
+    out.write("svg", f"{out.base}.svg", _svg_writer([row_array(points, 3)[:, 1:]], title=out.base))
     skipped_doc = [{"t": sp.t, "reason": sp.reason} for sp in skipped]
     out.emit({"points": len(points), "skipped": skipped_doc})
     return 0
@@ -433,7 +433,7 @@ def cmd_figures(args) -> int:
 
         points, _skipped = lcg_gcs_points(profile, grid)
         out.write("csv", f"fig4_lcg_r{tag(r)}.csv", lambda path: lcg_points_to_csv(points, path))
-        lcg_lines.append(np.asarray(points)[:, 1:])
+        lcg_lines.append(row_array(points, 3)[:, 1:])
 
         trace = np.column_stack((grid, gradient_gcs(profile, grid)))
         out.write("csv", f"fig5_gradient_r{tag(r)}.csv", lambda path: gradient_to_csv(trace, path))
@@ -483,8 +483,8 @@ def run_seed_check() -> int:
     handles = gcs_rho_handles(profile)
     h = 1e-5 * profile.arc_length
     t = np.linspace(0.2, profile.arc_length - 0.2, 9)
-    lo = np.asarray(lcg_gcs_points(profile, t - h)[0])
-    hi = np.asarray(lcg_gcs_points(profile, t + h)[0])
+    lo = row_array(lcg_gcs_points(profile, t - h)[0], 3)
+    hi = row_array(lcg_gcs_points(profile, t + h)[0], 3)
     fd = (hi[:, 2] - lo[:, 2]) / (hi[:, 1] - lo[:, 1])
     exact = lcg_gradient_numeric(
         handles.rho, handles.rho_prime, handles.rho_double_prime,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, IO, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     increasing,
     real,
 )
-from .profiles import GcsProfile, _clamp_s, coefficient_scale
+from .profiles import GcsProfile, _clamp_s
 from .synthesis import PlanarCurve
 from .tables import write_table
 
@@ -115,6 +116,11 @@ class RhoHandles:
     s_double_prime: Callable
 
 
+def _rows(row_type, *columns) -> list:
+    """`row_type` rows zipped from equal-length columns, built without its Python __new__."""
+    return list(map(tuple.__new__, repeat(row_type), zip(*columns)))
+
+
 def _evaluate(handles, t: np.ndarray) -> list[np.ndarray]:
     """Each handle called once on t, a scalar return broadcast to t's shape."""
     return [np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape) for fn in handles]
@@ -144,12 +150,8 @@ def lcg_numeric(
         kept = reason == ""
         log_rho = np.log(np.abs(r[kept]))
         log_freq = np.log(freq[kept])
-    points = [
-        LcgPoint(*row) for row in zip(grid[kept].tolist(), log_rho.tolist(), log_freq.tolist())
-    ]
-    skipped = [
-        SkippedPoint(*row) for row in zip(grid[~kept].tolist(), reason[~kept].tolist())
-    ]
+    points = _rows(LcgPoint, grid[kept].tolist(), log_rho.tolist(), log_freq.tolist())
+    skipped = _rows(SkippedPoint, grid[~kept].tolist(), reason[~kept].tolist())
     return points, skipped
 
 
@@ -180,12 +182,12 @@ def lcg_gradient_numeric(
     return gradient if t.ndim else float(gradient)
 
 
-def _require_noncircular(profile: GcsProfile) -> None:
-    if abs(profile.kappa0 - profile.kappa1) <= NEAR_INFLECTION_REL_TOL * coefficient_scale(profile):
-        raise SingularProfileError(
-            "LCG closed forms divide by kappa0 - kappa1; "
-            f"profile has kappa0 = {profile.kappa0!r}, kappa1 = {profile.kappa1!r}"
-        )
+def _circular_error(profile: GcsProfile) -> SingularProfileError:
+    """The error every closed form raises on a `profile.circular` profile."""
+    return SingularProfileError(
+        "LCG closed forms divide by kappa0 - kappa1; "
+        f"profile has kappa0 = {profile.kappa0!r}, kappa1 = {profile.kappa1!r}"
+    )
 
 
 def gcs_rho_handles(profile: GcsProfile) -> RhoHandles:
@@ -195,10 +197,10 @@ def gcs_rho_handles(profile: GcsProfile) -> RhoHandles:
     rho = D/Nu, rho' = C/Nu^2 and rho'' = -2*n1*C/Nu^3 where the constant
     C = S*(1+r)*(kappa0-kappa1) is nonzero away from the circular case.
     """
-    _require_noncircular(profile)
-    n1, n0 = profile.n1, profile.n0
+    if profile.circular:
+        raise _circular_error(profile)
+    n1, n0, c = profile.n1, profile.n0, profile.c
     r, S = profile.r, profile.arc_length
-    c = S * (1.0 + r) * (profile.kappa0 - profile.kappa1)
 
     def rho(t):
         return (r * t + S) / (n1 * t + n0)
@@ -223,19 +225,17 @@ def lcg_gcs_points(
     quotient, |(r*t+S)*(n1*t+n0) / (S*(1+r)*(kappa0-kappa1))|. The grid is
     checked as in lcg_numeric; near-inflection values become diagnostics.
     """
-    _require_noncircular(profile)
+    if profile.circular:
+        raise _circular_error(profile)
     S = profile.arc_length
     t = _clamp_s(increasing("t_grid", t_grid, least=1), S)
     nu = profile.n1 * t + profile.n0
     den = profile.r * t + S
-    c = S * (1.0 + profile.r) * (profile.kappa0 - profile.kappa1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        kept = ~(np.abs(nu / den) < NEAR_INFLECTION_REL_TOL * coefficient_scale(profile))
+        kept = ~(np.abs(nu / den) < NEAR_INFLECTION_REL_TOL * profile.scale)
         log_rho = np.log(np.abs(den[kept] / nu[kept]))
-        log_freq = np.log(np.abs(den[kept] * nu[kept] / c))
-    points = [
-        LcgPoint(*row) for row in zip(t[kept].tolist(), log_rho.tolist(), log_freq.tolist())
-    ]
+        log_freq = np.log(np.abs(den[kept] * nu[kept] / profile.c))
+    points = _rows(LcgPoint, t[kept].tolist(), log_rho.tolist(), log_freq.tolist())
     skipped = [
         SkippedPoint(v, f"curvature vanishes at t={v!r} (inflection); LCG point undefined")
         for v in t[~kept].tolist()
@@ -250,11 +250,11 @@ def gradient_gcs(profile: GcsProfile, t):
     1 + 2*n1*(r*t+S) / (S*(1+r)*(kappa0-kappa1)), which stays finite through
     inflections.
     """
-    _require_noncircular(profile)
+    if profile.circular:
+        raise _circular_error(profile)
     S = profile.arc_length
     t = _clamp_s(t, S)
-    c = S * (1.0 + profile.r) * (profile.kappa0 - profile.kappa1)
-    return 1.0 + 2.0 * profile.n1 * (profile.r * t + S) / c
+    return 1.0 + 2.0 * profile.n1 * (profile.r * t + S) / profile.c
 
 
 def gradient_line(profile: GcsProfile) -> LcgLine:
@@ -263,7 +263,8 @@ def gradient_line(profile: GcsProfile) -> LcgLine:
     A = 2*r*n1 / ((1+r)*S*(kappa0-kappa1)) and
     B = 2*r*kappa0 / ((1+r)*(kappa0-kappa1)) - 1.
     """
-    _require_noncircular(profile)
+    if profile.circular:
+        raise _circular_error(profile)
     k0, k1 = profile.kappa0, profile.kappa1
     r, S = profile.r, profile.arc_length
     a = 2.0 * r * profile.n1 / ((1.0 + r) * S * (k0 - k1))

@@ -25,7 +25,7 @@ from .errors import (
     real,
 )
 from .lcg import NEAR_INFLECTION_REL_TOL, LcgLine
-from .profiles import GcsProfile, coefficient_scale
+from .profiles import GcsProfile
 from .svg import bar_chart_svg
 from .synthesis import PlanarCurve
 from .tables import read_table, write_table, write_text
@@ -159,7 +159,7 @@ def lddc_vs_lcg(
         raise MismatchedInputsError(
             f"gradient line domain {line.domain!r} does not match the profile's [0, {S}]"
         )
-    if abs(profile.kappa0 - profile.kappa1) <= NEAR_INFLECTION_REL_TOL * coefficient_scale(profile):
+    if profile.circular:
         raise MismatchedInputsError(
             "profile has constant curvature: the radius range is a point and not invertible"
         )

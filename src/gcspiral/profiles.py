@@ -43,23 +43,32 @@ __all__ = [
 ]
 
 
+# Relative tolerance of the GCS degeneracy tests: curvature-valued
+# quantities against _REL_TOL * scale, the shape factor r against it directly.
+_REL_TOL = 1e-12
+
+
 def _clamp_s(s, arc_length: float):
     """Validate s in [0, S] (tiny roundoff slack) and clamp onto the interval.
 
     An ndarray is checked as a whole and returned as a clamped float array;
     anything else is taken as one number and returned as a float.
     """
-    slack = 1e-12 * max(1.0, arc_length)
     if isinstance(s, np.ndarray):
+        slack = 1e-12 * max(1.0, arc_length)
         s = s.astype(float)
         bad = ~((s >= -slack) & (s <= arc_length + slack))
         if bad.any():
             raise DomainError(f"arc length s={float(s[bad][0])!r} outside [0, {arc_length}]")
         return np.clip(s, 0.0, arc_length)
     s = float(s)
-    if not math.isfinite(s) or s < -slack or s > arc_length + slack:
+    if 0.0 <= s <= arc_length:
+        return s
+    # Outside [0, S]; the comparison is False for nan and +-inf as well.
+    slack = 1e-12 * max(1.0, arc_length)
+    if not -slack <= s <= arc_length + slack:
         raise DomainError(f"arc length s={s!r} outside [0, {arc_length}]")
-    return min(max(s, 0.0), arc_length)
+    return 0.0 if s < 0.0 else arc_length
 
 
 def _like(s, value: float):
@@ -225,6 +234,12 @@ class GcsProfile(_RealFields):
     Construction from endpoint data (kappa0, kappa1, S, r) caches the
     numerator coefficients n1 = kappa1 - kappa0 + r*kappa1 and n0 = kappa0*S,
     which interpolate the end curvatures exactly.  Requires S > 0 and r > -1.
+
+    It also caches the constants the LCG closed forms share: `scale`, the
+    curvature magnitude max(|kappa0|, |kappa1|, 1/S) that relative
+    tolerances are taken against; c = S*(1+r)*(kappa0-kappa1), the
+    numerator of rho'; and `circular`, whether |kappa0 - kappa1| is within
+    1e-12*scale, where c is treated as zero.
     """
 
     kappa0: float
@@ -233,17 +248,28 @@ class GcsProfile(_RealFields):
     r: float
     n1: float = field(init=False, repr=False, compare=False)
     n0: float = field(init=False, repr=False, compare=False)
+    scale: float = field(init=False, repr=False, compare=False)
+    c: float = field(init=False, repr=False, compare=False)
+    circular: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.r > -1.0:
-            raise DomainError(f"shape factor r must be > -1, got {self.r!r}")
-        n1 = self.kappa1 - self.kappa0 + self.r * self.kappa1
-        n0 = self.kappa0 * self.arc_length
+        k0, k1, S, r = self.kappa0, self.kappa1, self.arc_length, self.r
+        if not r > -1.0:
+            raise DomainError(f"shape factor r must be > -1, got {r!r}")
+        n1 = k1 - k0 + r * k1
+        n0 = k0 * S
         if not (math.isfinite(n1) and math.isfinite(n0)):
             raise DomainError("profile parameters overflow the curvature coefficients")
-        object.__setattr__(self, "n1", n1)
-        object.__setattr__(self, "n0", n0)
+        scale = max(abs(k0), abs(k1), 1.0 / S)
+        for name, value in (
+            ("n1", n1),
+            ("n0", n0),
+            ("scale", scale),
+            ("c", S * (1.0 + r) * (k0 - k1)),
+            ("circular", abs(k0 - k1) <= _REL_TOL * scale),
+        ):
+            object.__setattr__(self, name, value)
 
     def kappa(self, s):
         s = _clamp_s(s, self.arc_length)
@@ -278,27 +304,21 @@ class DegenerateClass(enum.Enum):
     GENERAL_GCS = "general_gcs"
 
 
-def coefficient_scale(profile: GcsProfile) -> float:
-    """Curvature-unit magnitude used for relative tolerance comparisons."""
-    return max(abs(profile.kappa0), abs(profile.kappa1), 1.0 / profile.arc_length)
-
-
 def classify_degenerate(profile: GcsProfile) -> DegenerateClass:
     """Classify which subfamily the profile degenerates to.
 
-    Curvature-valued quantities are compared against 1e-12 * coefficient_scale;
+    Curvature-valued quantities are compared against 1e-12 * profile.scale;
     the dimensionless shape factor r against 1e-12 directly.  Branches are
     checked in order, so the classes are mutually exclusive and exhaustive.
     """
-    tol = 1e-12
-    k_tol = tol * coefficient_scale(profile)
+    k_tol = _REL_TOL * profile.scale
     if abs(profile.kappa0) <= k_tol and abs(profile.kappa1) <= k_tol:
         return DegenerateClass.STRAIGHT_LINE
-    if abs(profile.r) <= tol and abs(profile.kappa0 - profile.kappa1) <= k_tol:
+    if abs(profile.r) <= _REL_TOL and profile.circular:
         return DegenerateClass.CIRCULAR_ARC
-    if abs(profile.n1) <= k_tol and abs(profile.r) > tol:
+    if abs(profile.n1) <= k_tol and abs(profile.r) > _REL_TOL:
         return DegenerateClass.LOG_SPIRAL
-    if abs(profile.r) <= tol:
+    if abs(profile.r) <= _REL_TOL:
         return DegenerateClass.CLOTHOID
     return DegenerateClass.GENERAL_GCS
 

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .tables import row_array
 
 __all__ = ["polyline_svg", "bar_chart_svg"]
 
@@ -66,7 +67,7 @@ def polyline_svg(
     with left/bottom axis lines and corner range labels. The title and
     labels are escaped as XML text.
     """
-    polylines = [np.asarray(line, dtype=float).reshape(-1, 2) for line in polylines]
+    polylines = [row_array(line, 2) for line in polylines]
     title = html.escape(title, quote=False)
     labels = None if labels is None else [html.escape(text, quote=False) for text in labels]
     x_lo, x_hi, y_lo, y_hi = _bounds(polylines)

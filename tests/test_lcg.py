@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from gcspiral import (
     DomainError,
     GcsProfile,
     LcgLine,
+    LcgPoint,
     PlanarCurve,
     QuadratureConfig,
     QuadraticProfile,
     SingularPointError,
     SingularProfileError,
+    SkippedPoint,
     classify_aesthetic,
     gcs_rho_handles,
     gradient_from_samples,
@@ -253,6 +256,29 @@ class TestClosedForm:
         assert len(skipped) == 1 and skipped[0].t == 1.0
 
 
+def _assert_lcg_rows(points, skipped):
+    assert points and skipped
+    for q in points:
+        assert type(q) is LcgPoint and len(q) == 3
+        assert (q.t, q.log_rho, q.log_freq) == tuple(q) == LcgPoint(*q)
+        assert q._asdict() == {"t": q[0], "log_rho": q[1], "log_freq": q[2]}
+    for sp in skipped:
+        assert type(sp) is SkippedPoint and len(sp) == 2
+        assert (sp.t, sp.reason) == tuple(sp) == SkippedPoint(*sp)
+        assert isinstance(sp.t, float) and isinstance(sp.reason, str)
+
+
+class TestRowTypes:
+    def test_closed_form_rows_are_named_tuples(self):
+        _assert_lcg_rows(*lcg_gcs_points(INFLECTING, grid(INFLECTING)))
+
+    def test_numeric_rows_are_named_tuples(self):
+        handles = gcs_rho_handles(INFLECTING)
+        _assert_lcg_rows(
+            *lcg_numeric(handles.rho, handles.rho_prime, handles.s_prime, grid(INFLECTING))
+        )
+
+
 class TestGradient:
     def test_reciprocal_linear_gradient_is_one(self):
         for t in grid(LOG_SPIRAL).tolist():
@@ -279,6 +305,28 @@ class TestGradient:
     def test_finite_through_inflection(self):
         value = gradient_gcs(INFLECTING, 1.0)
         assert math.isfinite(value)
+
+    @pytest.mark.parametrize("profile", [
+        INFLECTING,
+        GcsProfile(-1.0, 2.0, 2.0, 0.5),  # inflects with r > 0
+        GcsProfile(2.0, 0.3, 1.5, -0.99),
+        GcsProfile(-0.5, 1.5, 3.0, -0.7),  # inflects with r < 0
+        GcsProfile(0.5, -2.0, 3.0, 100.0),
+        GcsProfile(0.1, 2.0, math.pi, 1e6),
+    ])
+    def test_float_calls_equal_array_call_bit_for_bit(self, profile):
+        S = profile.arc_length
+        t = np.concatenate(([-1e-15], np.linspace(0.0, S, 257), [S * (1.0 + 1e-16)]))
+        whole = gradient_gcs(profile, t)
+        single = [gradient_gcs(profile, v) for v in t.tolist()]
+        assert all(type(v) is float for v in single)
+        assert np.array_equal(whole.view(np.int64), np.array(single).view(np.int64))
+
+    def test_out_of_domain_float_named(self):
+        S = INFLECTING.arc_length
+        for bad in (math.nan, math.inf, -math.inf, -0.5, S + 0.5):
+            with pytest.raises(DomainError, match=re.escape(f"s={bad!r} outside")):
+                gradient_gcs(INFLECTING, bad)
 
     def test_matches_log_space_finite_differences(self):
         for r in FIG_SWEEP_R:

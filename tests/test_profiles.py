@@ -1,11 +1,13 @@
 """Curvature profile families: construction, evaluation, classification, serde."""
 
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -24,7 +26,7 @@ from gcspiral import (
     profile_to_json,
     to_gcs,
 )
-from gcspiral.profiles import _log1p_remainder, _remainder_series, _series_terms
+from gcspiral.profiles import _clamp_s, _log1p_remainder, _remainder_series, _series_terms
 from tutil import arc_lengths, gcs_profiles, kappas, shape_factors, unit_fractions
 
 FIG_R_VALUES = [-0.99, -0.9, -0.5, 0.0, 1.0, 2.0, 5.0, 100.0]
@@ -71,6 +73,65 @@ class TestConstruction:
             p.kappa0 = 5.0
 
 
+def _circular_reference(k0, k1, s_total):
+    """The circular test written out from the endpoint data."""
+    return abs(k0 - k1) <= 1e-12 * max(abs(k0), abs(k1), 1.0 / s_total)
+
+
+class TestCachedConstants:
+    @given(kappas, kappas, arc_lengths, shape_factors)
+    @example(0.0, 2.0, math.pi, 1.0)
+    @example(0.5, -2.0, 3.0, 1e6)
+    @example(1e-3, 2e-3, 1e4, 0.0)
+    @example(3.0, 3.0, 1.0, 2.0)
+    def test_constants_match_their_expressions_bit_for_bit(self, k0, k1, s_total, r):
+        p = GcsProfile(k0, k1, s_total, r)
+        assert p.scale == max(abs(k0), abs(k1), 1.0 / s_total)
+        assert p.c == s_total * (1.0 + r) * (k0 - k1)
+        assert p.circular is _circular_reference(k0, k1, s_total)
+
+    def test_replace_recomputes_cached_fields(self):
+        p = GcsProfile(3.0, 3.0, 1.0, 2.0)
+        q = dataclasses.replace(p, kappa1=-1.0, arc_length=0.25)
+        fresh = GcsProfile(3.0, -1.0, 0.25, 2.0)
+        assert p.circular and not q.circular
+        for name in ("n1", "n0", "scale", "c", "circular"):
+            assert getattr(q, name) == getattr(fresh, name)
+
+    def test_equality_and_hash_ignore_cached_fields(self):
+        p = GcsProfile(0.5, -2.0, 3.0, 4.0)
+        q = GcsProfile(0.5, -2.0, 3.0, 4.0)
+        compared = [f.name for f in dataclasses.fields(p) if f.compare]
+        assert compared == ["kappa0", "kappa1", "arc_length", "r"]
+        for name, value in (("scale", 7.0), ("c", 0.0), ("circular", True)):
+            object.__setattr__(q, name, value)
+        assert p == q and hash(p) == hash(q)
+        assert "scale" not in repr(p) and "circular" not in repr(p)
+
+    @given(
+        st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+        arc_lengths,
+        shape_factors,
+        st.integers(min_value=-1, max_value=1),
+    )
+    @example(0.0, 1.0, 1.0, 0.0, 0)  # |k0 - k1| = 1e-12*scale exactly
+    @example(0.0, 1.0, 1.0, 0.0, 1)
+    @example(0.0, 1.0, 1.0, 0.0, -1)
+    @example(2.0, 2.0, 0.5, 1.0, 1)
+    @settings(max_examples=300)
+    def test_circular_matches_old_expression(self, k0, gap, s_total, r, ulps):
+        # Put kappa1 at the threshold gap*1e-12*scale, then one ulp either side.
+        k1 = k0 + gap * 1e-12 * max(abs(k0), 1.0 / s_total)
+        k1 = {-1: math.nextafter(k1, -math.inf), 0: k1, 1: math.nextafter(k1, math.inf)}[ulps]
+        assert GcsProfile(k0, k1, s_total, r).circular is _circular_reference(k0, k1, s_total)
+
+    def test_threshold_edges(self):
+        assert GcsProfile(0.0, 1e-12, 1.0, 0.0).circular
+        assert GcsProfile(0.0, math.nextafter(1e-12, 0.0), 1.0, 0.0).circular
+        assert not GcsProfile(0.0, math.nextafter(1e-12, 1.0), 1.0, 0.0).circular
+
+
 class TestKappa:
     def test_linear_midpoint(self):
         assert GcsProfile(0.0, 2.0, math.pi, 0.0).kappa(math.pi / 2) == pytest.approx(1.0, abs=1e-15)
@@ -92,6 +153,27 @@ class TestKappa:
         p = GcsProfile(0.0, 2.0, math.pi, 1.0)
         assert p.kappa(-1e-15) == p.kappa(0.0)
         assert p.kappa(math.pi * (1.0 + 1e-16)) == p.kappa(math.pi)
+
+    @given(
+        st.floats(min_value=-2e-12, max_value=2e-12, allow_nan=False),
+        st.sampled_from([0.05, 1.0, math.pi, 20.0]),
+        st.booleans(),
+    )
+    @example(-0.0, 1.0, False)
+    @example(-1e-15, math.pi, False)
+    @example(1e-16, math.pi, True)
+    def test_scalar_clamp_matches_min_max(self, offset, s_total, at_end):
+        # Within the slack the result equals min(max(s, 0), S), signed zero included.
+        s = s_total + offset * s_total if at_end else offset
+        slack = 1e-12 * max(1.0, s_total)
+        if -slack <= s <= s_total + slack:
+            expect = min(max(s, 0.0), s_total)
+            got = _clamp_s(s, s_total)
+            assert type(got) is float and math.copysign(1.0, got) == math.copysign(1.0, expect)
+            assert got == expect
+        else:
+            with pytest.raises(DomainError):
+                _clamp_s(s, s_total)
 
 
 ARRAY_CASES = [
@@ -116,6 +198,14 @@ class TestArrayEvaluation:
         assert np.array_equal(values.view(np.int64), scalar.view(np.int64))
         grid = s[:102].reshape(6, 17)
         assert np.array_equal(getattr(profile, method)(grid), values[:102].reshape(6, 17))
+
+    @pytest.mark.parametrize("profile", ARRAY_CASES, ids=lambda p: type(p).__name__)
+    def test_out_of_domain_scalar_value_named(self, profile):
+        S = profile.arc_length
+        for bad in (math.nan, math.inf, -math.inf, -0.5, S + 0.5):
+            for method in (profile.kappa, profile.kappa_prime, profile.theta):
+                with pytest.raises(DomainError, match=re.escape(f"s={bad!r} outside")):
+                    method(bad)
 
     @pytest.mark.parametrize("profile", ARRAY_CASES, ids=lambda p: type(p).__name__)
     def test_out_of_domain_array_value_named(self, profile):

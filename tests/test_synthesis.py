@@ -23,10 +23,11 @@ from gcspiral import (
     curve_to_csv,
     curve_to_svg,
     endpoint,
+    lcg_gcs_points,
     synthesize,
 )
 from gcspiral.svg import polyline_svg
-from gcspiral.tables import write_table
+from gcspiral.tables import row_array, write_table
 from tutil import fig_sweep_profiles, menger_curvature
 
 # Independently computed with 40-digit arithmetic.
@@ -305,6 +306,19 @@ class TestSerialization:
             polyline_svg([[], np.empty((0, 2))])
         with pytest.raises(DomainError):
             polyline_svg([[(0.0, 1.0), (math.nan, 2.0)]])
+        for ragged in ([(0.0, 1.0), (2.0,)], [(0.0, 1.0, 2.0)], [0.0, 1.0], np.zeros((3, 3))):
+            with pytest.raises(DomainError, match="every row must hold 2 values"):
+                polyline_svg([xy, ragged])
+
+    def test_row_array_matches_asarray(self):
+        points, _ = lcg_gcs_points(GcsProfile(0.1, 2.0, math.pi, 2.0), np.linspace(0.0, math.pi, 9))
+        expect = np.asarray(points)
+        for rows in (points, [tuple(q) for q in points], [list(q) for q in points], expect):
+            got = row_array(rows, 3)
+            assert got.dtype == np.float64 and np.array_equal(got, expect)
+        assert row_array([], 2).shape == (0, 2)
+        with pytest.raises(DomainError):
+            row_array(points + [(1.0, 2.0)], 3)
 
     def test_table_writer_takes_any_row_array(self):
         rows = [(0.5, -1.0), (1.0, 1.0 / 3.0)]
