@@ -26,7 +26,6 @@ from .errors import (
 )
 from .lcg import (
     classify_aesthetic,
-    gcs_rho_handles,
     gradient_from_samples,
     gradient_gcs,
     gradient_line,
@@ -290,12 +289,7 @@ def cmd_lcg(args) -> int:
     if gcs is not None:
         points, skipped = lcg_gcs_points(gcs, grid)
     else:
-        points, skipped = lcg_numeric(
-            lambda t: 1.0 / profile.kappa(t),
-            lambda t: -profile.kappa_prime(t) / np.square(profile.kappa(t)),
-            lambda t: 1.0,
-            grid,
-        )
+        points, skipped = lcg_numeric(profile, grid)
     if not points:
         raise DegenerateDataError("the LCG is undefined at every grid value for this profile")
 
@@ -480,16 +474,12 @@ def run_seed_check() -> int:
     checks["gradient_line_identity"] = ok
 
     profile = GcsProfile(0.1, 2.0, math.pi, 2.0)
-    handles = gcs_rho_handles(profile)
     h = 1e-5 * profile.arc_length
     t = np.linspace(0.2, profile.arc_length - 0.2, 9)
     lo = row_array(lcg_gcs_points(profile, t - h)[0], 3)
     hi = row_array(lcg_gcs_points(profile, t + h)[0], 3)
     fd = (hi[:, 2] - lo[:, 2]) / (hi[:, 1] - lo[:, 1])
-    exact = lcg_gradient_numeric(
-        handles.rho, handles.rho_prime, handles.rho_double_prime,
-        handles.s_prime, handles.s_double_prime, t,
-    )
+    exact = lcg_gradient_numeric(profile, t)
     checks["finite_difference_gradient"] = bool(np.all(np.abs(fd - exact) <= 1e-6))
 
     passed = all(checks.values())

@@ -1,9 +1,10 @@
 """Logarithmic curvature graph (LCG), its gradient, and aesthetic classification.
 
-For a parametric curve with radius of curvature rho(t) and arc length s(t),
-the LCG is the point set (log|rho|, log|rho*s'/rho'|) and its gradient is
+For a curve parameterised by arc length t with radius of curvature
+rho = 1/kappa, the LCG is the point set (log|rho|, log|rho/rho'|), which is
+(-log|kappa|, log|kappa/kappa'|), and its gradient is
 
-    gradient(t) = 1 + (rho/rho'^2) * (rho'*s''/s' - rho'').
+    gradient(t) = 1 - rho*rho''/rho'^2 = kappa*kappa''/kappa'^2 - 1.
 
 For the rational-linear curvature family the gradient is an exact linear
 function of arc length, gradient(t) = A*t + B; a curve whose gradient is
@@ -17,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, IO, NamedTuple, Sequence, Union
+from typing import IO, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
     increasing,
     real,
 )
-from .profiles import GcsProfile, _clamp_s
+from .profiles import CurvatureProfile, GcsProfile, _clamp_s
 from .synthesis import PlanarCurve
 from .tables import write_table
 
@@ -39,10 +40,8 @@ __all__ = [
     "SkippedPoint",
     "LcgLine",
     "AestheticClass",
-    "RhoHandles",
     "lcg_numeric",
     "lcg_gradient_numeric",
-    "gcs_rho_handles",
     "lcg_gcs_points",
     "gradient_gcs",
     "gradient_line",
@@ -105,81 +104,59 @@ class AestheticClass(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class RhoHandles:
-    """Callable bundle (rho, rho', rho'', s', s''): each maps an array of t to an array."""
-
-    rho: Callable
-    rho_prime: Callable
-    rho_double_prime: Callable
-    s_prime: Callable
-    s_double_prime: Callable
-
-
 def _rows(row_type, *columns) -> list:
     """`row_type` rows zipped from equal-length columns, built without its Python __new__."""
     return list(map(tuple.__new__, repeat(row_type), zip(*columns)))
 
 
-def _evaluate(handles, t: np.ndarray) -> list[np.ndarray]:
-    """Each handle called once on t, a scalar return broadcast to t's shape."""
-    return [np.broadcast_to(np.asarray(fn(t), dtype=float), t.shape) for fn in handles]
-
-
 def lcg_numeric(
-    rho: Callable, rho_prime: Callable, s_prime: Callable, t_grid: Sequence[float]
+    profile: CurvatureProfile, t_grid: Sequence[float]
 ) -> tuple[list[LcgPoint], list[SkippedPoint]]:
-    """Evaluate the LCG on a grid from radius-of-curvature handles.
+    """Evaluate the LCG of any profile on a grid from its kappa and kappa'.
 
-    Each handle is called once on the whole grid. Grid values where either
-    log coordinate fails to be finite are skipped and reported with the
+    log|rho| = -log|kappa| and log|rho/rho'| = log|kappa/kappa'|; kappa and
+    kappa' are each evaluated once on the whole grid. Grid values where
+    either coordinate fails to be finite are skipped and reported with the
     first cause that applies rather than raising.
     """
     grid = increasing("t_grid", t_grid, least=1)
+    k = profile.kappa(grid)
+    kp = profile.kappa_prime(grid)
     with np.errstate(all="ignore"):
-        r, rp, sp = _evaluate((rho, rho_prime, s_prime), grid)
-        freq = np.abs(r * sp / rp)
-        masks, reasons = zip(
-            (~np.isfinite(r), "rho is not finite (inflection)"),
-            (r == 0.0, "rho = 0"),
-            (rp == 0.0, "rho' = 0 (curvature extremum)"),
-            (~(np.isfinite(rp) & np.isfinite(sp)), "rho' or s' is not finite"),
-            ((freq == 0.0) | ~np.isfinite(freq), "log frequency is not finite"),
-        )
-        reason = np.select(masks, reasons, default="")
-        kept = reason == ""
-        log_rho = np.log(np.abs(r[kept]))
-        log_freq = np.log(freq[kept])
-    points = _rows(LcgPoint, grid[kept].tolist(), log_rho.tolist(), log_freq.tolist())
+        log_rho = -np.log(np.abs(k))
+        log_freq = np.log(np.abs(k / kp))
+    masks, reasons = zip(
+        (k == 0.0, "rho is not finite (inflection)"),
+        (kp == 0.0, "rho' = 0 (curvature extremum)"),
+        (~(np.isfinite(log_rho) & np.isfinite(log_freq)), "LCG coordinate is not finite"),
+    )
+    reason = np.select(masks, reasons, default="")
+    kept = reason == ""
+    points = _rows(LcgPoint, grid[kept].tolist(), log_rho[kept].tolist(), log_freq[kept].tolist())
     skipped = _rows(SkippedPoint, grid[~kept].tolist(), reason[~kept].tolist())
     return points, skipped
 
 
-def lcg_gradient_numeric(
-    rho: Callable, rho_prime: Callable, rho_double_prime: Callable,
-    s_prime: Callable, s_double_prime: Callable, t,
-):
-    """Gradient of the LCG at t (float or array) from general parametric handles.
+def lcg_gradient_numeric(profile: CurvatureProfile, t):
+    """Gradient kappa*kappa''/kappa'^2 - 1 of any profile's LCG at t (float or array).
 
-    Each handle is called once. Raises SingularPointError naming the first
-    t where the gradient is undefined.
+    Finite through an inflection. Raises SingularPointError naming the
+    first t where kappa' = 0 or the gradient is otherwise not finite.
     """
     t = np.asarray(t, dtype=float)
+    s = t.reshape(-1)  # profiles return arrays for array arguments, never 0-d ones
+    kp = profile.kappa_prime(s)
     with np.errstate(all="ignore"):
-        values = _evaluate((rho, rho_prime, rho_double_prime, s_prime, s_double_prime), t)
-        r, rp, rpp, sp, spp = values
-        names = ("rho", "rho'", "rho''", "s'", "s''")
-        masks, reasons = zip(
-            (rp == 0.0, "rho'({!r}) = 0: LCG gradient undefined at curvature extremum"),
-            (sp == 0.0, "s'({!r}) = 0: parameterization is singular"),
-            *((~np.isfinite(v), name + "({!r}) is not finite") for name, v in zip(names, values)),
-        )
-        reason = np.select(masks, reasons, default="")
-        bad = np.flatnonzero(reason)
-        if len(bad):
-            raise SingularPointError(reason.flat[bad[0]].format(t.flat[bad[0]].item()))
-        gradient = 1.0 + (r / (rp * rp)) * (rp * spp / sp - rpp)
-    return gradient if t.ndim else float(gradient)
+        gradient = profile.kappa(s) / kp * (profile.kappa_double_prime(s) / kp) - 1.0
+    bad = np.flatnonzero(~np.isfinite(gradient))
+    if len(bad):
+        at = s[bad[0]].item()
+        if kp[bad[0]] == 0.0:
+            raise SingularPointError(
+                f"kappa'({at!r}) = 0: LCG gradient undefined at curvature extremum"
+            )
+        raise SingularPointError(f"LCG gradient at t={at!r} is not finite")
+    return gradient.reshape(t.shape) if t.ndim else float(gradient[0])
 
 
 def _circular_error(profile: GcsProfile) -> SingularProfileError:
@@ -188,32 +165,6 @@ def _circular_error(profile: GcsProfile) -> SingularProfileError:
         "LCG closed forms divide by kappa0 - kappa1; "
         f"profile has kappa0 = {profile.kappa0!r}, kappa1 = {profile.kappa1!r}"
     )
-
-
-def gcs_rho_handles(profile: GcsProfile) -> RhoHandles:
-    """Exact (rho, rho', rho'', s', s'') for an arc-length rational-linear profile.
-
-    With numerator Nu(t) = n1*t + n0 and denominator D(t) = r*t + S:
-    rho = D/Nu, rho' = C/Nu^2 and rho'' = -2*n1*C/Nu^3 where the constant
-    C = S*(1+r)*(kappa0-kappa1) is nonzero away from the circular case.
-    """
-    if profile.circular:
-        raise _circular_error(profile)
-    n1, n0, c = profile.n1, profile.n0, profile.c
-    r, S = profile.r, profile.arc_length
-
-    def rho(t):
-        return (r * t + S) / (n1 * t + n0)
-
-    def rho_prime(t):
-        nu = n1 * t + n0
-        return c / (nu * nu)
-
-    def rho_double_prime(t):
-        nu = n1 * t + n0
-        return -2.0 * n1 * c / (nu * nu * nu)
-
-    return RhoHandles(rho, rho_prime, rho_double_prime, lambda t: 1.0, lambda t: 0.0)
 
 
 def lcg_gcs_points(

@@ -106,7 +106,7 @@ def lddc_histogram(
             hi += 0.5
         edge_arr = np.linspace(lo, hi, num_bins + 1)
     else:
-        edge_arr = np.asarray(edges, dtype=float)
+        edge_arr = increasing("edges", edges, least=2)
         if len(edge_arr) != num_bins + 1:
             raise DomainError(
                 f"explicit edges must hold num_bins+1 = {num_bins + 1} values, got {len(edge_arr)}"

@@ -8,8 +8,9 @@ polynomials, and the rational-linear family
 
 whose synthesized curve is the Generalized Cornu Spiral (GCS).  The shape
 factor is restricted to r > -1 so the denominator stays positive on [0, S].
-Every profile exposes kappa(s), kappa_prime(s) and theta(s) with the
-convention theta(0) = 0; the starting pose is applied by the synthesis layer.
+Every profile exposes kappa(s), kappa_prime(s), kappa_double_prime(s) and
+theta(s) with the convention theta(0) = 0; the starting pose is applied by
+the synthesis layer.
 Each method takes a float or an ndarray of arc lengths and returns the same
 kind; array values equal the scalar calls element by element, bit for bit.
 """
@@ -171,6 +172,8 @@ class ConstantProfile(_RealFields):
     def kappa_prime(self, s):
         return _like(_clamp_s(s, self.arc_length), 0.0)
 
+    kappa_double_prime = kappa_prime
+
     def theta(self, s):
         return self.kappa_value * _clamp_s(s, self.arc_length)
 
@@ -191,6 +194,9 @@ class LinearProfile(_RealFields):
     def kappa_prime(self, s):
         s = _clamp_s(s, self.arc_length)
         return _like(s, (self.kappa1 - self.kappa0) / self.arc_length)
+
+    def kappa_double_prime(self, s):
+        return _like(_clamp_s(s, self.arc_length), 0.0)
 
     def theta(self, s):
         s = _clamp_s(s, self.arc_length)
@@ -221,6 +227,9 @@ class QuadraticProfile(_RealFields):
     def kappa_prime(self, s):
         s = _clamp_s(s, self.arc_length)
         return 2.0 * self.a * s + self.b
+
+    def kappa_double_prime(self, s):
+        return _like(_clamp_s(s, self.arc_length), 2.0 * self.a)
 
     def theta(self, s):
         s = _clamp_s(s, self.arc_length)
@@ -279,6 +288,11 @@ class GcsProfile(_RealFields):
         s = _clamp_s(s, self.arc_length)
         den = self.r * s + self.arc_length
         return (self.n1 * self.arc_length - self.n0 * self.r) / (den * den)
+
+    def kappa_double_prime(self, s):
+        s = _clamp_s(s, self.arc_length)
+        den = self.r * s + self.arc_length
+        return -2.0 * self.r * (self.n1 * self.arc_length - self.n0 * self.r) / (den * den * den)
 
     def theta(self, s):
         # kappa0*s + (1+r)(kappa1-kappa0)*(s^2/S)*f(r*s/S) with

@@ -16,7 +16,6 @@ from gcspiral import (
     LinearProfile,
     QuadratureConfig,
     endpoint,
-    gcs_rho_handles,
     gradient_from_samples,
     gradient_gcs,
     gradient_line,
@@ -123,21 +122,13 @@ def test_criterion_06_numeric_analytic_agreement(capsys):
             if s_star is not None and abs(t - s_star) < 1e-3 * p.arc_length:
                 continue
             drawn += 1
-            handles = gcs_rho_handles(p)
             exact = lcg_point(p, t)
-            points, skipped = lcg_numeric(handles.rho, handles.rho_prime, handles.s_prime, [t])
+            points, skipped = lcg_numeric(p, [t])
             assert skipped == []
             assert abs(points[0].log_rho - exact.log_rho) <= 1e-10 * max(1.0, abs(exact.log_rho))
             assert abs(points[0].log_freq - exact.log_freq) <= 1e-10 * max(1.0, abs(exact.log_freq))
             g_exact = gradient_gcs(p, t)
-            g_numeric = lcg_gradient_numeric(
-                handles.rho,
-                handles.rho_prime,
-                handles.rho_double_prime,
-                handles.s_prime,
-                handles.s_double_prime,
-                t,
-            )
+            g_numeric = lcg_gradient_numeric(p, t)
             assert abs(g_numeric - g_exact) <= 1e-10 * max(1.0, abs(g_exact))
         drawn = 0
         while drawn < 20:

@@ -218,6 +218,17 @@ class TestLcgCommand:
         assert code == 0
         assert summary_of(out)["points"] == 256
 
+    def test_tiny_curvature_keeps_both_ends(self, tmp_path, capsys):
+        # kappa = t^2/2 - t + 1e-170: kappa^2 underflows at both ends, and
+        # the LCG is taken from kappa/kappa' without squaring kappa.
+        code, out, _ = run(
+            capsys,
+            "lcg", "--quadratic=0.5,1e-170,2e-170", "--length", "2", "--out", str(tmp_path),
+        )
+        assert code == 0
+        summary = summary_of(out)
+        assert summary["points"] == 256 and summary["skipped"] == []
+
     def test_circle_has_no_graph(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "lcg", "--constant", "1.0", "--length", "1.0", "--out", str(tmp_path)

@@ -18,6 +18,7 @@ from gcspiral import (
     GcsProfile,
     LcgLine,
     LcgPoint,
+    LinearProfile,
     PlanarCurve,
     QuadratureConfig,
     QuadraticProfile,
@@ -25,7 +26,6 @@ from gcspiral import (
     SingularProfileError,
     SkippedPoint,
     classify_aesthetic,
-    gcs_rho_handles,
     gradient_from_samples,
     gradient_gcs,
     gradient_line,
@@ -51,32 +51,17 @@ def grid(profile, num=33):
     return np.linspace(0.0, profile.arc_length, num)
 
 
-def _reference_lcg_numeric(rho, rho_prime, s_prime, t_grid):
-    """The per-point loop lcg_numeric replaced, on float t and math.log."""
-
-    def call(fn, t):
-        try:
-            return float(fn(t))
-        except ZeroDivisionError:
-            return math.inf
-
+def _reference_lcg_numeric(profile, t_grid):
+    """A per-point loop over lcg_numeric's formulas, on float t and math.log."""
     points, skipped = [], []
-    with np.errstate(all="ignore"):
-        for t in t_grid:
-            r, rp, sp = call(rho, t), call(rho_prime, t), call(s_prime, t)
-            freq = abs(r * sp / rp) if rp != 0.0 else math.inf
-            if not math.isfinite(r):
-                skipped.append((t, "rho is not finite (inflection)"))
-            elif r == 0.0:
-                skipped.append((t, "rho = 0"))
-            elif rp == 0.0:
-                skipped.append((t, "rho' = 0 (curvature extremum)"))
-            elif not (math.isfinite(rp) and math.isfinite(sp)):
-                skipped.append((t, "rho' or s' is not finite"))
-            elif freq == 0.0 or not math.isfinite(freq):
-                skipped.append((t, "log frequency is not finite"))
-            else:
-                points.append((t, math.log(abs(r)), math.log(freq)))
+    for t in t_grid:
+        k, kp = profile.kappa(t), profile.kappa_prime(t)
+        if k == 0.0:
+            skipped.append((t, "rho is not finite (inflection)"))
+        elif kp == 0.0:
+            skipped.append((t, "rho' = 0 (curvature extremum)"))
+        else:
+            points.append((t, -math.log(abs(k)), math.log(abs(k / kp))))
     return points, skipped
 
 
@@ -89,36 +74,22 @@ class TestNumericGraph:
     )
     def test_matches_per_point_reference(self, profile):
         # Same arithmetic as the loop; np.log and math.log may differ by 1 ulp.
-        rho = lambda t: 1.0 / profile.kappa(t)
-        rho_prime = lambda t: -profile.kappa_prime(t) / (profile.kappa(t) * profile.kappa(t))
         t_grid = grid(profile, 65).tolist()
-        s_prime = lambda t: 1.0
-        points, skipped = lcg_numeric(rho, rho_prime, s_prime, t_grid)
-        expect_points, expect_skipped = _reference_lcg_numeric(rho, rho_prime, s_prime, t_grid)
+        points, skipped = lcg_numeric(profile, t_grid)
+        expect_points, expect_skipped = _reference_lcg_numeric(profile, t_grid)
         assert skipped == expect_skipped
         assert [p.t for p in points] == [p[0] for p in expect_points]
         got, want = np.array(points).reshape(-1, 3), np.array(expect_points).reshape(-1, 3)
         assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want)))
 
     def test_constant_rho_skips_everything(self):
-        points, skipped = lcg_numeric(
-            lambda t: 1.0, lambda t: 0.0, lambda t: 1.0, [0.0, 0.5, 1.0]
-        )
+        points, skipped = lcg_numeric(ConstantProfile(1.0, 1.0), [0.0, 0.5, 1.0])
         assert points == []
         assert len(skipped) == 3
         assert all("rho'" in sk.reason for sk in skipped)
 
-    def test_zero_rho_skipped(self):
-        points, skipped = lcg_numeric(
-            lambda t: 0.0, lambda t: 1.0, lambda t: 1.0, [0.0]
-        )
-        assert points == [] and skipped[0].reason == "rho = 0"
-
     def test_inflection_skipped_with_cause(self):
-        handles = gcs_rho_handles(INFLECTING)
-        points, skipped = lcg_numeric(
-            handles.rho, handles.rho_prime, handles.s_prime, [0.0, 1.0, 2.0]
-        )
+        points, skipped = lcg_numeric(INFLECTING, [0.0, 1.0, 2.0])
         assert [p.t for p in points] == [0.0, 2.0]
         assert len(skipped) == 1 and skipped[0].t == 1.0
         assert "inflection" in skipped[0].reason
@@ -126,10 +97,7 @@ class TestNumericGraph:
     def test_reciprocal_linear_offset_identity(self):
         # rho = (r*t+S)/n0 is linear, so log_freq - log_rho = log(n0/r) at
         # every sample; nothing is skipped.
-        handles = gcs_rho_handles(LOG_SPIRAL)
-        points, skipped = lcg_numeric(
-            handles.rho, handles.rho_prime, handles.s_prime, grid(LOG_SPIRAL)
-        )
+        points, skipped = lcg_numeric(LOG_SPIRAL, grid(LOG_SPIRAL))
         assert skipped == []
         offset = math.log(LOG_SPIRAL.n0 / LOG_SPIRAL.r)
         for p in points:
@@ -137,58 +105,57 @@ class TestNumericGraph:
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
-            lcg_numeric(lambda t: 1.0, lambda t: 1.0, lambda t: 1.0, [])
+            lcg_numeric(CLOTHOID, [])
         with pytest.raises(DomainError):
-            lcg_numeric(lambda t: 1.0, lambda t: 1.0, lambda t: 1.0, [0.0, 0.0])
+            lcg_numeric(CLOTHOID, [0.0, 0.0])
         with pytest.raises(DomainError):
-            lcg_numeric(lambda t: 1.0, lambda t: 1.0, lambda t: 1.0, [0.0, math.nan])
+            lcg_numeric(CLOTHOID, [0.0, math.nan])
         # The closed-form route checks its grid the same way.
         for bad in ([], [2.0, 1.0, 0.5], [1.0, 1.0], [[0.5, 1.0]], ["0", "1"], [0.0, [1.0]]):
             with pytest.raises(DomainError):
-                lcg_numeric(lambda t: 1.0, lambda t: 1.0, lambda t: 1.0, bad)
+                lcg_numeric(CLOTHOID, bad)
             with pytest.raises(DomainError):
                 lcg_gcs_points(CLOTHOID, bad)
+        with pytest.raises(DomainError, match=re.escape("s=2.5 outside")):
+            lcg_numeric(INFLECTING, [0.0, 2.5])
 
-    def test_each_handle_called_once_per_grid(self):
-        handles = gcs_rho_handles(INFLECTING)
-        calls = {"rho": 0, "rho_prime": 0, "s_prime": 0}
+    def test_kappa_and_slope_evaluated_once_per_grid(self, monkeypatch):
+        calls = {"kappa": 0, "kappa_prime": 0}
 
-        def counted(name, fn):
-            def wrapper(t):
+        def counted(name):
+            method = getattr(GcsProfile, name)
+
+            def wrapper(self, s):
                 calls[name] += 1
-                return fn(t)
+                return method(self, s)
 
             return wrapper
 
-        points, skipped = lcg_numeric(
-            *(counted(name, getattr(handles, name)) for name in calls), grid(INFLECTING)
-        )
-        assert calls == {"rho": 1, "rho_prime": 1, "s_prime": 1}
+        for name in calls:
+            monkeypatch.setattr(GcsProfile, name, counted(name))
+        points, skipped = lcg_numeric(INFLECTING, grid(INFLECTING))
+        assert calls == {"kappa": 1, "kappa_prime": 1}
         assert len(points) == 32 and [sp.t for sp in skipped] == [1.0]
 
     def test_skip_reasons_keep_first_match_order(self):
-        # At t = 0 every check fails; later values fail fewer of them.
-        t_grid = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-        rho = lambda t: np.where(t == 0.0, np.inf, np.where(t == 1.0, 0.0, 1.0))
-        rho_prime = lambda t: np.where(t <= 2.0, 0.0, np.where(t == 3.0, np.nan, 1e-300))
-        s_prime = lambda t: np.where(t == 5.0, 1e300, 1.0)
-        points, skipped = lcg_numeric(rho, rho_prime, s_prime, t_grid)
-        assert [(p.t, p.log_rho) for p in points] == [(4.0, 0.0)]
-        assert points[0].log_freq == pytest.approx(math.log(1e300), rel=1e-15)
-        assert skipped == [
-            (0.0, "rho is not finite (inflection)"),
-            (1.0, "rho = 0"),
-            (2.0, "rho' = 0 (curvature extremum)"),
-            (3.0, "rho' or s' is not finite"),
-            (5.0, "log frequency is not finite"),
-        ]
+        # kappa = (t - 1)^2: at t = 1 both kappa and kappa' vanish, and the
+        # inflection reason comes first.
+        points, skipped = lcg_numeric(QuadraticProfile(1.0, 1.0, 1.0, 2.0), [0.0, 1.0, 2.0])
+        assert [p.t for p in points] == [0.0, 2.0]
+        assert skipped == [(1.0, "rho is not finite (inflection)")]
+        # kappa = -t^2 + 2t + 0.5 peaks at t = 1.
+        points, skipped = lcg_numeric(QuadraticProfile(-1.0, 0.5, 0.5, 2.0), [0.0, 1.0, 2.0])
+        assert skipped == [(1.0, "rho' = 0 (curvature extremum)")]
+        # kappa/kappa' underflows to 0 at t = 0, so log|rho/rho'| is -inf.
+        points, skipped = lcg_numeric(LinearProfile(5e-324, 1e10, 1.0), [0.0, 1.0])
+        assert [p.t for p in points] == [1.0]
+        assert skipped == [(0.0, "LCG coordinate is not finite")]
 
 
 class TestClosedForm:
     def test_matches_numeric_on_clothoid(self):
         p = GcsProfile(0.1, 2.0, math.pi, 0.0)
-        handles = gcs_rho_handles(p)
-        numeric, _ = lcg_numeric(handles.rho, handles.rho_prime, handles.s_prime, grid(p))
+        numeric, _ = lcg_numeric(p, grid(p))
         for np_point in numeric:
             cf = lcg_point(p, np_point.t)
             assert cf.log_rho == pytest.approx(np_point.log_rho, abs=1e-12)
@@ -219,14 +186,11 @@ class TestClosedForm:
         s_star = inflection(profile)
         if s_star is not None:
             assume(abs(t - s_star) > 1e-3 * profile.arc_length)
-        handles = gcs_rho_handles(profile)
         try:
             cf = lcg_point(profile, t)
         except SingularPointError:
             assume(False)
-        numeric, skipped = lcg_numeric(
-            handles.rho, handles.rho_prime, handles.s_prime, [t]
-        )
+        numeric, skipped = lcg_numeric(profile, [t])
         assert skipped == []
         assert cf.log_rho == pytest.approx(numeric[0].log_rho, rel=1e-10, abs=1e-10)
         assert cf.log_freq == pytest.approx(numeric[0].log_freq, rel=1e-10, abs=1e-10)
@@ -234,8 +198,8 @@ class TestClosedForm:
     def test_circular_profile_rejected(self):
         with pytest.raises(SingularProfileError):
             lcg_point(GcsProfile(1.0, 1.0, 1.0, 0.5), 0.5)
-        with pytest.raises(SingularProfileError):
-            gcs_rho_handles(GcsProfile(2.0, 2.0, 3.0, 0.0))
+        with pytest.raises(SingularPointError, match="kappa'"):
+            lcg_gradient_numeric(GcsProfile(2.0, 2.0, 3.0, 0.0), 1.5)
 
     def test_inflection_point_rejected(self):
         points, skipped = lcg_gcs_points(INFLECTING, [1.0])
@@ -273,10 +237,7 @@ class TestRowTypes:
         _assert_lcg_rows(*lcg_gcs_points(INFLECTING, grid(INFLECTING)))
 
     def test_numeric_rows_are_named_tuples(self):
-        handles = gcs_rho_handles(INFLECTING)
-        _assert_lcg_rows(
-            *lcg_numeric(handles.rho, handles.rho_prime, handles.s_prime, grid(INFLECTING))
-        )
+        _assert_lcg_rows(*lcg_numeric(INFLECTING, grid(INFLECTING)))
 
 
 class TestGradient:
@@ -288,18 +249,10 @@ class TestGradient:
         for t in grid(CLOTHOID).tolist():
             assert gradient_gcs(CLOTHOID, t) == -1.0
 
-    def test_matches_numeric_from_handles(self):
+    def test_matches_numeric_route(self):
         p = GcsProfile(0.3, 1.7, 2.0, 1.5)
-        handles = gcs_rho_handles(p)
         for t in grid(p).tolist():
-            numeric = lcg_gradient_numeric(
-                handles.rho,
-                handles.rho_prime,
-                handles.rho_double_prime,
-                handles.s_prime,
-                handles.s_double_prime,
-                t,
-            )
+            numeric = lcg_gradient_numeric(p, t)
             assert gradient_gcs(p, t) == pytest.approx(numeric, rel=1e-10, abs=1e-10)
 
     def test_finite_through_inflection(self):
@@ -340,44 +293,30 @@ class TestGradient:
 
     def test_numeric_singularities_raise(self):
         with pytest.raises(SingularPointError):
-            lcg_gradient_numeric(
-                lambda t: 1.0, lambda t: 0.0, lambda t: 0.0, lambda t: 1.0, lambda t: 0.0, 0.5
-            )
-        with pytest.raises(SingularPointError):
-            lcg_gradient_numeric(
-                lambda t: 1.0, lambda t: 1.0, lambda t: 0.0, lambda t: 0.0, lambda t: 0.0, 0.5
-            )
+            lcg_gradient_numeric(ConstantProfile(1.0, 1.0), 0.5)
 
     def test_numeric_array_equals_per_element_calls(self):
         p = GcsProfile(0.3, 1.7, 2.0, 1.5)
-        handles = gcs_rho_handles(p)
         t = grid(p)
-        whole = lcg_gradient_numeric(*_five(handles), t)
+        whole = lcg_gradient_numeric(p, t)
         assert whole.dtype == np.float64 and whole.shape == t.shape
-        single = [lcg_gradient_numeric(*_five(handles), v) for v in t.tolist()]
+        single = [lcg_gradient_numeric(p, v) for v in t.tolist()]
         assert all(type(v) is float for v in single)
         assert whole.tolist() == single
 
+    def test_numeric_finite_through_inflection(self):
+        value = lcg_gradient_numeric(INFLECTING, 1.0)
+        assert math.isfinite(value)
+        assert value == pytest.approx(gradient_gcs(INFLECTING, 1.0), rel=1e-12, abs=1e-12)
+
     def test_numeric_names_first_singular_t(self):
-        handles = gcs_rho_handles(INFLECTING)
-        with pytest.raises(SingularPointError, match=r"^rho\(1\.0\) is not finite$"):
-            lcg_gradient_numeric(*_five(handles), [0.0, 0.5, 1.0, 1.5, 2.0])
-        rho_prime = lambda t: np.where(np.asarray(t) >= 0.5, 0.0, 1.0)
-        with pytest.raises(SingularPointError, match=r"^rho'\(0\.5\) = 0"):
-            lcg_gradient_numeric(
-                lambda t: 1.0, rho_prime, lambda t: 0.0, lambda t: 1.0, lambda t: 0.0,
-                np.array([0.25, 0.5, 0.75]),
-            )
-
-
-def _five(handles):
-    return (
-        handles.rho,
-        handles.rho_prime,
-        handles.rho_double_prime,
-        handles.s_prime,
-        handles.s_double_prime,
-    )
+        # kappa = -t^2 + 2t + 0.5 has kappa' = 0 at t = 1.
+        p = QuadraticProfile(-1.0, 0.5, 0.5, 2.0)
+        with pytest.raises(SingularPointError, match=r"^kappa'\(1\.0\) = 0"):
+            lcg_gradient_numeric(p, [0.0, 0.5, 1.0, 1.5, 2.0])
+        with pytest.raises(SingularPointError, match=r"^kappa'\(1\.0\) = 0"):
+            lcg_gradient_numeric(p, 1.0)
+        assert lcg_gradient_numeric(p, [0.0, 0.5, 1.5, 2.0]).shape == (4,)
 
 
 class TestGradientLine:

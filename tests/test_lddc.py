@@ -240,6 +240,9 @@ class TestHistogram:
             lddc_histogram(curve, 0)
         with pytest.raises(DomainError):
             lddc_histogram(curve, 4, edges=[0.0, 1.0])
+        for edges in (["-1", "0", "1"], ["a", "b", "c"], [0.0, [1.0], 2.0], [0.0, 2.0, 1.0]):
+            with pytest.raises(DomainError, match="edges"):
+                lddc_histogram(curve, 2, edges=edges)
         for bad in (2.5, True, "4", None):
             with pytest.raises(DomainError):
                 lddc_histogram(curve, bad)

@@ -187,7 +187,7 @@ ARRAY_CASES = [
 
 
 class TestArrayEvaluation:
-    @pytest.mark.parametrize("method", ["kappa", "kappa_prime", "theta"])
+    @pytest.mark.parametrize("method", ["kappa", "kappa_prime", "kappa_double_prime", "theta"])
     @pytest.mark.parametrize("profile", ARRAY_CASES, ids=lambda p: type(p).__name__)
     def test_array_equals_scalar_calls_bit_for_bit(self, profile, method):
         S = profile.arc_length
@@ -203,7 +203,9 @@ class TestArrayEvaluation:
     def test_out_of_domain_scalar_value_named(self, profile):
         S = profile.arc_length
         for bad in (math.nan, math.inf, -math.inf, -0.5, S + 0.5):
-            for method in (profile.kappa, profile.kappa_prime, profile.theta):
+            for method in (
+                profile.kappa, profile.kappa_prime, profile.kappa_double_prime, profile.theta
+            ):
                 with pytest.raises(DomainError, match=re.escape(f"s={bad!r} outside")):
                     method(bad)
 
@@ -212,7 +214,9 @@ class TestArrayEvaluation:
         S = profile.arc_length
         for bad in (-0.5, S + 0.5, math.nan):
             s = np.array([0.0, 0.5 * S, bad, S])
-            for method in (profile.kappa, profile.kappa_prime, profile.theta):
+            for method in (
+                profile.kappa, profile.kappa_prime, profile.kappa_double_prime, profile.theta
+            ):
                 with pytest.raises(DomainError, match=f"s={bad!r} outside"):
                     method(s)
 
@@ -312,6 +316,23 @@ class TestKappaPrime:
         assume(h < s < p.arc_length - h)
         fd = (p.kappa(s + h) - p.kappa(s - h)) / (2.0 * h)
         assert p.kappa_prime(s) == pytest.approx(fd, abs=1e-6, rel=1e-6)
+
+
+class TestKappaDoublePrime:
+    def test_exact_values(self):
+        assert ConstantProfile(-1.25, 2.5).kappa_double_prime(1.0) == 0.0
+        assert LinearProfile(-0.75, 2.0, 1.5).kappa_double_prime(1.0) == 0.0
+        assert QuadraticProfile(0.3, -0.1, 1.1, 4.0).kappa_double_prime(1.0) == 0.6
+        # n1 = -10.5, n0 = 1.5: -2*r*(n1*S - n0*r)/S^3 = -8 * -37.5 / 27.
+        assert GcsProfile(0.5, -2.0, 3.0, 4.0).kappa_double_prime(0.0) == 300.0 / 27.0
+
+    @given(gcs_profiles(), st.floats(min_value=0.05, max_value=0.95))
+    def test_matches_finite_differences(self, p, frac):
+        s = frac * p.arc_length
+        h = 1e-6 * max(1.0, p.arc_length)
+        assume(h < s < p.arc_length - h)
+        fd = (p.kappa_prime(s + h) - p.kappa_prime(s - h)) / (2.0 * h)
+        assert p.kappa_double_prime(s) == pytest.approx(fd, abs=1e-6, rel=1e-6)
 
 
 class TestTheta:
