@@ -3,6 +3,9 @@
 Exit codes: 0 on success, 2 for input or domain errors, 3 for quadrature
 failures. Every command prints a one-line JSON summary to standard output;
 data files land in --out (or $GCSPIRAL_OUT, or the working directory).
+A profile is one --<kind> flag per entry of profiles.PROFILE_KINDS (its
+comma-separated keys, with --length for a trailing arc_length) or a
+--profile document; either way it is read by profile_from_dict.
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ from .lcg import (
 )
 from .lddc import comparison_to_csv, lddc_histogram, lddc_to_csv, lddc_to_svg, lddc_vs_lcg
 from .profiles import (
+    PROFILE_KINDS,
     ConstantProfile,
     CurvatureProfile,
     GcsProfile,
     LinearProfile,
-    QuadraticProfile,
     classify_degenerate,
+    profile_from_dict,
     profile_from_json,
     to_gcs,
 )
@@ -86,11 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def add_profile_options(sp):
-        sp.add_argument("--gcs", help="rational-linear profile as kappa0,kappa1,arc_length,r")
-        sp.add_argument("--constant", type=float, help="constant curvature value (needs --length)")
-        sp.add_argument("--linear", help="linear profile as kappa0,kappa1 (needs --length)")
-        sp.add_argument("--quadratic", help="quadratic profile as a,kappa0,kappa1 (needs --length)")
-        sp.add_argument("--length", type=float, help="arc length for --constant/--linear/--quadratic")
+        for kind, (_cls, keys) in PROFILE_KINDS.items():
+            on_flag = _flag_keys(keys)
+            sp.add_argument(
+                f"--{kind}",
+                type=float if len(on_flag) == 1 else str,
+                help=f"{kind} profile as {','.join(on_flag)}"
+                + ("" if on_flag == keys else " (needs --length)"),
+            )
+        sp.add_argument("--length", type=float, help="arc length for a flag that needs it")
         sp.add_argument("--profile", help="profile JSON document given inline or as a file path")
 
     def add_output_options(sp, prefix):
@@ -161,48 +169,44 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
         raise DomainError(f"{what} holds a non-numeric field: {text!r}") from None
 
 
-def _require_length(args, flag: str) -> float:
-    if args.length is None:
-        raise DomainError(f"--length is required with {flag}")
-    return args.length
+def _flag_keys(keys: tuple[str, ...]) -> tuple[str, ...]:
+    """The document keys a --<kind> flag holds: all of them, or all but a trailing arc_length."""
+    return keys[:-1] if keys[-1] == "arc_length" else keys
 
 
 def profile_from_args(args) -> CurvatureProfile:
-    given = [
-        flag
-        for flag, value in (
-            ("--gcs", args.gcs),
-            ("--constant", args.constant),
-            ("--linear", args.linear),
-            ("--quadratic", args.quadratic),
-            ("--profile", args.profile),
-        )
-        if value is not None
-    ]
+    """The profile of the one given --<kind> flag (with --length when it needs one) or --profile."""
+    flags = [f"--{kind}" for kind in PROFILE_KINDS] + ["--profile"]
+    given = [flag for flag in flags if getattr(args, flag[2:]) is not None]
     if len(given) != 1:
         raise DomainError(
-            "exactly one of --gcs/--constant/--linear/--quadratic/--profile must be given"
+            f"exactly one of {'/'.join(flags)} must be given"
             + (f"; got {', '.join(given)}" if given else "")
         )
-    if args.gcs is not None:
-        k0, k1, s_total, r = _parse_floats(args.gcs, 4, "--gcs")
-        return GcsProfile(k0, k1, s_total, r)
-    if args.constant is not None:
-        return ConstantProfile(args.constant, _require_length(args, "--constant"))
-    if args.linear is not None:
-        k0, k1 = _parse_floats(args.linear, 2, "--linear")
-        return LinearProfile(k0, k1, _require_length(args, "--linear"))
-    if args.quadratic is not None:
-        a, k0, k1 = _parse_floats(args.quadratic, 3, "--quadratic")
-        return QuadraticProfile(a, k0, k1, _require_length(args, "--quadratic"))
-    text = args.profile.strip()
-    if text.startswith("{"):
-        return profile_from_json(text)
-    try:
-        with open(args.profile, "r", encoding="utf-8") as fh:
-            return profile_from_json(fh.read())
-    except OSError as exc:
-        raise DomainError(f"cannot read profile file {args.profile!r}: {exc}") from None
+    flag = given[0]
+    if flag == "--profile":
+        if args.length is not None:
+            raise DomainError("--length does not apply to --profile")
+        text = args.profile.strip()
+        if text.startswith("{"):
+            return profile_from_json(text)
+        try:
+            with open(args.profile, "r", encoding="utf-8") as fh:
+                return profile_from_json(fh.read())
+        except OSError as exc:
+            raise DomainError(f"cannot read profile file {args.profile!r}: {exc}") from None
+    kind = flag[2:]
+    keys = PROFILE_KINDS[kind][1]
+    on_flag = _flag_keys(keys)
+    value = getattr(args, kind)
+    numbers = (value,) if len(on_flag) == 1 else _parse_floats(value, len(on_flag), flag)
+    if on_flag != keys:
+        if args.length is None:
+            raise DomainError(f"--length is required with {flag}")
+        numbers += (args.length,)
+    elif args.length is not None:
+        raise DomainError(f"--length does not apply to {flag}")
+    return profile_from_dict({"type": kind, **dict(zip(keys, numbers))})
 
 
 def _pose_from_args(args) -> Pose:

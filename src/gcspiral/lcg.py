@@ -29,9 +29,10 @@ from .errors import (
     SingularProfileError,
     count,
     increasing,
+    numeric,
     real,
 )
-from .profiles import CurvatureProfile, GcsProfile, _clamp_s
+from .profiles import REL_TOL, CurvatureProfile, GcsProfile, _clamp_s
 from .synthesis import PlanarCurve
 from .tables import write_table
 
@@ -52,12 +53,6 @@ __all__ = [
     "gradient_to_csv",
     "lcg_line_to_json_dict",
 ]
-
-# Candidate parameter values whose curvature magnitude falls below
-# 1e-12 * scale sit too close to an inflection (rho diverges) and are
-# excluded from graph generation; the lddc module mirrors this threshold.
-NEAR_INFLECTION_REL_TOL = 1e-12
-
 
 class LcgPoint(NamedTuple):
     """One LCG sample, a table row: parameter value plus both log coordinates."""
@@ -138,12 +133,12 @@ def lcg_numeric(
 
 
 def lcg_gradient_numeric(profile: CurvatureProfile, t):
-    """Gradient kappa*kappa''/kappa'^2 - 1 of any profile's LCG at t (float or array).
+    """Gradient kappa*kappa''/kappa'^2 - 1 of any profile's LCG at t (a real or a column).
 
     Finite through an inflection. Raises SingularPointError naming the
     first t where kappa' = 0 or the gradient is otherwise not finite.
     """
-    t = np.asarray(t, dtype=float)
+    t = numeric("t", t)
     s = t.reshape(-1)  # profiles return arrays for array arguments, never 0-d ones
     kp = profile.kappa_prime(s)
     with np.errstate(all="ignore"):
@@ -183,7 +178,7 @@ def lcg_gcs_points(
     nu = profile.n1 * t + profile.n0
     den = profile.r * t + S
     with np.errstate(divide="ignore", invalid="ignore"):
-        kept = ~(np.abs(nu / den) < NEAR_INFLECTION_REL_TOL * profile.scale)
+        kept = ~(np.abs(nu / den) < REL_TOL * profile.scale)
         log_rho = np.log(np.abs(den[kept] / nu[kept]))
         log_freq = np.log(np.abs(den[kept] * nu[kept] / profile.c))
     points = _rows(LcgPoint, t[kept].tolist(), log_rho.tolist(), log_freq.tolist())
@@ -195,7 +190,7 @@ def lcg_gcs_points(
 
 
 def gradient_gcs(profile: GcsProfile, t):
-    """Exact LCG gradient of a rational-linear profile at parameter t (float or array).
+    """Exact LCG gradient of a rational-linear profile at parameter t (a real or a column).
 
     The rho/rho'/rho'' combination simplifies to the rational expression
     1 + 2*n1*(r*t+S) / (S*(1+r)*(kappa0-kappa1)), which stays finite through
@@ -281,16 +276,16 @@ def gradient_from_samples(curve: PlanarCurve) -> tuple[np.ndarray, LcgLine]:
     if not np.allclose(gaps, h, rtol=1e-9, atol=0.0):
         raise DomainError("gradient estimation requires uniform arc-length sampling")
 
-    scale = max(float(np.max(np.abs(kappa))), 1.0 / curve.total_length)
+    scale = curve.scale
     dk = np.diff(kappa)
-    if np.all(np.abs(dk) <= 1e-12 * scale):
+    if np.all(np.abs(dk) <= REL_TOL * scale):
         raise DegenerateDataError("curvature is constant (circular arc): LCG gradient undefined")
     if np.any(dk >= 0.0) and np.any(dk <= 0.0):
         raise DegenerateDataError(
             "curvature is not strictly monotone (interior extremum or flat run)"
         )
 
-    keep = np.abs(kappa) >= NEAR_INFLECTION_REL_TOL * scale
+    keep = np.abs(kappa) >= REL_TOL * scale
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if kappa.min() < 0.0 < kappa.max():
             k_p, k_pp = _stencil_derivatives(kappa, h)

@@ -24,8 +24,8 @@ from .errors import (
     numeric,
     real,
 )
-from .lcg import NEAR_INFLECTION_REL_TOL, LcgLine
-from .profiles import GcsProfile
+from .lcg import LcgLine
+from .profiles import REL_TOL, GcsProfile
 from .svg import bar_chart_svg
 from .synthesis import PlanarCurve
 from .tables import read_table, write_table, write_text
@@ -87,8 +87,7 @@ def lddc_histogram(
     num_bins = count("num_bins", num_bins)
     seg_len = np.diff(curve.s)
     kappa_mid = 0.5 * (curve.kappa[:-1] + curve.kappa[1:])
-    scale = max(float(np.max(np.abs(curve.kappa))), 1.0 / curve.total_length)
-    include = np.abs(kappa_mid) >= NEAR_INFLECTION_REL_TOL * scale
+    include = np.abs(kappa_mid) >= REL_TOL * curve.scale
     excluded = float(np.sum(seg_len[~include]))
     if not np.any(include):
         raise DegenerateDataError(

@@ -11,8 +11,13 @@ factor is restricted to r > -1 so the denominator stays positive on [0, S].
 Every profile exposes kappa(s), kappa_prime(s), kappa_double_prime(s) and
 theta(s) with the convention theta(0) = 0; the starting pose is applied by
 the synthesis layer.
-Each method takes a float or an ndarray of arc lengths and returns the same
-kind; array values equal the scalar calls element by element, bit for bit.
+Each method takes an arc length in [0, S]: a real number (not a bool),
+answered with a float, or a column of numbers (an ndarray, list or tuple),
+answered with an array whose values equal the one-number calls bit for bit.
+
+PROFILE_KINDS maps each document type to its class and its document keys
+in constructor order; profile documents are read and written through it,
+and the CLI builds its profile flags from it.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, real
+from .errors import DomainError, numeric, real
 
 __all__ = [
     "ConstantProfile",
@@ -37,6 +43,7 @@ __all__ = [
     "classify_degenerate",
     "inflection",
     "to_gcs",
+    "PROFILE_KINDS",
     "profile_to_dict",
     "profile_from_dict",
     "profile_to_json",
@@ -44,25 +51,29 @@ __all__ = [
 ]
 
 
-# Relative tolerance of the GCS degeneracy tests: curvature-valued
-# quantities against _REL_TOL * scale, the shape factor r against it directly.
-_REL_TOL = 1e-12
+# The one relative zero threshold: a curvature-valued quantity within
+# REL_TOL * scale of zero counts as zero (GCS degeneracy tests, circular
+# profiles, near-inflection LCG and LDDC samples); the shape factor r is
+# compared against it directly.
+REL_TOL = 1e-12
 
 
 def _clamp_s(s, arc_length: float):
-    """Validate s in [0, S] (tiny roundoff slack) and clamp onto the interval.
+    """Read an arc-length argument, check it lies in [0, S] (tiny roundoff slack), clamp it.
 
-    An ndarray is checked as a whole and returned as a clamped float array;
-    anything else is taken as one number and returned as a float.
+    A real number (not a bool) is returned as a float; anything else must
+    be a column of numbers (`errors.numeric`) and is returned as a clamped
+    float array.
     """
-    if isinstance(s, np.ndarray):
-        slack = 1e-12 * max(1.0, arc_length)
-        s = s.astype(float)
-        bad = ~((s >= -slack) & (s <= arc_length + slack))
-        if bad.any():
-            raise DomainError(f"arc length s={float(s[bad][0])!r} outside [0, {arc_length}]")
-        return np.clip(s, 0.0, arc_length)
-    s = float(s)
+    if type(s) is not float:
+        if not isinstance(s, numbers.Real) or isinstance(s, bool):
+            s = numeric("arc length s", s)
+            slack = 1e-12 * max(1.0, arc_length)
+            bad = ~((s >= -slack) & (s <= arc_length + slack))
+            if bad.any():
+                raise DomainError(f"arc length s={float(s[bad][0])!r} outside [0, {arc_length}]")
+            return np.clip(s, 0.0, arc_length)
+        s = real("arc length s", s)
     if 0.0 <= s <= arc_length:
         return s
     # Outside [0, S]; the comparison is False for nan and +-inf as well.
@@ -77,34 +88,26 @@ def _like(s, value: float):
     return np.full_like(s, value) if isinstance(s, np.ndarray) else value
 
 
-def _log1p_remainder(u):
-    """(u - log1p(u)) / u**2, continued by 1/2 at u = 0; float or ndarray.
+def _log1p_remainder(u: np.ndarray) -> np.ndarray:
+    """(u - log1p(u)) / u**2, continued by 1/2 at u = 0, element by element.
 
     The direct expression cancels catastrophically for small |u|; a series
-    branch keeps full precision there. log1p is numpy's for floats too, so
-    a float and an array element round alike.
+    branch keeps full precision there.
     """
-    if isinstance(u, np.ndarray):
-        small = np.abs(u) < 0.25
-        if small.all():
-            return _remainder_series(u)
-        if not small.any():
-            return _remainder_direct(u)
-        big = ~small
-        out = np.empty_like(u)
-        out[small] = _remainder_series(u[small])
-        out[big] = _remainder_direct(u[big])
-        return out
-    if abs(u) < 0.25:
+    small = np.abs(u) < 0.25
+    if small.all():
         return _remainder_series(u)
-    return _remainder_direct(u)
+    if not small.any():
+        return _remainder_direct(u)
+    out = np.empty_like(u)
+    out[small] = _remainder_series(u[small])
+    out[~small] = _remainder_direct(u[~small])
+    return out
 
 
-def _remainder_direct(u):
+def _remainder_direct(u: np.ndarray) -> np.ndarray:
     # Grouped to avoid overflow of u*u for very large shape factors.
-    if isinstance(u, np.ndarray):
-        return (1.0 - np.log1p(u) / u) / u
-    return (1.0 - float(np.log1p(u)) / u) / u
+    return (1.0 - np.log1p(u) / u) / u
 
 
 # Every partial sum of the series lies in [0.41, 0.61] for |u| < 1/4, where
@@ -121,22 +124,15 @@ def _series_terms(largest: float) -> int:
     return terms
 
 
-def _remainder_series(u):
-    """sum_k (-u)**k / (k+2) for |u| < 1/4, float or ndarray.
+def _remainder_series(u: np.ndarray) -> np.ndarray:
+    """sum_k (-u)**k / (k+2) for |u| < 1/4, element by element.
 
     The sum stops once no later term can change it, so the result is the
     converged sum of every term (at most 26 for |u| just below 1/4, one
-    for u = 0). An array runs the same recurrence in place, term by term
-    in the same order, so each element equals the float call bit for bit.
+    for u = 0). The recurrence runs in place, term by term in order, so
+    each element is the sum a one-element array of it would give.
     """
     neg = -u
-    if not isinstance(u, np.ndarray):
-        total = 0.0
-        power = 1.0
-        for k in range(_series_terms(abs(u))):
-            total = total + power / (k + 2)
-            power = power * neg
-        return total
     largest = max(float(u.max()), float(neg.max())) if u.size else 0.0
     # Term k = 0 is 1/2 and term 1's power is 1.0 * -u, both exact.
     total = np.full(u.shape, 0.5)
@@ -276,7 +272,7 @@ class GcsProfile(_RealFields):
             ("n0", n0),
             ("scale", scale),
             ("c", S * (1.0 + r) * (k0 - k1)),
-            ("circular", abs(k0 - k1) <= _REL_TOL * scale),
+            ("circular", abs(k0 - k1) <= REL_TOL * scale),
         ):
             object.__setattr__(self, name, value)
 
@@ -297,12 +293,14 @@ class GcsProfile(_RealFields):
     def theta(self, s):
         # kappa0*s + (1+r)(kappa1-kappa0)*(s^2/S)*f(r*s/S) with
         # f(u) = (u - log1p(u))/u^2; equal to the log antiderivative for
-        # r != 0 and free of the removable singularity at r = 0.
+        # r != 0 and free of the removable singularity at r = 0. A float
+        # is evaluated as a one-element array.
         s = _clamp_s(s, self.arc_length)
+        t = s if isinstance(s, np.ndarray) else np.array([s])
         S = self.arc_length
-        u = self.r * s / S
-        rem = _log1p_remainder(u)
-        return self.kappa0 * s + (1.0 + self.r) * (self.kappa1 - self.kappa0) * (s * s / S) * rem
+        rem = _log1p_remainder(self.r * t / S)
+        theta = self.kappa0 * t + (1.0 + self.r) * (self.kappa1 - self.kappa0) * (t * t / S) * rem
+        return theta if t is s else float(theta[0])
 
 
 CurvatureProfile = Union[ConstantProfile, LinearProfile, QuadraticProfile, GcsProfile]
@@ -325,14 +323,14 @@ def classify_degenerate(profile: GcsProfile) -> DegenerateClass:
     the dimensionless shape factor r against 1e-12 directly.  Branches are
     checked in order, so the classes are mutually exclusive and exhaustive.
     """
-    k_tol = _REL_TOL * profile.scale
+    k_tol = REL_TOL * profile.scale
     if abs(profile.kappa0) <= k_tol and abs(profile.kappa1) <= k_tol:
         return DegenerateClass.STRAIGHT_LINE
-    if abs(profile.r) <= _REL_TOL and profile.circular:
+    if abs(profile.r) <= REL_TOL and profile.circular:
         return DegenerateClass.CIRCULAR_ARC
-    if abs(profile.n1) <= k_tol and abs(profile.r) > _REL_TOL:
+    if abs(profile.n1) <= k_tol and abs(profile.r) > REL_TOL:
         return DegenerateClass.LOG_SPIRAL
-    if abs(profile.r) <= _REL_TOL:
+    if abs(profile.r) <= REL_TOL:
         return DegenerateClass.CLOTHOID
     return DegenerateClass.GENERAL_GCS
 
@@ -366,32 +364,21 @@ def to_gcs(profile: CurvatureProfile) -> GcsProfile | None:
 
 # -- JSON serialization -------------------------------------------------
 
+# Document name -> (class, document keys in constructor order). The CLI
+# builds its --<kind> flags from this table as well.
+PROFILE_KINDS = {
+    "gcs": (GcsProfile, ("kappa0", "kappa1", "arc_length", "r")),
+    "constant": (ConstantProfile, ("kappa", "arc_length")),
+    "linear": (LinearProfile, ("kappa0", "kappa1", "arc_length")),
+    "quadratic": (QuadraticProfile, ("a", "kappa0", "kappa1", "arc_length")),
+}
+
+
 def profile_to_dict(profile: CurvatureProfile) -> dict:
-    if isinstance(profile, ConstantProfile):
-        return {"type": "constant", "kappa": profile.kappa_value, "arc_length": profile.arc_length}
-    if isinstance(profile, LinearProfile):
-        return {
-            "type": "linear",
-            "kappa0": profile.kappa0,
-            "kappa1": profile.kappa1,
-            "arc_length": profile.arc_length,
-        }
-    if isinstance(profile, QuadraticProfile):
-        return {
-            "type": "quadratic",
-            "a": profile.a,
-            "kappa0": profile.kappa0,
-            "kappa1": profile.kappa1,
-            "arc_length": profile.arc_length,
-        }
-    if isinstance(profile, GcsProfile):
-        return {
-            "type": "gcs",
-            "kappa0": profile.kappa0,
-            "kappa1": profile.kappa1,
-            "arc_length": profile.arc_length,
-            "r": profile.r,
-        }
+    for kind, (cls, keys) in PROFILE_KINDS.items():
+        if isinstance(profile, cls):
+            values = [getattr(profile, f.name) for f in fields(profile) if f.init]
+            return {"type": kind, **dict(zip(keys, values))}
     raise DomainError(f"not a curvature profile: {profile!r}")
 
 
@@ -399,18 +386,16 @@ def profile_from_dict(data: dict) -> CurvatureProfile:
     if not isinstance(data, dict):
         raise DomainError(f"profile document must be a JSON object, got {type(data).__name__}")
     kind = data.get("type")
-    try:
-        if kind == "constant":
-            return ConstantProfile(data["kappa"], data["arc_length"])
-        if kind == "linear":
-            return LinearProfile(data["kappa0"], data["kappa1"], data["arc_length"])
-        if kind == "quadratic":
-            return QuadraticProfile(data["a"], data["kappa0"], data["kappa1"], data["arc_length"])
-        if kind == "gcs":
-            return GcsProfile(data["kappa0"], data["kappa1"], data["arc_length"], data["r"])
-    except KeyError as exc:
-        raise DomainError(f"profile document missing field {exc.args[0]!r}") from None
-    raise DomainError(f"unknown profile type {kind!r}")
+    if not isinstance(kind, str) or kind not in PROFILE_KINDS:
+        raise DomainError(f"unknown profile type {kind!r}")
+    cls, keys = PROFILE_KINDS[kind]
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise DomainError(f"profile document missing field {missing[0]!r}")
+    unknown = [key for key in data if key != "type" and key not in keys]
+    if unknown:
+        raise DomainError(f"profile document has unknown field {unknown[0]!r}")
+    return cls(*(data[key] for key in keys))
 
 
 def profile_to_json(profile: CurvatureProfile) -> str:

@@ -105,6 +105,11 @@ class PlanarCurve:
     def total_length(self) -> float:
         return float(self.s[-1] - self.s[0])
 
+    @property
+    def scale(self) -> float:
+        """Curvature scale max(max|kappa|, 1/L) that relative zero thresholds are taken against."""
+        return max(float(np.max(np.abs(self.kappa))), 1.0 / self.total_length)
+
 
 def _check_tolerance(profile: CurvatureProfile, config: QuadratureConfig) -> None:
     """Reject an abs_tol below S * eps, which no arc-length integral can meet."""

@@ -160,6 +160,71 @@ class TestProfileInputs:
         assert code == 2
         assert "--length" in err
 
+    @pytest.mark.parametrize(
+        "profile_args",
+        [
+            ["--gcs", "0,1,1,0"],
+            ["--profile", '{"type": "constant", "kappa": 1.0, "arc_length": 2.0}'],
+        ],
+        ids=["gcs", "profile"],
+    )
+    def test_length_without_a_flag_that_needs_it_rejected(self, tmp_path, capsys, profile_args):
+        code, out, err = run(
+            capsys, "synth", *profile_args, "--length", "5", "--out", str(tmp_path)
+        )
+        assert (code, out) == (2, "")
+        assert f"error: --length does not apply to {profile_args[0]}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_document_key_rejected(self, tmp_path, capsys):
+        doc = {"type": "gcs", "kappa0": 0.0, "kappa1": 1.0, "arc_length": 1.0, "r": 0.0}
+        code, _, err = run(
+            capsys, "synth", "--profile", json.dumps(dict(doc, extra=2)), "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert "error: profile document has unknown field 'extra'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag_args, doc",
+        [
+            (
+                ["--gcs", "0.5,2,3,1"],
+                {"type": "gcs", "kappa0": 0.5, "kappa1": 2, "arc_length": 3, "r": 1},
+            ),
+            (
+                ["--constant", "1.25", "--length", "2.5"],
+                {"type": "constant", "kappa": 1.25, "arc_length": 2.5},
+            ),
+            (
+                ["--linear=-0.75,2", "--length", "1.5"],
+                {"type": "linear", "kappa0": -0.75, "kappa1": 2, "arc_length": 1.5},
+            ),
+            (
+                ["--quadratic", "0.3,-0.1,1.1", "--length", "4"],
+                {"type": "quadratic", "a": 0.3, "kappa0": -0.1, "kappa1": 1.1, "arc_length": 4},
+            ),
+        ],
+        ids=["gcs", "constant", "linear", "quadratic"],
+    )
+    def test_flag_and_document_write_identical_files(self, tmp_path, capsys, flag_args, doc):
+        outputs = []
+        for name, profile_args in (("flag", flag_args), ("doc", ["--profile", json.dumps(doc)])):
+            out_dir = tmp_path / name
+            code, out, err = run(
+                capsys, "synth", *profile_args, "--formats", "csv,json,svg",
+                "--samples", "64", "--out", str(out_dir),
+            )
+            assert code == 0, err
+            # The summary and curve.json name the output directory; mask it.
+            files = {
+                p.name: p.read_bytes().replace(str(out_dir).encode(), b"OUT")
+                for p in out_dir.iterdir()
+            }
+            outputs.append((out.replace(str(out_dir), "OUT"), files))
+        assert sorted(outputs[0][1]) == ["curve.csv", "curve.json", "curve.svg"]
+        assert outputs[0] == outputs[1]
+
     def test_conflicting_profiles_rejected(self, tmp_path, capsys):
         code, _, err = run(
             capsys,

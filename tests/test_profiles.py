@@ -19,14 +19,22 @@ from gcspiral import (
     LinearProfile,
     QuadraticProfile,
     classify_degenerate,
+    gradient_gcs,
     inflection,
+    lcg_gradient_numeric,
     profile_from_dict,
     profile_from_json,
     profile_to_dict,
     profile_to_json,
     to_gcs,
 )
-from gcspiral.profiles import _clamp_s, _log1p_remainder, _remainder_series, _series_terms
+from gcspiral.profiles import (
+    PROFILE_KINDS,
+    _clamp_s,
+    _log1p_remainder,
+    _remainder_series,
+    _series_terms,
+)
 from tutil import arc_lengths, gcs_profiles, kappas, shape_factors, unit_fractions
 
 FIG_R_VALUES = [-0.99, -0.9, -0.5, 0.0, 1.0, 2.0, 5.0, 100.0]
@@ -221,6 +229,53 @@ class TestArrayEvaluation:
                     method(s)
 
 
+class TestArcLengthArguments:
+    """An arc length is a real number (not a bool) or a column of numbers."""
+
+    P = GcsProfile(0.5, -2.0, 3.0, 4.0)
+
+    @pytest.mark.parametrize(
+        "bad", ["0.5", True, np.bool_(True), np.array(["0.5"]), [True], None, [[0.5], [1.0, 2.0]]],
+        ids=["str", "bool", "np-bool", "str-array", "bool-list", "none", "ragged"],
+    )
+    def test_non_numbers_rejected(self, bad):
+        for call in (
+            self.P.kappa, self.P.kappa_prime, self.P.kappa_double_prime, self.P.theta,
+            ConstantProfile(1.0, 3.0).kappa,
+            lambda t: gradient_gcs(self.P, t),
+            lambda t: lcg_gradient_numeric(self.P, t),
+        ):
+            with pytest.raises(DomainError, match="must hold only numbers"):
+                call(bad)
+
+    def test_huge_integer_rejected(self):
+        with pytest.raises(DomainError):
+            self.P.kappa(10**400)
+
+    @pytest.mark.parametrize(
+        "column", [[0.5, 1.0], (0.5, 1.0), [0, 1]], ids=["list", "tuple", "ints"]
+    )
+    def test_sequences_evaluate_as_arrays(self, column):
+        expect = np.array([float(v) for v in column])
+        for method in ("kappa", "kappa_prime", "kappa_double_prime", "theta"):
+            values = getattr(self.P, method)(column)
+            assert isinstance(values, np.ndarray)
+            assert np.array_equal(values, getattr(self.P, method)(expect))
+        assert np.array_equal(gradient_gcs(self.P, column), gradient_gcs(self.P, expect))
+        assert np.array_equal(
+            lcg_gradient_numeric(self.P, column), lcg_gradient_numeric(self.P, expect)
+        )
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(1), np.float64(0.25), 1])
+    def test_numpy_and_int_scalars_evaluate_as_floats(self, value):
+        for method in ("kappa", "kappa_prime", "kappa_double_prime", "theta"):
+            got = getattr(self.P, method)(value)
+            assert type(got) is float
+            assert got == getattr(self.P, method)(float(value))
+        assert gradient_gcs(self.P, value) == gradient_gcs(self.P, float(value))
+        assert lcg_gradient_numeric(self.P, value) == lcg_gradient_numeric(self.P, float(value))
+
+
 def _reference_series(u):
     """The former fixed 32-term series, kept verbatim as the bit-exact reference."""
     total = 0.0
@@ -245,12 +300,14 @@ small_u = st.floats(min_value=-QUARTER_BELOW, max_value=QUARTER_BELOW, allow_nan
 
 class TestRemainderSeries:
     @pytest.mark.parametrize("u", SERIES_CASES)
-    def test_float_matches_reference(self, u):
-        assert _bits(_remainder_series(u)) == _bits(_reference_series(u))
+    def test_one_element_matches_reference(self, u):
+        (value,) = _remainder_series(np.array([u]))
+        assert _bits(value) == _bits(_reference_series(u))
 
     @given(small_u)
-    def test_float_matches_reference_property(self, u):
-        assert _bits(_remainder_series(u)) == _bits(_reference_series(u))
+    def test_one_element_matches_reference_property(self, u):
+        (value,) = _remainder_series(np.array([u]))
+        assert _bits(value) == _bits(_reference_series(u))
 
     @given(st.lists(small_u, max_size=40))
     def test_array_matches_reference_property(self, values):
@@ -289,11 +346,11 @@ class TestLog1pRemainder:
         ],
         ids=["all-small", "all-big", "mixed"],
     )
-    def test_array_equals_float_calls(self, u):
+    def test_array_equals_one_element_calls(self, u):
         values = _log1p_remainder(u)
         assert values.shape == u.shape
-        scalar = np.array([_log1p_remainder(v) for v in u.ravel().tolist()])
-        assert np.array_equal(_bits(values.ravel()), _bits(scalar))
+        single = np.concatenate([_log1p_remainder(np.array([v])) for v in u.ravel().tolist()])
+        assert np.array_equal(_bits(values.ravel()), _bits(single))
 
 
 class TestKappaPrime:
@@ -500,15 +557,28 @@ class TestSerialization:
         assert profile_from_json(profile_to_json(profile)) == profile
         assert profile_from_dict(profile_to_dict(profile)) == profile
 
-    def test_gcs_document_shape(self):
-        doc = profile_to_dict(GcsProfile(0.0, 2.0, math.pi, 1.0))
-        assert doc == {
-            "type": "gcs",
-            "kappa0": 0.0,
-            "kappa1": 2.0,
-            "arc_length": math.pi,
-            "r": 1.0,
-        }
+    @pytest.mark.parametrize(
+        "profile, doc",
+        [
+            (
+                GcsProfile(0.0, 2.0, math.pi, 1.0),
+                {"type": "gcs", "kappa0": 0.0, "kappa1": 2.0, "arc_length": math.pi, "r": 1.0},
+            ),
+            (ConstantProfile(1.25, 2.5), {"type": "constant", "kappa": 1.25, "arc_length": 2.5}),
+            (
+                LinearProfile(-0.75, 2.0, 1.5),
+                {"type": "linear", "kappa0": -0.75, "kappa1": 2.0, "arc_length": 1.5},
+            ),
+            (
+                QuadraticProfile(0.3, -0.1, 1.1, 4.0),
+                {"type": "quadratic", "a": 0.3, "kappa0": -0.1, "kappa1": 1.1, "arc_length": 4.0},
+            ),
+        ],
+        ids=["gcs", "constant", "linear", "quadratic"],
+    )
+    def test_document_shape(self, profile, doc):
+        assert list(profile_to_dict(profile).items()) == list(doc.items())
+        assert profile_from_dict(doc) == profile
 
     def test_unknown_type_rejected(self):
         with pytest.raises(DomainError):
@@ -517,6 +587,24 @@ class TestSerialization:
     def test_missing_field_rejected(self):
         with pytest.raises(DomainError):
             profile_from_dict({"type": "gcs", "kappa0": 0.0})
+
+    def test_unknown_field_rejected(self):
+        doc = {"type": "gcs", "kappa0": 0.0, "kappa1": 1.0, "arc_length": 1.0, "r": 0.0}
+        assert profile_from_dict(doc) == GcsProfile(0.0, 1.0, 1.0, 0.0)
+        with pytest.raises(DomainError, match="unknown field 'extra'"):
+            profile_from_dict(dict(doc, extra=2))
+        with pytest.raises(DomainError, match="unknown field 'kappa'"):
+            profile_from_dict(dict(doc, kappa=1.0))
+
+    @given(st.sampled_from(sorted(PROFILE_KINDS)), st.data())
+    def test_round_trip_every_kind(self, kind, data):
+        cls, keys = PROFILE_KINDS[kind]
+        strategy = {"arc_length": arc_lengths, "r": shape_factors}
+        doc = {"type": kind, **{key: data.draw(strategy.get(key, kappas)) for key in keys}}
+        profile = profile_from_dict(doc)
+        assert type(profile) is cls
+        assert list(profile_to_dict(profile).items()) == list(doc.items())
+        assert profile_from_json(profile_to_json(profile)) == profile
 
     def test_invalid_json_rejected(self):
         with pytest.raises(DomainError):
