@@ -10,7 +10,8 @@ whose synthesized curve is the Generalized Cornu Spiral (GCS).  The shape
 factor is restricted to r > -1 so the denominator stays positive on [0, S].
 Every profile exposes kappa(s), kappa_prime(s), kappa_double_prime(s) and
 theta(s) with the convention theta(0) = 0; the starting pose is applied by
-the synthesis layer.
+the synthesis layer. `kappa_pole` is the arc length outside [0, S] where the
+curvature has a pole: s = -S/r for a GCS with r != 0, inf otherwise.
 Each method takes an arc length in [0, S]: a real number (not a bool),
 answered with a float, or a column of numbers (an ndarray, list or tuple),
 answered with an array whose values equal the one-number calls bit for bit.
@@ -148,6 +149,8 @@ def _remainder_series(u: np.ndarray) -> np.ndarray:
 class _RealFields:
     """Stores every init field of a profile as a float: finite, arc_length > 0."""
 
+    kappa_pole = math.inf  # a polynomial curvature has no pole
+
     def __post_init__(self):
         for f in fields(self):
             if f.init:
@@ -275,6 +278,11 @@ class GcsProfile(_RealFields):
             ("circular", abs(k0 - k1) <= REL_TOL * scale),
         ):
             object.__setattr__(self, name, value)
+
+    @property
+    def kappa_pole(self) -> float:
+        """The s = -S/r where the curvature's denominator vanishes, or inf for r = 0."""
+        return -self.arc_length / self.r if self.r != 0.0 else math.inf
 
     def kappa(self, s):
         s = _clamp_s(s, self.arc_length)

@@ -1,15 +1,29 @@
 """The tangent-integral kernel used by curve synthesis.
 
 `tangent_integrals` integrates the unit tangent (cos(theta(t)), sin(theta(t)))
-over every gap of a grid at once. Each gap starts with the power-of-two panel
-count that keeps its phase swing |delta theta| at or below pi/2 per panel,
-because a doubling estimate under-reports on full oscillation periods, and
-with at least the rule's min_panels. The error estimate compares p panels
-against 2p; only the gaps that miss their tolerance are doubled again.
+over every gap of a grid at once. Each gap is sized with the power-of-two
+panel count p that keeps its phase swing |delta theta| at or below pi/2 per
+panel, because a doubling estimate under-reports on full oscillation
+periods, and with at least the rule's min_panels. A doubling estimate
+compares p panels against 2p; only the gaps that miss their tolerance are
+doubled again.
 
 The panel rule is data, and two independent rules are provided so results
 can be cross-checked: composite Gauss-Legendre of order 16, and composite
 Simpson with the Richardson (fine - coarse)/15 correction.
+
+GAUSS_LEGENDRE shares no nodes between passes, so a p-panel pass would be
+evaluated only for its estimate. Instead its first pass evaluates 2p panels
+and estimates their error from their own node values: the two highest
+Legendre coefficients a_14, a_15 of cos(theta) and sin(theta) on each
+panel, from a fixed node-to-coefficient matrix, give the gap estimate
+sum(h * (|a_14| + |a_15|)), the larger for cos and sin. The decay of these
+coefficients bounds the panel's Gauss error (Trefethen, "Is Gauss
+quadrature better than Clenshaw-Curtis?", SIAM Review 50(1), 2008). A gap
+within its tolerance returns these 2p-panel sums; a gap that misses enters
+the doubling loop, whose first coarse side is the 2p-panel sums it holds.
+Any other rule that is not nested evaluates both the p- and the 2p-panel
+pass and compares them from the start.
 
 Simpson's nodes are nested: the panel ends and midpoints of p panels are
 all panel ends of 2p panels. So it keeps, per gap, the (cos, sin) sums of
@@ -17,8 +31,8 @@ three node sets: the two gap ends E (from the theta(edges) call that sizes
 the first pass), the interior panel ends I and the panel midpoints M. The
 p-panel sum is h/6 * (E + 2I + 4M) with h = width / p, and a doubling sets
 I <- I + M and evaluates only the 2p new midpoints into M, so every node
-is evaluated once. Gauss-Legendre shares no nodes between passes and
-evaluates every panel afresh.
+is evaluated once. Its first pass is at p panels and its estimate always
+compares p against 2p.
 """
 
 from __future__ import annotations
@@ -50,10 +64,13 @@ class Rule(NamedTuple):
 
     A panel contributes its width times the weighted mean of the integrand
     at the nodes, so the weights may have any scale; integer weights keep a
-    constant integrand exact. The error estimate is
+    constant integrand exact. The doubling estimate is
     error_factor * |fine - coarse|, and the result
-    fine + correction * (fine - coarse). A gap's first coarse pass has at
-    least min_panels panels.
+    fine + correction * (fine - coarse). A gap is sized with at least
+    min_panels panels. Only GAUSS_LEGENDRE itself skips the p-panel pass:
+    it evaluates its first pass at twice the sized count and accepts a gap
+    there on its Legendre-tail estimate; only a gap that misses is
+    doubled. Every other rule starts with the doubling estimate.
     """
 
     nodes: np.ndarray
@@ -84,6 +101,20 @@ SIMPSON = Rule(
 )
 
 
+def _legendre_tail() -> np.ndarray:
+    """(2, 16) rows taking a Gauss panel's node values f_j to the two highest
+    Legendre coefficients on [-1, 1] of the polynomial through them,
+    a_k = (2k + 1)/2 * sum_j w_j P_k(x_j) f_j."""
+    nodes, weights = GAUSS_LEGENDRE.nodes, GAUSS_LEGENDRE.weights
+    order = len(nodes) - 1
+    legendre = np.polynomial.legendre.legvander(2.0 * nodes - 1.0, order)[:, -2:].T
+    degree = np.arange(order - 1, order + 1)[:, None]
+    return np.ascontiguousarray((2.0 * degree + 1.0) * legendre * (weights / weights.sum()))
+
+
+_GAUSS_TAIL = _legendre_tail()
+
+
 def _blocks(counts, size: int):
     """(gap, k) for every k < counts[gap], in blocks of at most `size` pairs."""
     ends = np.cumsum(counts)
@@ -95,17 +126,28 @@ def _blocks(counts, size: int):
         yield gap, ids - starts[gap]
 
 
-def _panel_sums(theta, lo, width, panels, rule: Rule) -> np.ndarray:
-    """Composite sums of the rule over each gap [lo, lo + width] in `panels` panels."""
+def _panel_sums(theta, lo, width, panels, rule: Rule, tail: bool):
+    """Composite sums of the rule over each gap [lo, lo + width] in `panels` panels.
+
+    With `tail` (GAUSS_LEGENDRE only), also returns each gap's Legendre-tail
+    error estimate, else None: the sum over its panels of
+    h * (|a_14| + |a_15|), where a_k are the Legendre coefficients of the
+    integrand on the panel, the larger for cos and sin.
+    """
     h = width / panels
     weight_sum = rule.weights.sum()
     sums = np.zeros((2, len(lo)))
+    tails = np.zeros((2, len(lo))) if tail else None
     for gap, k in _blocks(panels, _BLOCK_PANELS):
         hg = h[gap]
         angle = theta((lo[gap] + k * hg)[:, None] + hg[:, None] * rule.nodes)
-        sums[0] += np.bincount(gap, hg * ((np.cos(angle) @ rule.weights) / weight_sum), len(lo))
-        sums[1] += np.bincount(gap, hg * ((np.sin(angle) @ rule.weights) / weight_sum), len(lo))
-    return sums
+        for row, values in enumerate((np.cos(angle), np.sin(angle))):
+            sums[row] += np.bincount(gap, hg * ((values @ rule.weights) / weight_sum), len(lo))
+            if tail:
+                # Two matrix-vector products: a matrix product's BLAS buffers raise peak memory.
+                a = np.abs(values @ _GAUSS_TAIL[0]) + np.abs(values @ _GAUSS_TAIL[1])
+                tails[row] += np.bincount(gap, hg * a, len(lo))
+    return sums, np.maximum(tails[0], tails[1]) if tail else None
 
 
 def _node_sums(theta, lo, h, offset: float, counts) -> np.ndarray:
@@ -122,23 +164,25 @@ def _unit(angle) -> np.ndarray:
     return np.array([np.cos(angle), np.sin(angle)])
 
 
-def _composite(theta, rule: Rule, lo, width, panels, tips, inner):
+def _composite(theta, rule: Rule, lo, width, panels, tips, inner, tail: bool):
     """The rule's (cos, sin) sums over each gap in `panels` panels, and what a doubling keeps.
 
     A nested rule evaluates only the panel midpoints: `tips` are its
     weighted sums at the two gap ends and `inner` the sums at the interior
     panel ends (None on the first pass, which evaluates them). It returns
     the interior-end sums of 2 * panels panels: these ends and midpoints.
-    Any other rule evaluates every node and keeps nothing.
+    Any other rule evaluates every node and keeps nothing. The last value
+    is the Legendre-tail estimate when `tail` asks for it, else None.
     """
     if not rule.nested:
-        return _panel_sums(theta, lo, width, panels, rule), None
+        sums, estimate = _panel_sums(theta, lo, width, panels, rule, tail)
+        return sums, None, estimate
     h = width / panels
     if inner is None:
         inner = _node_sums(theta, lo, h, 1.0, panels - 1)
     mids = _node_sums(theta, lo, h, 0.5, panels)
     w = rule.weights
-    return h / w.sum() * (tips + (w[0] + w[-1]) * inner + w[1] * mids), inner + mids
+    return h / w.sum() * (tips + (w[0] + w[-1]) * inner + w[1] * mids), inner + mids, None
 
 
 def tangent_integrals(
@@ -152,7 +196,8 @@ def tangent_integrals(
 
     `theta` maps an array of t to an array of angles; `edges` is a
     nondecreasing grid of finite values. Returns (dx, dy), one entry per
-    gap, each within abs_tol (absolute) by the rule's doubling estimate.
+    gap, each within abs_tol (absolute) by the rule's error estimate: the
+    first pass's Legendre tail for GAUSS_LEGENDRE, else doubling.
     A gap may be halved at most max_subdivisions times, so it never has
     more than 2**max_subdivisions panels. Raises QuadratureError naming
     the worst gap when that budget is spent, and, before a pass is
@@ -180,26 +225,34 @@ def tangent_integrals(
     dy = np.empty(len(lo))
     todo = np.arange(len(lo))
     work = 0.0
-    coarse_sums = None
+    coarse_sums = inner = None
     while True:
         fine = 2.0 * coarse
-        work += float(np.sum(fine)) + (float(np.sum(coarse)) if coarse_sums is None else 0.0)
+        # GAUSS_LEGENDRE skips the first coarse pass and accepts on its Legendre tail.
+        first_coarse = coarse_sums is None and rule is not GAUSS_LEGENDRE
+        work += float(np.sum(fine)) + (float(np.sum(coarse)) if first_coarse else 0.0)
         if not work <= MAX_PANELS:
             raise QuadratureError(
                 f"integration needs {work:.0f} panels, above the ceiling of {MAX_PANELS} "
                 "panels per call; the tangent angle turns too far"
             )
-        if coarse_sums is None:
-            coarse_sums, inner = _composite(
-                theta, rule, lo, width, coarse.astype(np.int64), tips, None
+        if first_coarse:
+            coarse_sums, inner, _ = _composite(
+                theta, rule, lo, width, coarse.astype(np.int64), tips, None, False
             )
-        fine_sums, inner = _composite(
-            theta, rule, lo[todo], width[todo], fine.astype(np.int64), tips, inner
+        on_tail = coarse_sums is None  # the Gauss first pass accepts on its own estimate
+        fine_sums, inner, tail = _composite(
+            theta, rule, lo[todo], width[todo], fine.astype(np.int64), tips, inner, on_tail
         )
-        (fx, fy), (cx, cy) = fine_sums, coarse_sums
-        err = rule.error_factor * np.maximum(np.abs(fx - cx), np.abs(fy - cy))
-        dx[todo] = fx + rule.correction * (fx - cx)
-        dy[todo] = fy + rule.correction * (fy - cy)
+        fx, fy = fine_sums
+        if on_tail:
+            err = tail
+            dx[todo], dy[todo] = fx, fy
+        else:
+            cx, cy = coarse_sums
+            err = rule.error_factor * np.maximum(np.abs(fx - cx), np.abs(fy - cy))
+            dx[todo] = fx + rule.correction * (fx - cx)
+            dy[todo] = fy + rule.correction * (fy - cy)
         failing = ~(err <= abs_tol) | (coarse < need)
         if not failing.any():
             return dx, dy

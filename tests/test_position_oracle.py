@@ -1,0 +1,144 @@
+"""Closed-form GCS positions as the oracle for synthesis and both endpoint schemes.
+
+With u = 1 + r*s/S, a GCS turns by theta(s) = a*(u - 1) - beta*log(u), where
+a = S*n1/r**2 and beta = (n1*S - n0*r)/r**2. Substituting t = w*u with
+w = -i*a turns the tangent integral into a generalized incomplete gamma
+function (DLMF 8.2):
+
+    x(s) + i*y(s) = (S/r) * e^(-i*a) * w^(-c) * Gamma(c, w, w*u),  c = 1 - i*beta.
+
+n1 = 0 gives a = 0, the log spiral (S/r) * (u^c - 1)/c, and r = 0 the
+clothoid, whose integral is a pair of Fresnel integrals. The oracle reads
+the profile's float coefficients n1, n0, S and r exactly, so it is the
+position of the very curvature the library integrates.
+"""
+
+import math
+import sys
+
+import mpmath  # a test dependency: the oracle must fail, not skip, without it
+import numpy as np
+import pytest
+
+from gcspiral import GcsProfile, Pose, QuadratureConfig, endpoint, synthesize
+
+ABS_TOL = QuadratureConfig().abs_tol
+DPS = 40
+
+PROFILES = [
+    GcsProfile(-1.0, 2.0, 3.0, 1.0),  # an inflection inside (0, S)
+    GcsProfile(0.5, 2.0, 2.0, -0.5),
+    GcsProfile(0.2, 1.0, 1.0, -0.999),  # the pole S/999 past the end
+    GcsProfile(1.0, 3.0, 2.0, 4.0),
+    GcsProfile(2.0, 0.5, 1.5, 1000.0),  # the pole S/1000 before the start
+    GcsProfile(-40.0, 90.0, 2.0, 1.0),  # about 100 rad of turn
+    GcsProfile(-1.0, 3.0, 2.5, 0.0),  # a clothoid: the Fresnel form
+]
+IDS = ["inflecting", "r=-0.5", "r=-0.999", "r=4", "r=1000", "stiff", "clothoid"]
+
+
+def gcs_position(profile: GcsProfile, s: float) -> complex:
+    """x(s) + i*y(s) from the start of the profile's curve, in closed form."""
+    with mpmath.workdps(DPS):
+        n1, n0, S, r = map(mpmath.mpf, (profile.n1, profile.n0, profile.arc_length, profile.r))
+        s = mpmath.mpf(s)
+        if r == 0:
+            value = _clothoid(n1 / (2 * S), n0 / S, s)
+        else:
+            a = S * n1 / r**2
+            c = 1 - 1j * (n1 * S - n0 * r) / r**2
+            u = 1 + r * s / S
+            if a == 0:
+                value = S / r * (u**c - 1) / c
+            else:
+                w = -1j * a
+                value = S / r * mpmath.exp(-1j * a) * w ** (-c) * mpmath.gammainc(c, w, w * u)
+        return complex(value)
+
+
+def _clothoid(half_slope, start, s):
+    """The integral of exp(i*(half_slope*t**2 + start*t)) over [0, s]."""
+    if half_slope == 0:
+        return s if start == 0 else (mpmath.expj(start * s) - 1) / (1j * start)
+    # half_slope*t**2 + start*t = half_slope*(t + shift)**2 - start**2/(4*half_slope)
+    shift = start / (2 * half_slope)
+    scale = mpmath.sqrt(2 * abs(half_slope) / mpmath.pi)
+    sign = 1 if half_slope > 0 else -1
+
+    def fresnel(t):
+        x = scale * t
+        return mpmath.fresnelc(x) + sign * 1j * mpmath.fresnels(x)
+
+    phase = mpmath.expj(-(start**2) / (4 * half_slope))
+    return phase * (fresnel(s + shift) - fresnel(shift)) / scale
+
+
+def quad_position(profile: GcsProfile, s: float) -> complex:
+    """x(s) + i*y(s) by mpmath quadrature of the tangent angle written with logs."""
+    with mpmath.workdps(DPS):
+        n1, n0, S, r = map(mpmath.mpf, (profile.n1, profile.n0, profile.arc_length, profile.r))
+
+        def angle(t):
+            if r == 0:
+                return (n0 * t + n1 * t * t / 2) / S
+            return n1 * t / r + (n0 * r - n1 * S) / r**2 * mpmath.log(1 + r * t / S)
+
+        pieces = mpmath.linspace(0, mpmath.mpf(s), 17)
+        return complex(mpmath.quad(lambda t: mpmath.expj(angle(t)), pieces))
+
+
+class TestOracle:
+    @pytest.mark.parametrize("profile", PROFILES, ids=IDS)
+    def test_closed_form_matches_quadrature(self, profile):
+        S = profile.arc_length
+        assert abs(gcs_position(profile, S) - quad_position(profile, S)) <= 1e-14
+
+    def test_log_spiral_branch(self):
+        profile = GcsProfile(1.5, 1.5 / 3.0, 2.0, 2.0)  # n1 = 0
+        assert profile.n1 == 0.0
+        assert abs(gcs_position(profile, 2.0) - quad_position(profile, 2.0)) <= 1e-14
+
+    def test_straight_and_circle_branches(self):
+        assert gcs_position(GcsProfile(0.0, 0.0, 2.0, 0.0), 2.0) == 2.0
+        circle = gcs_position(GcsProfile(1.0, 1.0, math.pi, 0.0), math.pi)
+        assert abs(circle - 2j) <= 1e-15
+
+
+class TestPositionsWithinBudget:
+    @pytest.mark.parametrize("scheme", ["gauss", "simpson"])
+    @pytest.mark.parametrize("profile", PROFILES, ids=IDS)
+    def test_endpoint(self, profile, scheme):
+        end = endpoint(profile, scheme=scheme)
+        exact = gcs_position(profile, profile.arc_length)
+        assert abs(end.x - exact.real) <= ABS_TOL
+        assert abs(end.y - exact.imag) <= ABS_TOL
+
+    @pytest.mark.parametrize("profile", PROFILES, ids=IDS)
+    def test_synthesize_17_samples(self, profile):
+        curve = synthesize(profile, Pose(), QuadratureConfig(samples_per_curve=17))
+        exact = np.array([gcs_position(profile, s) for s in curve.s])
+        assert np.max(np.abs(curve.x - exact.real)) <= ABS_TOL
+        assert np.max(np.abs(curve.y - exact.imag)) <= ABS_TOL
+
+
+class TestSimpsonNextToThePole:
+    """Simpson's first pass is graded toward a pole S/999 or S/1000 from the curve."""
+
+    @pytest.mark.parametrize("r", [-0.999, 1000.0])
+    @pytest.mark.parametrize("kappa1", list(np.logspace(-8.0, -3.0, 11)))
+    def test_nearly_straight_endpoint(self, r, kappa1):
+        profile = GcsProfile(0.0, kappa1, 1.0, r)
+        end = endpoint(profile, scheme="simpson")
+        exact = gcs_position(profile, 1.0)
+        assert abs(end.x - exact.real) <= ABS_TOL
+        assert abs(end.y - exact.imag) <= ABS_TOL
+
+    @pytest.mark.parametrize("r", [-0.999, 1000.0])
+    def test_tolerance_at_the_float_floor(self, r):
+        # Each graded gap gets its width's share of abs_tol, never below its
+        # own width * eps, so the smallest abs_tol allowed is still met.
+        profile = GcsProfile(0.0, 1e-3, 1.0, r)
+        abs_tol = 2.0 * profile.arc_length * sys.float_info.epsilon
+        end = endpoint(profile, config=QuadratureConfig(abs_tol=abs_tol), scheme="simpson")
+        exact = gcs_position(profile, 1.0)
+        assert abs(complex(end.x, end.y) - exact) <= 4.0 * abs_tol

@@ -5,11 +5,21 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gcspiral import GcsProfile
 from gcspiral.errors import DomainError, QuadratureError
-from gcspiral.quadrature import GAUSS_LEGENDRE, MAX_PANELS, SIMPSON, tangent_integrals
+from gcspiral.quadrature import (
+    GAUSS_LEGENDRE,
+    MAX_PANELS,
+    SIMPSON,
+    Rule,
+    _blocks,
+    _panel_sums,
+    tangent_integrals,
+)
 
 # Independently computed with 40-digit arithmetic.
 COS_T2_01 = 0.90452423790027208147
@@ -195,3 +205,103 @@ class TestNestedSimpson:
     def test_nested_only_for_panel_ends_and_midpoint(self):
         assert SIMPSON.nested
         assert not GAUSS_LEGENDRE.nested
+
+
+class TestLegendreTail:
+    """A Gauss-Legendre gap accepts on its first (2p-panel) pass when its tail estimate allows."""
+
+    @staticmethod
+    def reference(theta, lo, width, panels):
+        """The same composite Gauss sum, each panel's mean summed exactly."""
+        h = width / panels
+        angle = theta(lo + h * (np.arange(panels)[:, None] + GAUSS_LEGENDRE.nodes))
+        mean = GAUSS_LEGENDRE.weights / GAUSS_LEGENDRE.weights.sum()
+        return np.array([math.fsum(h * (f(angle) @ mean)) for f in (np.cos, np.sin)])
+
+    @given(
+        r=st.one_of(
+            st.floats(min_value=-4.0, max_value=-0.3).map(lambda e: -1.0 + 10.0**e),
+            st.floats(min_value=-2.0, max_value=3.0).map(lambda e: 10.0**e),
+        ),
+        turn0=st.floats(min_value=-300.0, max_value=300.0),
+        turn1=st.floats(min_value=-300.0, max_value=300.0),
+        straightness=st.floats(min_value=-9.0, max_value=0.0),
+        s_total=st.floats(min_value=0.5, max_value=2.0),
+        panels=st.integers(min_value=1, max_value=16),
+        at_pole=st.booleans(),
+        start=st.floats(min_value=0.0, max_value=0.99),
+        width=st.floats(min_value=-4.0, max_value=0.0),
+    )
+    @example(-0.9998599540195696, 0.0, -0.0027, -0.0, 0.77, 2, True, 0.0, -0.5)
+    def test_tail_bounds_the_error(
+        self, r, turn0, turn1, straightness, s_total, panels, at_pole, start, width
+    ):
+        # r in (-0.9999, 1e3), |kappa|*S up to 300 and scaled down to nearly
+        # straight; the gap's turn is at most pi/4 per panel, as the first
+        # pass's panel count guarantees.
+        scale = 10.0**straightness / s_total
+        profile = GcsProfile(turn0 * scale, turn1 * scale, s_total, r)
+        w = s_total * 10.0**width
+        if at_pole:
+            lo = 0.0 if r > 0.0 else s_total - w
+        else:
+            lo = start * s_total
+            w = (s_total - lo) * 10.0**width
+        while abs(profile.theta(lo + w) - profile.theta(lo)) > panels * math.pi / 4.0:
+            w /= 2.0
+        sums, tail = _panel_sums(
+            profile.theta, np.array([lo]), np.array([w]), np.array([panels]), GAUSS_LEGENDRE, True
+        )
+        reference = self.reference(profile.theta, lo, w, 64 * panels)
+        error = float(np.max(np.abs(sums[:, 0] - reference)))
+        if error > 1e-14:
+            assert tail[0] >= error
+
+    def test_gentle_grid_evaluates_one_pass(self):
+        # N edges for the phase, then 2 panels of 16 nodes per gap, and no more.
+        n = 2000
+        profile = GcsProfile(0.5, 1.5, 2.0, 1.0)
+        calls = []
+
+        def theta(t):
+            calls.append(np.size(t))
+            return profile.theta(t)
+
+        tangent_integrals(theta, np.linspace(0.0, 2.0, n), 1e-10 / (n - 1))
+        assert sum(calls) == 32 * (n - 1) + n
+
+    def test_missed_gap_doubles_from_its_fine_pass(self):
+        calls = []
+
+        def theta(t):
+            calls.append(np.size(t))
+            return 2.0 * np.log(t + 0.05)
+
+        dx, dy = integrate(theta, 0.0, 1.0, 1e-10, GAUSS_LEGENDRE)
+        # 8 panels miss on their tail estimate; 16 panels pass against those 8.
+        assert calls == [2, 8 * 16, 16 * 16]
+        ox, _ = quad(lambda t: math.cos(theta(t)), 0.0, 1.0, epsabs=1e-14, limit=200)
+        oy, _ = quad(lambda t: math.sin(theta(t)), 0.0, 1.0, epsabs=1e-14, limit=200)
+        assert dx == pytest.approx(ox, abs=1e-10)
+        assert dy == pytest.approx(oy, abs=1e-10)
+
+    def test_other_rules_start_with_the_doubling_estimate(self):
+        # Only GAUSS_LEGENDRE accepts on its tail; a copy of it and a
+        # one-node midpoint rule evaluate p panels, then 2p, then compare.
+        midpoint = Rule(np.array([0.5]), np.array([1.0]), 1.0 / 3.0, 1.0 / 3.0)
+        for rule, nodes in ((Rule(*GAUSS_LEGENDRE), 16), (midpoint, 1)):
+            calls = []
+
+            def theta(t):
+                calls.append(np.size(t))
+                return 0.5 * t
+
+            dx, dy = integrate(theta, 0.0, 1.0, 1e-6, rule)
+            assert calls[:3] == [2, nodes, 2 * nodes]
+            assert dx == pytest.approx(2.0 * math.sin(0.5), abs=1e-6)
+            assert dy == pytest.approx(2.0 * (1.0 - math.cos(0.5)), abs=1e-6)
+
+    def test_blocks_walk_every_pair(self):
+        for counts in ([3, 3, 3, 3], [3, 1, 4, 2], [0, 2, 0]):
+            pairs = np.concatenate([np.stack(b, axis=1) for b in _blocks(np.array(counts), 5)])
+            assert pairs.tolist() == [[g, k] for g, c in enumerate(counts) for k in range(c)]
