@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -157,6 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
         profile=False,
     )
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses, built on its first call: each add_argument reads the terminal size."""
+    return build_parser()
 
 
 def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
@@ -504,7 +511,7 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

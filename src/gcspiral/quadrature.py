@@ -31,8 +31,15 @@ three node sets: the two gap ends E (from the theta(edges) call that sizes
 the first pass), the interior panel ends I and the panel midpoints M. The
 p-panel sum is h/6 * (E + 2I + 4M) with h = width / p, and a doubling sets
 I <- I + M and evaluates only the 2p new midpoints into M, so every node
-is evaluated once. Its first pass is at p panels and its estimate always
-compares p against 2p.
+is evaluated once. Its first pass is at p panels and its first estimate
+compares p against 2p. Its result, the Richardson value R = fine +
+(fine - coarse)/15, is O(h**6) accurate while that estimate is O(h**4),
+so from its second comparison on SIMPSON itself also applies Romberg's
+next column (Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed.,
+1984, section 6.3): a gap within |fine - coarse|/15 returns R_2p, and one
+that misses it still accepts if |R_2p - R_p|/63 meets its tolerance, and
+then returns R_2p + (R_2p - R_p)/63. Any other nested rule keeps the /15
+estimate alone.
 """
 
 from __future__ import annotations
@@ -70,7 +77,9 @@ class Rule(NamedTuple):
     min_panels panels. Only GAUSS_LEGENDRE itself skips the p-panel pass:
     it evaluates its first pass at twice the sized count and accepts a gap
     there on its Legendre-tail estimate; only a gap that misses is
-    doubled. Every other rule starts with the doubling estimate.
+    doubled. Every other rule starts with the doubling estimate. Only
+    SIMPSON itself, from its second comparison on, also accepts on the
+    Romberg estimate of its Richardson values.
     """
 
     nodes: np.ndarray
@@ -85,12 +94,25 @@ class Rule(NamedTuple):
         return np.array_equal(self.nodes, (0.0, 0.5, 1.0))
 
 
-def _gauss_legendre(order: int) -> Rule:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return Rule(0.5 * (x + 1.0), w, 1.0, 0.0)
+# The order-16 Gauss-Legendre nodes on [-1, 1] and their weights, as
+# np.polynomial.legendre.leggauss(16) gives them; written out, they spare an
+# eigenvalue solve through LAPACK (and its memory) at import.
+_LEGENDRE_16 = np.array(
+    [
+        (0.09501250983763744, 0.18945061045506864),
+        (0.2816035507792589, 0.18260341504492364),
+        (0.45801677765722737, 0.16915651939500265),
+        (0.6178762444026438, 0.1495959888165767),
+        (0.755404408355003, 0.12462897125553407),
+        (0.8656312023878318, 0.0951585116824926),
+        (0.9445750230732326, 0.062253523938647456),
+        (0.9894009349916499, 0.027152459411754176),
+    ]
+)
+_LEGENDRE_16_NODES = np.concatenate((-_LEGENDRE_16[::-1, 0], _LEGENDRE_16[:, 0]))
+_LEGENDRE_16_WEIGHTS = np.concatenate((_LEGENDRE_16[::-1, 1], _LEGENDRE_16[:, 1]))
 
-
-GAUSS_LEGENDRE = _gauss_legendre(16)
+GAUSS_LEGENDRE = Rule(0.5 * (_LEGENDRE_16_NODES + 1.0), _LEGENDRE_16_WEIGHTS, 1.0, 0.0)
 # Simpson's /15 estimate holds only once the panels resolve how fast the
 # curvature changes. On fewer, wider panels it under-reports: by up to 6.7x
 # on one panel of a nearly straight GCS gap with r = -0.99 or r = 50, whose
@@ -99,6 +121,9 @@ GAUSS_LEGENDRE = _gauss_legendre(16)
 SIMPSON = Rule(
     np.array([0.0, 0.5, 1.0]), np.array([1.0, 4.0, 1.0]), 1.0 / 15.0, 1.0 / 15.0, min_panels=64
 )
+# Romberg's next column over SIMPSON's Richardson values R_p, R_2p: the
+# estimate |R_2p - R_p| / 63 and the result R_2p + (R_2p - R_p) / 63.
+_ROMBERG = 1.0 / 63.0
 
 
 def _legendre_tail() -> np.ndarray:
@@ -197,11 +222,13 @@ def tangent_integrals(
     `theta` maps an array of t to an array of angles; `edges` is a
     nondecreasing grid of finite values. Returns (dx, dy), one entry per
     gap, each within abs_tol (absolute) by the rule's error estimate: the
-    first pass's Legendre tail for GAUSS_LEGENDRE, else doubling.
-    A gap may be halved at most max_subdivisions times, so it never has
-    more than 2**max_subdivisions panels. Raises QuadratureError naming
-    the worst gap when that budget is spent, and, before a pass is
-    evaluated, when it would take the call above MAX_PANELS panels.
+    first pass's Legendre tail for GAUSS_LEGENDRE, else doubling, which
+    for SIMPSON is the smaller of |fine - coarse|/15 and, from the second
+    comparison on, Romberg's |R_2p - R_p|/63. A gap may be halved at most
+    max_subdivisions times, so it never has more than
+    2**max_subdivisions panels. Raises QuadratureError naming the worst
+    gap, by that estimate, when that budget is spent, and, before a pass
+    is evaluated, when it would take the call above MAX_PANELS panels.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or not np.all(np.isfinite(edges)):
@@ -225,7 +252,7 @@ def tangent_integrals(
     dy = np.empty(len(lo))
     todo = np.arange(len(lo))
     work = 0.0
-    coarse_sums = inner = None
+    coarse_sums = inner = rich = None
     while True:
         fine = 2.0 * coarse
         # GAUSS_LEGENDRE skips the first coarse pass and accepts on its Legendre tail.
@@ -244,15 +271,19 @@ def tangent_integrals(
         fine_sums, inner, tail = _composite(
             theta, rule, lo[todo], width[todo], fine.astype(np.int64), tips, inner, on_tail
         )
-        fx, fy = fine_sums
         if on_tail:
-            err = tail
-            dx[todo], dy[todo] = fx, fy
+            err, value = tail, fine_sums
         else:
-            cx, cy = coarse_sums
-            err = rule.error_factor * np.maximum(np.abs(fx - cx), np.abs(fy - cy))
-            dx[todo] = fx + rule.correction * (fx - cx)
-            dy[todo] = fy + rule.correction * (fy - cy)
+            err = rule.error_factor * np.max(np.abs(fine_sums - coarse_sums), axis=0)
+            value = fine_sums + rule.correction * (fine_sums - coarse_sums)
+        dx[todo], dy[todo] = value
+        if rule is SIMPSON:  # Romberg's next column, from the second comparison on
+            if rich is not None:
+                romberg = _ROMBERG * np.max(np.abs(value - rich), axis=0)
+                late = ~(err <= abs_tol) & (romberg <= abs_tol)
+                dx[todo[late]], dy[todo[late]] = (value + _ROMBERG * (value - rich))[:, late]
+                err = np.minimum(err, romberg)
+            rich = value
         failing = ~(err <= abs_tol) | (coarse < need)
         if not failing.any():
             return dx, dy
@@ -268,3 +299,5 @@ def tangent_integrals(
         coarse_sums = fine_sums[:, failing]
         if rule.nested:
             tips, inner = tips[:, failing], inner[:, failing]
+        if rich is not None:
+            rich = rich[:, failing]

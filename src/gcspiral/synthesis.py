@@ -180,7 +180,8 @@ def endpoint(
     """Final state at s = S via tangent integration over [0, S].
 
     scheme selects the panel rule: "simpson" (composite Simpson with the
-    Richardson correction) or "gauss" (composite Gauss-Legendre). The two
+    Richardson correction, and Romberg's next one once a gap has doubled)
+    or "gauss" (composite Gauss-Legendre). The two
     are independent rules and serve as mutual cross-checks. Simpson
     integrates gap by gap over edges graded toward a nearby curvature pole,
     each gap within its width's share of abs_tol, which stays above the

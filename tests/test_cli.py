@@ -30,7 +30,8 @@ from gcspiral import (
     lddc_vs_lcg,
     synthesize,
 )
-from gcspiral.cli import OUT_ENV_VAR, R_SWEEP, main
+from gcspiral import cli
+from gcspiral.cli import OUT_ENV_VAR, R_SWEEP, build_parser, main
 from gcspiral.errors import InputError
 from gcspiral.tables import read_table
 
@@ -623,6 +624,37 @@ def lcg_rows(profile, grid):
 
 def gradient_rows(profile, grid):
     return np.array([(t, gradient_gcs(profile, t)) for t in grid.tolist()])
+
+
+class TestParserReuse:
+    SESSION = (
+        ("classify", "--gcs", "-1,2,3,1"),  # a usage error
+        ("--help",),
+        ("synth", "--gcs", "0.5,2,3,1", "--out", "out", "--formats", "csv,json,svg"),
+        ("lcg", "--gcs", "0.5,2,3,-0.5", "--out", "out", "--prefix", "spiral"),
+    )
+
+    def session(self, capsys, monkeypatch, directory):
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        runs = [run(capsys, *argv) for argv in self.SESSION]
+        files = {path.name: path.read_bytes() for path in sorted((directory / "out").iterdir())}
+        return runs, files
+
+    def test_one_parser_serves_a_session_like_fresh_ones(self, tmp_path, capsys, monkeypatch):
+        cli._parser.cache_clear()
+        reused = self.session(capsys, monkeypatch, tmp_path / "reused")
+        assert cli._parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = self.session(capsys, monkeypatch, tmp_path / "fresh")
+        assert reused == fresh
+        runs, files = reused
+        assert [code for code, _, _ in runs] == [2, 0, 0, 0]
+        assert "usage: gcspiral" in runs[1][1]
+        assert len(files) == 5
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestWrittenTablesRoundTrip:

@@ -19,6 +19,8 @@ import sys
 import mpmath  # a test dependency: the oracle must fail, not skip, without it
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gcspiral import GcsProfile, Pose, QuadratureConfig, endpoint, synthesize
 
@@ -87,6 +89,15 @@ def quad_position(profile: GcsProfile, s: float) -> complex:
         return complex(mpmath.quad(lambda t: mpmath.expj(angle(t)), pieces))
 
 
+def oracle_position(profile: GcsProfile, s: float) -> complex:
+    """The closed form, or mpmath quadrature where mpmath's incomplete-gamma
+    series does not converge (|a| in the tens of thousands, at small r)."""
+    try:
+        return gcs_position(profile, s)
+    except mpmath.libmp.NoConvergence:
+        return quad_position(profile, s)
+
+
 class TestOracle:
     @pytest.mark.parametrize("profile", PROFILES, ids=IDS)
     def test_closed_form_matches_quadrature(self, profile):
@@ -142,3 +153,24 @@ class TestSimpsonNextToThePole:
         end = endpoint(profile, config=QuadratureConfig(abs_tol=abs_tol), scheme="simpson")
         exact = gcs_position(profile, 1.0)
         assert abs(complex(end.x, end.y) - exact) <= 4.0 * abs_tol
+
+    @given(
+        r=st.one_of(
+            st.floats(min_value=-4.0, max_value=-0.3).map(lambda e: -1.0 + 10.0**e),
+            st.floats(min_value=-2.0, max_value=3.0).map(lambda e: 10.0**e),
+        ),
+        turn0=st.floats(min_value=-300.0, max_value=300.0),
+        turn1=st.floats(min_value=-300.0, max_value=300.0),
+        straightness=st.floats(min_value=-9.0, max_value=0.0),
+        s_total=st.floats(min_value=0.5, max_value=2.0),
+    )
+    @example(r=-0.9, turn0=0.0, turn1=91.0, straightness=0.0, s_total=2.0)
+    def test_endpoint_within_budget(self, r, turn0, turn1, straightness, s_total):
+        # r in (-0.9999, 1e3), |kappa|*S up to 300 and scaled down to nearly
+        # straight; a pole within S/15 of the curve grades the gaps toward it.
+        scale = 10.0**straightness / s_total
+        profile = GcsProfile(turn0 * scale, turn1 * scale, s_total, r)
+        end = endpoint(profile, scheme="simpson")
+        exact = oracle_position(profile, s_total)
+        assert abs(end.x - exact.real) <= ABS_TOL
+        assert abs(end.y - exact.imag) <= ABS_TOL

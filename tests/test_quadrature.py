@@ -12,11 +12,14 @@ from scipy.integrate import quad
 from gcspiral import GcsProfile
 from gcspiral.errors import DomainError, QuadratureError
 from gcspiral.quadrature import (
+    _LEGENDRE_16_NODES,
+    _LEGENDRE_16_WEIGHTS,
     GAUSS_LEGENDRE,
     MAX_PANELS,
     SIMPSON,
     Rule,
     _blocks,
+    _composite,
     _panel_sums,
     tangent_integrals,
 )
@@ -142,9 +145,15 @@ class TestTangentIntegral:
 
 
 class TestGaussLegendre:
+    def test_literals_are_leggauss(self):
+        # The written-out rule is numpy's within 2 ulp on any host.
+        x, w = np.polynomial.legendre.leggauss(16)
+        for literal, reference in ((_LEGENDRE_16_NODES, x), (_LEGENDRE_16_WEIGHTS, w)):
+            assert np.all(np.abs(literal - reference) <= 2.0 * np.spacing(np.abs(reference)))
+
     def test_polynomial_exactness(self):
         # Order 16 on [0, 1] integrates t**k exactly for k < 32.
-        for rule, degrees in ((GAUSS_LEGENDRE, (0, 5, 31)), (SIMPSON, (0, 1, 2, 3))):
+        for rule, degrees in ((GAUSS_LEGENDRE, range(32)), (SIMPSON, (0, 1, 2, 3))):
             for k in degrees:
                 mean = float(rule.weights @ rule.nodes**k / rule.weights.sum())
                 assert mean == pytest.approx(1.0 / (k + 1), abs=1e-15)
@@ -180,21 +189,48 @@ class TestSchemeIndependence:
 
 class TestNestedSimpson:
     @staticmethod
-    def evaluated_points(theta, edges, abs_tol):
+    def evaluated_points(theta, edges, abs_tol, rule=SIMPSON):
         seen = []
 
         def counting(t):
             seen.append(np.array(t, dtype=float).ravel())
             return theta(t)
 
-        tangent_integrals(counting, edges, abs_tol, rule=SIMPSON)
+        tangent_integrals(counting, edges, abs_tol, rule=rule)
         return np.concatenate(seen)
 
     def test_evaluates_each_node_once_on_a_stiff_gap(self):
         profile = GcsProfile(-40.0, 90.0, 2.0, 1.0)
         points = self.evaluated_points(profile.theta, [0.0, 2.0], 1e-10)
-        # 4096 panels at the last pass: their 4097 ends and 4096 midpoints.
+        # 1024 panels at the last pass: their 1025 ends and 1024 midpoints.
+        assert len(points) == len(np.unique(points)) == 2049
+
+    def test_a_copy_of_simpson_keeps_the_richardson_estimate(self):
+        # Only SIMPSON itself accepts on Romberg's next column; a copy
+        # doubles until |fine - coarse| / 15 is within abs_tol: 4096 panels.
+        profile = GcsProfile(-40.0, 90.0, 2.0, 1.0)
+        points = self.evaluated_points(profile.theta, [0.0, 2.0], 1e-10, Rule(*SIMPSON))
         assert len(points) == len(np.unique(points)) == 8193
+
+    def test_first_comparison_returns_the_richardson_value(self):
+        # A gentle gap accepts on 64 against 128 panels and returns
+        # fine + (fine - coarse) / 15, bit for bit.
+        theta = lambda t: 0.3 * t * t
+        calls = []
+
+        def counting(t):
+            calls.append(np.size(t))
+            return theta(t)
+
+        (dx,), (dy,) = tangent_integrals(counting, [0.0, 1.0], 1e-10, rule=SIMPSON)
+        assert calls == [2, 63, 64, 128]  # the ends, then each pass's new nodes
+        lo, width = np.array([0.0]), np.array([1.0])
+        ends = theta(np.array([0.0, 1.0]))
+        tips = np.array([np.cos(ends), np.sin(ends)]).sum(axis=1)[:, None]
+        coarse, inner, _ = _composite(theta, SIMPSON, lo, width, np.array([64]), tips, None, False)
+        fine, _, _ = _composite(theta, SIMPSON, lo, width, np.array([128]), tips, inner, False)
+        expected = fine + SIMPSON.correction * (fine - coarse)
+        assert (dx, dy) == (expected[0, 0], expected[1, 0])
 
     def test_evaluates_each_node_once_on_a_grid(self):
         points = self.evaluated_points(

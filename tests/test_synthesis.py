@@ -28,12 +28,13 @@ from gcspiral import (
 )
 from gcspiral.svg import polyline_svg
 from gcspiral.tables import row_array, write_table
-from tutil import fig_sweep_profiles, menger_curvature
+from tutil import arc_lengths, fig_sweep_profiles, kappas, menger_curvature, shape_factors
 
 # Independently computed with 40-digit arithmetic.
 COS_T2_01 = 0.90452423790027208147
 SIN_T2_01 = 0.31026830172338110181
 GCS_R1_END = (0.48605614719959432625, 1.3485027722714506877)
+EPS = sys.float_info.epsilon
 
 
 class TestEndpointOracles:
@@ -211,6 +212,50 @@ class TestSynthesize:
             end = endpoint(ConstantProfile(c, 1.0), scheme=scheme)
             assert end.x == pytest.approx(math.sin(c) / c, abs=1e-10)
             assert end.y == pytest.approx((1.0 - math.cos(c)) / c, abs=1e-10)
+
+
+class TestInvariants:
+    """Exact maps within the GCS family, checked on 17 samples at a tight abs_tol.
+
+    Each side is within abs_tol of its exact curve; the rest of each bound is
+    float rounding, of the mapped coefficients and of theta, which moves a
+    curve of length S turning by up to `turn` rad by a few S * eps * (1 + turn).
+    """
+
+    CONFIG = QuadratureConfig(abs_tol=1e-13, samples_per_curve=17)
+
+    @staticmethod
+    def rounding(curve):
+        return 32.0 * curve.total_length * EPS * (1.0 + np.max(np.abs(curve.theta)))
+
+    @given(kappas, kappas, arc_lengths, shape_factors, st.floats(min_value=0.25, max_value=4.0))
+    def test_scaling(self, kappa0, kappa1, s_total, r, scale):
+        # (kappa0/l, kappa1/l, l*S, r) is the curve scaled by l.
+        curve = synthesize(GcsProfile(kappa0, kappa1, s_total, r), Pose(), self.CONFIG)
+        scaled = synthesize(
+            GcsProfile(kappa0 / scale, kappa1 / scale, scale * s_total, r), Pose(), self.CONFIG
+        )
+        bound = (1.0 + scale) * self.CONFIG.abs_tol + self.rounding(scaled)
+        assert np.max(np.hypot(scaled.x - scale * curve.x, scaled.y - scale * curve.y)) <= bound
+
+    @given(kappas, kappas, arc_lengths, shape_factors)
+    def test_mirror(self, kappa0, kappa1, s_total, r):
+        # (-kappa0, -kappa1, S, r) is the curve reflected in the x axis.
+        curve = synthesize(GcsProfile(kappa0, kappa1, s_total, r), Pose(), self.CONFIG)
+        mirrored = synthesize(GcsProfile(-kappa0, -kappa1, s_total, r), Pose(), self.CONFIG)
+        bound = 2.0 * self.CONFIG.abs_tol + self.rounding(curve)
+        assert np.max(np.hypot(mirrored.x - curve.x, mirrored.y + curve.y)) <= bound
+
+    @given(kappas, kappas, arc_lengths, shape_factors)
+    @example(-10.0, 10.0, 20.0, -0.99)
+    def test_reversal(self, kappa0, kappa1, s_total, r):
+        # Walked backwards, a curve's signed curvature changes sign: from the
+        # end pose turned by pi, (-kappa1, -kappa0, S, -r/(1+r)) retraces it.
+        curve = synthesize(GcsProfile(kappa0, kappa1, s_total, r), Pose(), self.CONFIG)
+        start = Pose(curve.x[-1], curve.y[-1], curve.theta[-1] + math.pi)
+        back = synthesize(GcsProfile(-kappa1, -kappa0, s_total, -r / (1.0 + r)), start, self.CONFIG)
+        bound = 2.0 * self.CONFIG.abs_tol + self.rounding(curve)
+        assert np.max(np.hypot(back.x - curve.x[::-1], back.y - curve.y[::-1])) <= bound
 
 
 class TestValidation:
