@@ -4,15 +4,12 @@
 over every gap of a grid at once. Each gap is sized with the power-of-two
 panel count p that keeps its phase swing |delta theta| at or below pi/2 per
 panel, because a doubling estimate under-reports on full oscillation
-periods, and with at least the rule's min_panels. A doubling estimate
-compares p panels against 2p; only the gaps that miss their tolerance are
-doubled again.
+periods; only the gaps that miss their tolerance are doubled again. Two
+independent schemes are provided so results can be cross-checked:
+composite Gauss-Legendre of order 16 ("gauss") and composite Simpson with
+the Richardson (fine - coarse)/15 correction ("simpson").
 
-The panel rule is data, and two independent rules are provided so results
-can be cross-checked: composite Gauss-Legendre of order 16, and composite
-Simpson with the Richardson (fine - coarse)/15 correction.
-
-GAUSS_LEGENDRE shares no nodes between passes, so a p-panel pass would be
+Gauss-Legendre shares no nodes between passes, so a p-panel pass would be
 evaluated only for its estimate. Instead its first pass evaluates 2p panels
 and estimates their error from their own node values: the two highest
 Legendre coefficients a_14, a_15 of cos(theta) and sin(theta) on each
@@ -20,10 +17,8 @@ panel, from a fixed node-to-coefficient matrix, give the gap estimate
 sum(h * (|a_14| + |a_15|)), the larger for cos and sin. The decay of these
 coefficients bounds the panel's Gauss error (Trefethen, "Is Gauss
 quadrature better than Clenshaw-Curtis?", SIAM Review 50(1), 2008). A gap
-within its tolerance returns these 2p-panel sums; a gap that misses enters
-the doubling loop, whose first coarse side is the 2p-panel sums it holds.
-Any other rule that is not nested evaluates both the p- and the 2p-panel
-pass and compares them from the start.
+within its tolerance returns these 2p-panel sums; a gap that misses is
+doubled and compared against the 2p-panel sums it holds.
 
 Simpson's nodes are nested: the panel ends and midpoints of p panels are
 all panel ends of 2p panels. So it keeps, per gap, the (cos, sin) sums of
@@ -31,27 +26,26 @@ three node sets: the two gap ends E (from the theta(edges) call that sizes
 the first pass), the interior panel ends I and the panel midpoints M. The
 p-panel sum is h/6 * (E + 2I + 4M) with h = width / p, and a doubling sets
 I <- I + M and evaluates only the 2p new midpoints into M, so every node
-is evaluated once. Its first pass is at p panels and its first estimate
-compares p against 2p. Its result, the Richardson value R = fine +
-(fine - coarse)/15, is O(h**6) accurate while that estimate is O(h**4),
-so from its second comparison on SIMPSON itself also applies Romberg's
-next column (Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed.,
+is evaluated once. Its first pass is at p panels, at least 64, and its
+first estimate compares p against 2p. Its result, the Richardson value
+R = fine + (fine - coarse)/15, is O(h**6) accurate while that estimate is
+O(h**4), so from its second comparison on it also applies Romberg's next
+column (Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed.,
 1984, section 6.3): a gap within |fine - coarse|/15 returns R_2p, and one
 that misses it still accepts if |R_2p - R_p|/63 meets its tolerance, and
-then returns R_2p + (R_2p - R_p)/63. Any other nested rule keeps the /15
-estimate alone.
+then returns R_2p + (R_2p - R_p)/63.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError, count, real
 
-__all__ = ["Rule", "GAUSS_LEGENDRE", "SIMPSON", "MAX_PANELS", "tangent_integrals"]
+__all__ = ["MAX_PANELS", "tangent_integrals"]
 
 _MAX_PHASE_SPAN = 0.5 * math.pi
 
@@ -60,39 +54,10 @@ _MAX_PHASE_SPAN = 0.5 * math.pi
 # allocation. Phase swings of 1e5 rad need about 2e5 panels per pass.
 MAX_PANELS = 2**22
 
-# Panels, and single nodes of a nested rule, evaluated together; they bound
+# Gauss panels, and single Simpson nodes, evaluated together; they bound
 # the scratch memory.
 _BLOCK_PANELS = 256
 _BLOCK_NODES = 4096
-
-
-class Rule(NamedTuple):
-    """A panel rule on [0, 1] and how a p-panel and a 2p-panel sum combine.
-
-    A panel contributes its width times the weighted mean of the integrand
-    at the nodes, so the weights may have any scale; integer weights keep a
-    constant integrand exact. The doubling estimate is
-    error_factor * |fine - coarse|, and the result
-    fine + correction * (fine - coarse). A gap is sized with at least
-    min_panels panels. Only GAUSS_LEGENDRE itself skips the p-panel pass:
-    it evaluates its first pass at twice the sized count and accepts a gap
-    there on its Legendre-tail estimate; only a gap that misses is
-    doubled. Every other rule starts with the doubling estimate. Only
-    SIMPSON itself, from its second comparison on, also accepts on the
-    Romberg estimate of its Richardson values.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    error_factor: float
-    correction: float
-    min_panels: int = 1
-
-    @property
-    def nested(self) -> bool:
-        """True for nodes (0, 1/2, 1): a doubling keeps every node and adds the new midpoints."""
-        return np.array_equal(self.nodes, (0.0, 0.5, 1.0))
-
 
 # The order-16 Gauss-Legendre nodes on [-1, 1] and their weights, as
 # np.polynomial.legendre.leggauss(16) gives them; written out, they spare an
@@ -110,18 +75,21 @@ _LEGENDRE_16 = np.array(
     ]
 )
 _LEGENDRE_16_NODES = np.concatenate((-_LEGENDRE_16[::-1, 0], _LEGENDRE_16[:, 0]))
-_LEGENDRE_16_WEIGHTS = np.concatenate((_LEGENDRE_16[::-1, 1], _LEGENDRE_16[:, 1]))
+# The Gauss panel on [0, 1]: it contributes its width times the weighted
+# mean of the integrand at these nodes.
+_GAUSS_NODES = 0.5 * (_LEGENDRE_16_NODES + 1.0)
+_GAUSS_WEIGHTS = np.concatenate((_LEGENDRE_16[::-1, 1], _LEGENDRE_16[:, 1]))
 
-GAUSS_LEGENDRE = Rule(0.5 * (_LEGENDRE_16_NODES + 1.0), _LEGENDRE_16_WEIGHTS, 1.0, 0.0)
 # Simpson's /15 estimate holds only once the panels resolve how fast the
 # curvature changes. On fewer, wider panels it under-reports: by up to 6.7x
 # on one panel of a nearly straight GCS gap with r = -0.99 or r = 50, whose
 # curvature has its pole within S/50 of the gap. From 64 panels on it
 # over-reports there, so Simpson starts at 64 panels.
-SIMPSON = Rule(
-    np.array([0.0, 0.5, 1.0]), np.array([1.0, 4.0, 1.0]), 1.0 / 15.0, 1.0 / 15.0, min_panels=64
-)
-# Romberg's next column over SIMPSON's Richardson values R_p, R_2p: the
+_SIMPSON_MIN_PANELS = 64
+# Simpson's Richardson correction over p and 2p panels: the estimate
+# |fine - coarse| / 15 and the result fine + (fine - coarse) / 15.
+_RICHARDSON = 1.0 / 15.0
+# Romberg's next column over Simpson's Richardson values R_p, R_2p: the
 # estimate |R_2p - R_p| / 63 and the result R_2p + (R_2p - R_p) / 63.
 _ROMBERG = 1.0 / 63.0
 
@@ -130,11 +98,12 @@ def _legendre_tail() -> np.ndarray:
     """(2, 16) rows taking a Gauss panel's node values f_j to the two highest
     Legendre coefficients on [-1, 1] of the polynomial through them,
     a_k = (2k + 1)/2 * sum_j w_j P_k(x_j) f_j."""
-    nodes, weights = GAUSS_LEGENDRE.nodes, GAUSS_LEGENDRE.weights
-    order = len(nodes) - 1
-    legendre = np.polynomial.legendre.legvander(2.0 * nodes - 1.0, order)[:, -2:].T
+    order = len(_GAUSS_NODES) - 1
+    legendre = np.polynomial.legendre.legvander(2.0 * _GAUSS_NODES - 1.0, order)[:, -2:].T
     degree = np.arange(order - 1, order + 1)[:, None]
-    return np.ascontiguousarray((2.0 * degree + 1.0) * legendre * (weights / weights.sum()))
+    return np.ascontiguousarray(
+        (2.0 * degree + 1.0) * legendre * (_GAUSS_WEIGHTS / _GAUSS_WEIGHTS.sum())
+    )
 
 
 _GAUSS_TAIL = _legendre_tail()
@@ -151,23 +120,23 @@ def _blocks(counts, size: int):
         yield gap, ids - starts[gap]
 
 
-def _panel_sums(theta, lo, width, panels, rule: Rule, tail: bool):
-    """Composite sums of the rule over each gap [lo, lo + width] in `panels` panels.
+def _gauss_sums(theta, lo, width, panels, tail: bool):
+    """Composite Gauss-Legendre (cos, sin) sums over each gap [lo, lo + width] in `panels` panels.
 
-    With `tail` (GAUSS_LEGENDRE only), also returns each gap's Legendre-tail
-    error estimate, else None: the sum over its panels of
-    h * (|a_14| + |a_15|), where a_k are the Legendre coefficients of the
-    integrand on the panel, the larger for cos and sin.
+    With `tail`, also returns each gap's Legendre-tail error estimate, else
+    None: the sum over its panels of h * (|a_14| + |a_15|), where a_k are
+    the Legendre coefficients of the integrand on the panel, the larger for
+    cos and sin.
     """
     h = width / panels
-    weight_sum = rule.weights.sum()
+    weight_sum = _GAUSS_WEIGHTS.sum()
     sums = np.zeros((2, len(lo)))
     tails = np.zeros((2, len(lo))) if tail else None
     for gap, k in _blocks(panels, _BLOCK_PANELS):
         hg = h[gap]
-        angle = theta((lo[gap] + k * hg)[:, None] + hg[:, None] * rule.nodes)
+        angle = theta((lo[gap] + k * hg)[:, None] + hg[:, None] * _GAUSS_NODES)
         for row, values in enumerate((np.cos(angle), np.sin(angle))):
-            sums[row] += np.bincount(gap, hg * ((values @ rule.weights) / weight_sum), len(lo))
+            sums[row] += np.bincount(gap, hg * ((values @ _GAUSS_WEIGHTS) / weight_sum), len(lo))
             if tail:
                 # Two matrix-vector products: a matrix product's BLAS buffers raise peak memory.
                 a = np.abs(values @ _GAUSS_TAIL[0]) + np.abs(values @ _GAUSS_TAIL[1])
@@ -189,25 +158,19 @@ def _unit(angle) -> np.ndarray:
     return np.array([np.cos(angle), np.sin(angle)])
 
 
-def _composite(theta, rule: Rule, lo, width, panels, tips, inner, tail: bool):
-    """The rule's (cos, sin) sums over each gap in `panels` panels, and what a doubling keeps.
+def _simpson_sums(theta, lo, width, panels, ends, inner):
+    """Composite Simpson (cos, sin) sums h/6 * (E + 2I + 4M) over each gap in `panels` panels.
 
-    A nested rule evaluates only the panel midpoints: `tips` are its
-    weighted sums at the two gap ends and `inner` the sums at the interior
-    panel ends (None on the first pass, which evaluates them). It returns
-    the interior-end sums of 2 * panels panels: these ends and midpoints.
-    Any other rule evaluates every node and keeps nothing. The last value
-    is the Legendre-tail estimate when `tail` asks for it, else None.
+    `ends` are the sums E at the two gap ends and `inner` the sums I at the
+    interior panel ends (None on the first pass, which evaluates them); only
+    the midpoints M are evaluated. Also returns I + M, the interior-end sums
+    of 2 * panels panels.
     """
-    if not rule.nested:
-        sums, estimate = _panel_sums(theta, lo, width, panels, rule, tail)
-        return sums, None, estimate
     h = width / panels
     if inner is None:
         inner = _node_sums(theta, lo, h, 1.0, panels - 1)
     mids = _node_sums(theta, lo, h, 0.5, panels)
-    w = rule.weights
-    return h / w.sum() * (tips + (w[0] + w[-1]) * inner + w[1] * mids), inner + mids, None
+    return h / 6.0 * (ends + 2.0 * inner + 4.0 * mids), inner + mids
 
 
 def tangent_integrals(
@@ -215,21 +178,27 @@ def tangent_integrals(
     edges,
     abs_tol: float = 1e-10,
     max_subdivisions: int = 40,
-    rule: Rule = GAUSS_LEGENDRE,
+    scheme: str = "gauss",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate (cos(theta(t)), sin(theta(t))) over each gap of `edges`.
 
     `theta` maps an array of t to an array of angles; `edges` is a
-    nondecreasing grid of finite values. Returns (dx, dy), one entry per
-    gap, each within abs_tol (absolute) by the rule's error estimate: the
-    first pass's Legendre tail for GAUSS_LEGENDRE, else doubling, which
-    for SIMPSON is the smaller of |fine - coarse|/15 and, from the second
-    comparison on, Romberg's |R_2p - R_p|/63. A gap may be halved at most
-    max_subdivisions times, so it never has more than
-    2**max_subdivisions panels. Raises QuadratureError naming the worst
-    gap, by that estimate, when that budget is spent, and, before a pass
-    is evaluated, when it would take the call above MAX_PANELS panels.
+    nondecreasing grid of finite values; `scheme` is "gauss" or "simpson".
+    Returns (dx, dy), one entry per gap, each within abs_tol (absolute) by
+    the scheme's error estimate: for "gauss" the first pass's Legendre
+    tail, then doubling; for "simpson" doubling, the smaller of
+    |fine - coarse|/15 and, from the second comparison on, Romberg's
+    |R_2p - R_p|/63. A gap may be halved at most max_subdivisions times,
+    so it never has more than 2**max_subdivisions panels. Raises
+    DomainError for an unknown scheme before theta is called, and for a
+    non-finite theta at an edge before any pass. Raises QuadratureError
+    naming the worst gap, by that estimate, when that budget is spent,
+    and, before a pass is evaluated, when it would take the call above
+    MAX_PANELS panels.
     """
+    if not (isinstance(scheme, str) and scheme in ("gauss", "simpson")):
+        raise DomainError(f"unknown quadrature scheme {scheme!r}")
+    simpson = scheme == "simpson"
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or not np.all(np.isfinite(edges)):
         raise DomainError(f"integration bounds must be finite, got {edges!r}")
@@ -242,11 +211,14 @@ def tangent_integrals(
     lo = edges[:-1]
     width = np.diff(edges)
     phase = theta(edges)
+    finite = np.isfinite(phase)
+    if not finite.all():
+        raise DomainError(f"theta is not finite at t = {edges[np.argmin(finite)]:.17g}")
     need = np.maximum(np.abs(np.diff(phase)) / _MAX_PHASE_SPAN, 1.0)
-    coarse = np.minimum(np.maximum(np.exp2(np.ceil(np.log2(need))), rule.min_panels), 0.5 * limit)
-    tips = None
-    if rule.nested:  # the weighted (cos, sin) at the gap ends, reused by every pass
-        tips = rule.weights[0] * _unit(phase[:-1]) + rule.weights[-1] * _unit(phase[1:])
+    least = _SIMPSON_MIN_PANELS if simpson else 1
+    coarse = np.minimum(np.maximum(np.exp2(np.ceil(np.log2(need))), least), 0.5 * limit)
+    if simpson:  # the (cos, sin) at the gap ends, reused by every pass
+        ends = _unit(phase[:-1]) + _unit(phase[1:])
 
     dx = np.empty(len(lo))
     dy = np.empty(len(lo))
@@ -255,30 +227,30 @@ def tangent_integrals(
     coarse_sums = inner = rich = None
     while True:
         fine = 2.0 * coarse
-        # GAUSS_LEGENDRE skips the first coarse pass and accepts on its Legendre tail.
-        first_coarse = coarse_sums is None and rule is not GAUSS_LEGENDRE
-        work += float(np.sum(fine)) + (float(np.sum(coarse)) if first_coarse else 0.0)
+        first = coarse_sums is None
+        # Gauss skips the first coarse pass and accepts on its Legendre tail.
+        work += float(np.sum(fine)) + (float(np.sum(coarse)) if simpson and first else 0.0)
         if not work <= MAX_PANELS:
             raise QuadratureError(
                 f"integration needs {work:.0f} panels, above the ceiling of {MAX_PANELS} "
                 "panels per call; the tangent angle turns too far"
             )
-        if first_coarse:
-            coarse_sums, inner, _ = _composite(
-                theta, rule, lo, width, coarse.astype(np.int64), tips, None, False
-            )
-        on_tail = coarse_sums is None  # the Gauss first pass accepts on its own estimate
-        fine_sums, inner, tail = _composite(
-            theta, rule, lo[todo], width[todo], fine.astype(np.int64), tips, inner, on_tail
-        )
-        if on_tail:
-            err, value = tail, fine_sums
+        panels = fine.astype(np.int64)
+        if not simpson:
+            fine_sums, err = _gauss_sums(theta, lo[todo], width[todo], panels, first)
+            if not first:
+                err = np.max(np.abs(fine_sums - coarse_sums), axis=0)
+            dx[todo], dy[todo] = fine_sums
         else:
-            err = rule.error_factor * np.max(np.abs(fine_sums - coarse_sums), axis=0)
-            value = fine_sums + rule.correction * (fine_sums - coarse_sums)
-        dx[todo], dy[todo] = value
-        if rule is SIMPSON:  # Romberg's next column, from the second comparison on
-            if rich is not None:
+            if first:
+                coarse_sums, inner = _simpson_sums(
+                    theta, lo, width, coarse.astype(np.int64), ends, None
+                )
+            fine_sums, inner = _simpson_sums(theta, lo[todo], width[todo], panels, ends, inner)
+            err = _RICHARDSON * np.max(np.abs(fine_sums - coarse_sums), axis=0)
+            value = fine_sums + _RICHARDSON * (fine_sums - coarse_sums)
+            dx[todo], dy[todo] = value
+            if rich is not None:  # Romberg's next column, from the second comparison on
                 romberg = _ROMBERG * np.max(np.abs(value - rich), axis=0)
                 late = ~(err <= abs_tol) & (romberg <= abs_tol)
                 dx[todo[late]], dy[todo[late]] = (value + _ROMBERG * (value - rich))[:, late]
@@ -297,7 +269,5 @@ def tangent_integrals(
             )
         todo, need, coarse = todo[failing], need[failing], fine[failing]
         coarse_sums = fine_sums[:, failing]
-        if rule.nested:
-            tips, inner = tips[:, failing], inner[:, failing]
-        if rich is not None:
-            rich = rich[:, failing]
+        if simpson:
+            ends, inner, rich = ends[:, failing], inner[:, failing], rich[:, failing]

@@ -86,8 +86,9 @@ class TestEndpointOracles:
         assert end.y == pytest.approx((1.0 - math.cos(c * s_total)) / c, abs=1e-9)
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(DomainError):
-            endpoint(ConstantProfile(1.0, 1.0), scheme="trapezoid")
+        for scheme in ("trapezoid", ["gauss"], None, np.array(["simpson", "gauss"])):
+            with pytest.raises(DomainError, match="unknown quadrature scheme"):
+                endpoint(ConstantProfile(1.0, 1.0), scheme=scheme)
 
 
 class TestSchemeAgreement:
