@@ -57,6 +57,7 @@ from .svg import polyline_svg
 from .synthesis import (
     Pose,
     QuadratureConfig,
+    _sample_grid,
     curve_to_csv,
     curve_to_svg,
     endpoint,
@@ -122,30 +123,33 @@ def build_parser() -> argparse.ArgumentParser:
             default=40,
             help="times a sample gap may be halved (at most 2**N panels)",
         )
-        sp.add_argument("--samples", type=int, default=256, help="output samples per curve")
 
-    def add_command(name, help_text, profile=True, quadrature=True):
+    def add_command(name, help_text, profile=True, samples=True, quadrature=False):
         # Commands that take a profile name their files by --prefix; the
-        # gallery's names are fixed.
+        # gallery's names are fixed. Only the commands that integrate
+        # positions (synth, figures) read the quadrature options.
         sp = sub.add_parser(name, help=help_text)
         if profile:
             add_profile_options(sp)
         add_output_options(sp, prefix=profile)
         if quadrature:
             add_quadrature_options(sp)
+        if samples:
+            sp.add_argument("--samples", type=int, default=256, help="output samples per curve")
         return sp
 
-    p_synth = add_command("synth", "synthesize a curve from a curvature profile")
+    p_synth = add_command("synth", "synthesize a curve from a curvature profile", quadrature=True)
     p_synth.add_argument("--pose", default="0,0,0", help="start state as x0,y0,theta0")
     add_command("lcg", "logarithmic curvature graph of a profile")
     p_grad = add_command("gradient", "LCG gradient trace and fitted line")
     p_grad.add_argument(
         "--sampled",
         action="store_true",
-        help="estimate from a synthesized sample grid instead of closed form",
+        help="estimate by finite differences of the profile's curvature on the sample grid "
+        "instead of closed form",
     )
-    add_command("classify", "degenerate subfamily and aesthetic class", quadrature=False)
-    p_lddc = add_command("lddc", "radius-of-curvature histogram of a synthesized curve")
+    add_command("classify", "degenerate subfamily and aesthetic class", samples=False)
+    p_lddc = add_command("lddc", "radius-of-curvature histogram over the sample grid")
     p_lddc.add_argument("--bins", type=int, default=16, help="number of histogram bins")
     p_lddc.add_argument(
         "--compare",
@@ -156,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         "figures",
         "emit the standard gallery: demo curve plus profile/curve/LCG/gradient sweeps over r",
         profile=False,
+        quadrature=True,
     )
     return parser
 
@@ -292,10 +297,9 @@ def cmd_synth(args) -> int:
 
 def cmd_lcg(args) -> int:
     profile = profile_from_args(args)
-    config = _config_from_args(args)
+    grid = _sample_grid(profile, args.samples)
     out = _Artifacts(args, args.prefix or "lcg")
 
-    grid = np.linspace(0.0, profile.arc_length, config.samples_per_curve)
     gcs = to_gcs(profile)
     if gcs is not None:
         points, skipped = lcg_gcs_points(gcs, grid)
@@ -313,12 +317,11 @@ def cmd_lcg(args) -> int:
 
 def cmd_gradient(args) -> int:
     profile = profile_from_args(args)
-    config = _config_from_args(args)
+    grid = _sample_grid(profile, args.samples)
     out = _Artifacts(args, args.prefix or "gradient")
 
     if args.sampled:
-        curve = synthesize(profile, Pose(), config)
-        trace, line = gradient_from_samples(curve)
+        trace, line = gradient_from_samples((grid, profile.kappa(grid)))
         aesthetic = classify_aesthetic(line, line.residual, tol_fit=1e-2)
     else:
         gcs = to_gcs(profile)
@@ -328,9 +331,8 @@ def cmd_gradient(args) -> int:
                 "use --sampled for other profiles"
             )
         line = gradient_line(gcs)
-        residual = line_residual(gcs, line, num=config.samples_per_curve)
+        residual = line_residual(gcs, line, num=len(grid))
         line = dataclasses.replace(line, residual=residual)
-        grid = np.linspace(0.0, gcs.arc_length, config.samples_per_curve)
         trace = np.column_stack((grid, gradient_gcs(gcs, grid)))
         aesthetic = classify_aesthetic(line, residual, tol_fit=1e-6)
 
@@ -374,11 +376,10 @@ def cmd_classify(args) -> int:
 
 def cmd_lddc(args) -> int:
     profile = profile_from_args(args)
-    config = _config_from_args(args)
+    grid = _sample_grid(profile, args.samples)
     out = _Artifacts(args, args.prefix or "lddc")
 
-    curve = synthesize(profile, Pose(), config)
-    histogram = lddc_histogram(curve, args.bins)
+    histogram = lddc_histogram((grid, profile.kappa(grid)), args.bins)
     out.write("csv", f"{out.base}.csv", lambda path: lddc_to_csv(histogram, path))
     out.write("svg", f"{out.base}.svg", lambda path: lddc_to_svg(histogram, path))
     summary = {
@@ -419,7 +420,7 @@ def cmd_figures(args) -> int:
     labels = [f"r={tag(r)}" for r in R_SWEEP]
     for r in R_SWEEP:
         profile = GcsProfile(0.0, 2.0, math.pi, r)
-        grid = np.linspace(0.0, profile.arc_length, config.samples_per_curve)
+        grid = _sample_grid(profile, config.samples_per_curve)
 
         kappa_trace = np.column_stack((grid, profile.kappa(grid)))
         out.write(

@@ -10,7 +10,10 @@ For the rational-linear curvature family the gradient is an exact linear
 function of arc length, gradient(t) = A*t + B; a curve whose gradient is
 constant (A = 0) meets the stricter log-aesthetic criterion, and a linear
 but non-constant gradient is the signature of the wider rational-linear
-class. Natural logarithms are used throughout this module.
+class. The gradient is taken from a profile (closed form or its kappa,
+kappa', kappa''), or estimated by finite differences of curvature samples
+(gradient_from_samples: a PlanarCurve or an (s, kappa) pair, no positions
+needed). Natural logarithms are used throughout this module.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
     real,
 )
 from .profiles import REL_TOL, CurvatureProfile, GcsProfile, _clamp_s
-from .synthesis import PlanarCurve
+from .synthesis import PlanarCurve, _curvature_samples
 from .tables import write_table
 
 __all__ = [
@@ -253,10 +256,12 @@ def _stencil_derivatives(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarra
     return d1, d2
 
 
-def gradient_from_samples(curve: PlanarCurve) -> tuple[np.ndarray, LcgLine]:
-    """Estimate the LCG gradient from a uniformly sampled curve and fit a line.
+def gradient_from_samples(curve: Union[PlanarCurve, tuple]) -> tuple[np.ndarray, LcgLine]:
+    """Estimate the LCG gradient from uniform curvature samples and fit a line.
 
-    The gradient is 1 - rho*rho''/rho'**2 with rho = 1/kappa per sample.
+    `curve` is a PlanarCurve or an (s, kappa) pair of columns, checked as a
+    PlanarCurve checks those fields; only s and kappa are read. The
+    gradient is 1 - rho*rho''/rho'**2 with rho = 1/kappa per sample.
     Where the sampled curvature changes sign, rho diverges, so the same
     identity is taken in its kappa form, kappa*kappa''/kappa'**2 - 1.
     Derivatives come from second-order central differences with
@@ -266,17 +271,15 @@ def gradient_from_samples(curve: PlanarCurve) -> tuple[np.ndarray, LcgLine]:
     (s, gradient) rows. Requires at least 7 samples and strictly monotone
     curvature.
     """
-    n = len(curve)
+    s, kappa, scale = _curvature_samples(curve)
+    n = len(s)
     if n < 7:
         raise DomainError(f"need at least 7 samples to estimate the gradient, got {n}")
-    s = curve.s
-    kappa = curve.kappa
     gaps = np.diff(s)
     h = float(gaps[0])
     if not np.allclose(gaps, h, rtol=1e-9, atol=0.0):
         raise DomainError("gradient estimation requires uniform arc-length sampling")
 
-    scale = curve.scale
     dk = np.diff(kappa)
     if np.all(np.abs(dk) <= REL_TOL * scale):
         raise DegenerateDataError("curvature is constant (circular arc): LCG gradient undefined")

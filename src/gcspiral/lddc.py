@@ -1,7 +1,9 @@
 """Discrete radius-of-curvature histogram (LDDC) and its analytic cross-check.
 
 The histogram accumulates, per log10(rho) bin, the arc length of curve
-segments whose midpoint radius of curvature falls in the bin. For
+segments whose midpoint radius of curvature falls in the bin. It reads
+curvature samples only: a PlanarCurve, or an (s, kappa) pair such as a
+profile's curvature on a sample grid, which needs no position integral. For
 rational-linear profiles the same quantity has a closed form: kappa(s) is
 monotone, so the exact arc length in any rho interval follows from
 inverting kappa at the bin edges. The discrete histogram must converge to
@@ -27,7 +29,7 @@ from .errors import (
 from .lcg import LcgLine
 from .profiles import REL_TOL, GcsProfile
 from .svg import bar_chart_svg
-from .synthesis import PlanarCurve
+from .synthesis import PlanarCurve, _curvature_samples
 from .tables import read_table, write_table, write_text
 
 __all__ = [
@@ -71,23 +73,27 @@ class LddcHistogram:
 
 
 def lddc_histogram(
-    curve: PlanarCurve,
+    curve: Union[PlanarCurve, tuple],
     num_bins: int,
     edges: Optional[Sequence[float]] = None,
 ) -> LddcHistogram:
     """Bin each inter-sample segment by its midpoint radius of curvature.
 
-    The segment between samples i and i+1 contributes its full arc length to
-    the bin containing log10(1/|kappa_mid|), with kappa_mid the mean of the
-    endpoint curvatures. Segments whose |kappa_mid| falls below the
-    near-inflection threshold are excluded and their total length reported.
-    With no explicit `edges`, bins span the observed log10 range (padded by
-    half a decade each way when the range is degenerate, e.g. for a circle).
+    `curve` holds the curvature samples: a PlanarCurve, or an (s, kappa)
+    pair of columns checked as a PlanarCurve checks those fields; only s
+    and kappa are read. The segment between samples i and i+1 contributes
+    its full arc length to the bin containing log10(1/|kappa_mid|), with
+    kappa_mid the mean of the endpoint curvatures. Segments whose
+    |kappa_mid| falls below the near-inflection threshold are excluded and
+    their total length reported. With no explicit `edges`, bins span the
+    observed log10 range (padded by half a decade each way when the range
+    is degenerate, e.g. for a circle).
     """
+    s, kappa, scale = _curvature_samples(curve)
     num_bins = count("num_bins", num_bins)
-    seg_len = np.diff(curve.s)
-    kappa_mid = 0.5 * (curve.kappa[:-1] + curve.kappa[1:])
-    include = np.abs(kappa_mid) >= REL_TOL * curve.scale
+    seg_len = np.diff(s)
+    kappa_mid = 0.5 * (kappa[:-1] + kappa[1:])
+    include = np.abs(kappa_mid) >= REL_TOL * scale
     excluded = float(np.sum(seg_len[~include]))
     if not np.any(include):
         raise DegenerateDataError(
@@ -118,7 +124,7 @@ def lddc_histogram(
 
     idx = np.clip(np.searchsorted(edge_arr, log_rho, side="right") - 1, 0, num_bins - 1)
     lengths = np.bincount(idx, weights, num_bins)
-    return LddcHistogram(edge_arr, lengths, curve.total_length, excluded)
+    return LddcHistogram(edge_arr, lengths, float(s[-1] - s[0]), excluded)
 
 
 @dataclass(frozen=True)

@@ -94,19 +94,27 @@ _RICHARDSON = 1.0 / 15.0
 _ROMBERG = 1.0 / 63.0
 
 
-def _legendre_tail() -> np.ndarray:
-    """(2, 16) rows taking a Gauss panel's node values f_j to the two highest
-    Legendre coefficients on [-1, 1] of the polynomial through them,
-    a_k = (2k + 1)/2 * sum_j w_j P_k(x_j) f_j."""
-    order = len(_GAUSS_NODES) - 1
-    legendre = np.polynomial.legendre.legvander(2.0 * _GAUSS_NODES - 1.0, order)[:, -2:].T
-    degree = np.arange(order - 1, order + 1)[:, None]
-    return np.ascontiguousarray(
-        (2.0 * degree + 1.0) * legendre * (_GAUSS_WEIGHTS / _GAUSS_WEIGHTS.sum())
-    )
-
-
-_GAUSS_TAIL = _legendre_tail()
+# (2, 16) rows taking a Gauss panel's node values f_j to the two highest
+# Legendre coefficients on [-1, 1] of the polynomial through them,
+# a_k = (2k + 1)/2 * sum_j w_j P_k(x_j) f_j, for k = 14 and 15. Written out
+# like the nodes: building them with numpy.polynomial.legendre.legvander
+# would import numpy.polynomial for this one table.
+_GAUSS_TAIL = np.array(
+    [
+        [
+            0.06270545045312409, -0.20493540387013898, 0.35412149495579426, -0.46284478766452686,
+            0.49770223675171815, -0.4435406121078923, 0.30583343743960406, -0.1090418159576823,
+            -0.10904181595768139, 0.30583343743960406, -0.44354061210789314, 0.49770223675171815,
+            -0.46284478766452714, 0.3541214949557948, -0.20493540387013898, 0.06270545045312409,
+        ],
+        [
+            -0.0327813048639623, 0.11222091245058813, -0.21159853063188439, 0.31691961779722083,
+            -0.41664037702596146, 0.5008933497159648, -0.5617461448292793, 0.5936159289428021,
+            -0.5936159289428025, 0.5617461448292793, -0.5008933497159641, 0.41664037702596146,
+            -0.31691961779722205, 0.2115985306318853, -0.11222091245058813, 0.0327813048639623,
+        ],
+    ]
+)
 
 
 def _blocks(counts, size: int):
@@ -190,8 +198,11 @@ def tangent_integrals(
     |fine - coarse|/15 and, from the second comparison on, Romberg's
     |R_2p - R_p|/63. A gap may be halved at most max_subdivisions times,
     so it never has more than 2**max_subdivisions panels. Raises
-    DomainError for an unknown scheme before theta is called, and for a
-    non-finite theta at an edge before any pass. Raises QuadratureError
+    DomainError for an unknown scheme before theta is called, for a
+    non-finite theta at an edge before any pass, and for a theta that is
+    not finite inside a gap, naming the first such gap, after the pass that
+    evaluates it there; an infinite theta also makes NumPy warn of an
+    invalid value in cos and sin first. Raises QuadratureError
     naming the worst gap, by that estimate, when that budget is spent,
     and, before a pass is evaluated, when it would take the call above
     MAX_PANELS panels.
@@ -259,6 +270,13 @@ def tangent_integrals(
         failing = ~(err <= abs_tol) | (coarse < need)
         if not failing.any():
             return dx, dy
+        # A non-finite sum gives a NaN estimate, so only failing gaps can hold one.
+        bad = failing & ~np.isfinite(fine_sums).all(axis=0)
+        if bad.any():
+            gap = todo[np.argmax(bad)]
+            raise DomainError(
+                f"theta is not finite inside the gap [{lo[gap]:.17g}, {edges[gap + 1]:.17g}]"
+            )
         spent = failing & (2.0 * fine > limit)
         if spent.any():
             worst = int(np.argmax(np.where(spent, err, -1.0)))

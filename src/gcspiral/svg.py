@@ -7,7 +7,6 @@ mathematical y grows upward.
 
 from __future__ import annotations
 
-import html
 import math
 from typing import Optional, Sequence
 
@@ -31,6 +30,10 @@ PALETTE = (
     "#bcbd22",
     "#17becf",
 )
+
+
+# XML text escapes, as html.escape(text, quote=False) makes them.
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _fmt(v: float) -> str:
@@ -68,8 +71,8 @@ def polyline_svg(
     labels are escaped as XML text.
     """
     polylines = [row_array(line, 2) for line in polylines]
-    title = html.escape(title, quote=False)
-    labels = None if labels is None else [html.escape(text, quote=False) for text in labels]
+    title = title.translate(_XML_TEXT)
+    labels = None if labels is None else [text.translate(_XML_TEXT) for text in labels]
     x_lo, x_hi, y_lo, y_hi = _bounds(polylines)
     fx_lo, fx_hi, fy_lo, fy_hi = _frame(x_lo, x_hi, y_lo, y_hi)
     width = fx_hi - fx_lo
@@ -172,7 +175,7 @@ def bar_chart_svg(
         f'{_fmt(x_hi)},{_fmt(flip(base))}" fill="none" stroke="#333333" '
         f'stroke-width="{_fmt(0.002 * max(width, height))}"/>'
     )
-    caption = html.escape(f"{x_label} / {y_label}", quote=False) if x_label or y_label else ""
+    caption = f"{x_label} / {y_label}".translate(_XML_TEXT) if x_label or y_label else ""
     if caption:
         parts.append(
             f'<text x="{_fmt(fx_lo + 0.02 * width)}" y="{_fmt(fy_lo + 1.5 * font)}" '

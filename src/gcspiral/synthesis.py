@@ -88,12 +88,8 @@ class PlanarCurve:
     kappa: np.ndarray
 
     def __post_init__(self):
-        s = increasing("curve field s", self.s, least=2)
-        object.__setattr__(self, "s", s)
-        for name in ("x", "y", "theta", "kappa"):
-            column = numeric(f"curve field {name}", getattr(self, name))
-            if column.shape != s.shape or not np.all(np.isfinite(column)):
-                raise DomainError(f"curve field {name} must hold {len(s)} finite values")
+        columns = {name: getattr(self, name) for name in ("x", "y", "theta", "kappa")}
+        for name, column in zip(("s", *columns), _sample_columns(self.s, **columns)):
             object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
@@ -106,7 +102,48 @@ class PlanarCurve:
     @property
     def scale(self) -> float:
         """Curvature scale max(max|kappa|, 1/L) that relative zero thresholds are taken against."""
-        return max(float(np.max(np.abs(self.kappa))), 1.0 / self.total_length)
+        return _curvature_samples(self)[2]
+
+
+def _sample_columns(s, **columns) -> list[np.ndarray]:
+    """[s, *columns] as float arrays, checked as the fields of a PlanarCurve.
+
+    s must be 2 or more finite, strictly increasing values, and each named
+    column one finite value per sample.
+    """
+    s = increasing("curve field s", s, least=2)
+    checked = [s]
+    for name, values in columns.items():
+        column = numeric(f"curve field {name}", values)
+        if column.shape != s.shape or not np.all(np.isfinite(column)):
+            raise DomainError(f"curve field {name} must hold {len(s)} finite values")
+        checked.append(column)
+    return checked
+
+
+def _curvature_samples(samples) -> tuple[np.ndarray, np.ndarray, float]:
+    """(s, kappa, scale) of a PlanarCurve or of an (s, kappa) pair of columns.
+
+    A PlanarCurve was checked when it was made; a pair is checked here as
+    PlanarCurve checks those two fields, with the same errors. scale is
+    max(max|kappa|, 1/L), with L = s[-1] - s[0] the sampled arc length.
+    """
+    if isinstance(samples, PlanarCurve):
+        s, kappa = samples.s, samples.kappa
+    else:
+        try:
+            s, kappa = samples
+        except (TypeError, ValueError):
+            raise DomainError(
+                "curvature samples must be a PlanarCurve or an (s, kappa) pair of columns"
+            ) from None
+        s, kappa = _sample_columns(s, kappa=kappa)
+    return s, kappa, max(float(np.max(np.abs(kappa))), 1.0 / float(s[-1] - s[0]))
+
+
+def _sample_grid(profile: CurvatureProfile, samples: int) -> np.ndarray:
+    """The `samples` arc lengths, uniform on [0, S], at which synthesize samples `profile`."""
+    return np.linspace(0.0, profile.arc_length, count("samples_per_curve", samples, least=2))
 
 
 def _check_tolerance(profile: CurvatureProfile, config: QuadratureConfig) -> None:
@@ -132,9 +169,8 @@ def synthesize(
     QuadratureError if any gap cannot meet its error budget.
     """
     _check_tolerance(profile, config)
-    S = profile.arc_length
     n = config.samples_per_curve
-    s_grid = np.linspace(0.0, S, n)
+    s_grid = _sample_grid(profile, n)
 
     def angle(t):
         return pose.theta0 + profile.theta(t)

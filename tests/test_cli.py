@@ -1,9 +1,13 @@
 """End-to-end command-line behavior: outputs, formats, exit codes, determinism."""
 
+import collections
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -23,6 +27,7 @@ from gcspiral import (
     QuadratureConfig,
     SingularPointError,
     SingularProfileError,
+    gradient_from_samples,
     gradient_gcs,
     gradient_line,
     lcg_gcs_points,
@@ -30,9 +35,10 @@ from gcspiral import (
     lddc_vs_lcg,
     synthesize,
 )
-from gcspiral import cli
+from gcspiral import cli, synthesis
 from gcspiral.cli import OUT_ENV_VAR, R_SWEEP, build_parser, main
 from gcspiral.errors import InputError
+from gcspiral.profiles import PROFILE_KINDS
 from gcspiral.tables import read_table
 
 PI = repr(math.pi)
@@ -547,6 +553,21 @@ class TestExitPaths:
         assert "above the ceiling" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Synthesizing the first passes the work ceiling; for the other two
+            # the default abs_tol is below the float floor S*eps.
+            ["lddc", "--constant", "1e9", "--length", "1"],
+            ["lddc", "--linear", "1e-6,2e-6", "--length", "1e6"],
+            ["gradient", "--gcs", "0.5,2,1e6,1", "--sampled"],
+        ],
+    )
+    def test_curvature_commands_need_no_integral(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0, err
+        assert len(summary_of(out)["files"]) == 2
+
     def test_usage_error_is_exit_2(self, capsys):
         # A value starting with "-" reads as an option unless given as --gcs=...
         code, _, err = run(capsys, "classify", "--gcs", "-1,2,3,1")
@@ -566,6 +587,20 @@ class TestExitPaths:
         assert len(lines) == 1
         assert json.loads(lines[0])["class"] == "gcs"
         assert not any(tmp_path.iterdir())
+
+    def test_import_loads_neither_html_nor_numpy_polynomial(self):
+        # Each was loaded only for work at import: the SVG escapes and the Gauss tail.
+        src = str(Path(gcspiral.__file__).resolve().parents[1])
+        code = (
+            "import sys, numpy; before = set(sys.modules); import gcspiral.cli; "
+            "print(sorted({'html', 'numpy.polynomial'} & (set(sys.modules) - before)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_no_command_is_exit_2(self, capsys):
         code, _, err = run(capsys)
@@ -626,6 +661,101 @@ def gradient_rows(profile, grid):
     return np.array([(t, gradient_gcs(profile, t)) for t in grid.tolist()])
 
 
+class TestOptions:
+    """Each command takes the options it reads, and only those."""
+
+    PROFILE = ["--gcs", "--constant", "--linear", "--quadratic", "--length", "--profile"]
+    OUTPUT = ["--out", "--prefix", "--formats"]
+    OPTIONS = {
+        "synth": PROFILE + OUTPUT + ["--abs-tol", "--max-subdivisions", "--samples", "--pose"],
+        "lcg": PROFILE + OUTPUT + ["--samples"],
+        "gradient": PROFILE + OUTPUT + ["--samples", "--sampled"],
+        "classify": PROFILE + OUTPUT,
+        "lddc": PROFILE + OUTPUT + ["--samples", "--bins", "--compare"],
+        "figures": ["--out", "--formats", "--abs-tol", "--max-subdivisions", "--samples"],
+    }
+
+    class Recorder:
+        """The parsed arguments, noting each one a command reads."""
+
+        def __init__(self, args):
+            self.__dict__.update(parsed=vars(args), read=set())
+
+        def __getattr__(self, name):
+            self.read.add(name)
+            return self.parsed[name]
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_help_lists_the_options_the_command_reads(self, tmp_path, capsys, command):
+        code, help_text, _ = run(capsys, command, "--help")
+        assert code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", help_text)) - {"--help"}
+        assert listed == set(self.OPTIONS[command])
+        argv = [command, "--out", str(tmp_path), "--formats", "csv"]
+        argv += [] if command == "figures" else ["--gcs", "0.5,2,3,1"]
+        args = self.Recorder(build_parser().parse_args(argv))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli._DISPATCH[command](args) == 0
+        assert {"--" + name.replace("_", "-") for name in args.read} == listed
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lddc", "--max-subdivisions", "3"],
+            ["lcg", "--abs-tol", "1e-9"],
+            ["gradient", "--sampled", "--abs-tol", "1e-9"],
+            ["classify", "--samples", "64"],
+        ],
+    )
+    def test_options_a_command_does_not_read_are_usage_errors(self, tmp_path, capsys, argv):
+        code, _, err = run(capsys, *argv, "--gcs", "0.5,2,3,1", "--out", str(tmp_path))
+        assert code == 2
+        assert "unrecognized arguments" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["synth", "lcg", "gradient", "lddc", "figures"])
+    def test_fewer_than_two_samples_rejected(self, tmp_path, capsys, command):
+        argv = [command, "--samples", "1", "--out", str(tmp_path)]
+        argv += [] if command == "figures" else ["--gcs", "0.5,2,3,1"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "samples_per_curve must be an integer >= 2, got 1" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCurvatureCommands:
+    """lddc and gradient --sampled read the profile's curvature on the sample grid."""
+
+    def test_they_integrate_nothing(self, tmp_path, capsys, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            synthesis, "tangent_integrals", counting("tangent_integrals", synthesis.tangent_integrals)
+        )
+        for cls, _keys in PROFILE_KINDS.values():
+            monkeypatch.setattr(cls, "theta", counting("theta", cls.theta))
+        for argv in (
+            ["lddc", "--gcs", "0.5,2,3,1", "--samples", "4096", "--compare"],
+            ["lddc", "--quadratic", "1,0.5,2", "--length", "1"],
+            ["lddc", "--constant", "2", "--length", "1"],
+            ["gradient", "--gcs", "0.5,2,3,1", "--sampled", "--samples", "2000"],
+            ["gradient", "--linear", "0.5,2", "--length", "3", "--sampled"],
+        ):
+            code, _, err = run(capsys, *argv, "--out", str(tmp_path))
+            assert code == 0, err
+        assert calls == {}
+        code, _, err = run(capsys, "synth", "--gcs", "0.5,2,3,1", "--out", str(tmp_path))
+        assert code == 0, err
+        assert calls["tangent_integrals"] == 1 and calls["theta"] >= 2  # the wrappers count
+
+
 class TestParserReuse:
     SESSION = (
         ("classify", "--gcs", "-1,2,3,1"),  # a usage error
@@ -676,6 +806,7 @@ class TestWrittenTablesRoundTrip:
             ["lcg", "--gcs", gcs],
             ["gradient", "--gcs", gcs],
             ["lddc", "--gcs", gcs, "--compare", "--samples", "1024"],
+            ["gradient", "--gcs", gcs, "--sampled", "--samples", "2000", "--prefix", "sampled"],
         ):
             code, _, err = run(capsys, *argv, "--formats", "csv", "--out", str(tmp_path))
             assert code == 0, err
@@ -684,6 +815,9 @@ class TestWrittenTablesRoundTrip:
         hist = lddc_histogram(curve, 16)
         comparison = lddc_vs_lcg(hist, gradient_line(profile), profile)
         edges = hist.bin_edges
+        sampled, _ = gradient_from_samples(
+            synthesize(profile, config=QuadratureConfig(samples_per_curve=2000))
+        )
         self.assert_tables(tmp_path, {
             "curve.csv": (CURVE, curve_rows(synthesize(profile))),
             "lcg.csv": (LCG, lcg_rows(profile, grid)),
@@ -696,6 +830,7 @@ class TestWrittenTablesRoundTrip:
                 "bin_lo_log10rho,bin_hi_log10rho,measured_length,predicted_length",
                 np.column_stack((edges[:-1], edges[1:], comparison.measured, comparison.predicted)),
             ),
+            "sampled.csv": (GRADIENT, sampled),
         })
 
     def test_figures(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gcspiral import GcsProfile
 from gcspiral.errors import DomainError, QuadratureError
 from gcspiral.quadrature import (
     _GAUSS_NODES,
+    _GAUSS_TAIL,
     _GAUSS_WEIGHTS,
     _LEGENDRE_16_NODES,
     _RICHARDSON,
@@ -115,6 +117,53 @@ class TestAdaptiveSimpson:
                 tangent_integrals(theta, [0.0, 0.25, 0.5, 1.0], 1e-10, scheme=scheme)
             assert calls == [4]  # only the phase of the grid itself
 
+    @RULES
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_inside_a_gap_fails_at_the_first_check(self, scheme, bad):
+        # Finite at the edges, so only a pass sees it: Gauss's first pass
+        # (2 + 32 points), Simpson's first comparison (2 + 63 + 64 + 128).
+        # The passes do not run under np.errstate, which would slow every
+        # ufunc call in them, so an infinite theta warns in cos and sin first
+        # (an exception under -W error::RuntimeWarning); a NaN does not warn.
+        calls = []
+
+        def theta(t):
+            calls.append(np.size(t))
+            return np.where((t > 0.3) & (t < 0.7), bad, t)
+
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match=r"not finite inside the gap \[0, 1\]$"):
+                tangent_integrals(theta, [0.0, 1.0], 1e-10, scheme=scheme)
+        messages = {str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)}
+        invalid = {f"invalid value encountered in {f}" for f in ("cos", "sin")}
+        assert messages == (set() if math.isnan(bad) else invalid)
+        assert calls == ([2, 63, 64, 128] if scheme == "simpson" else [2, 32])
+
+    @RULES
+    def test_non_finite_theta_names_the_first_gap_it_fills(self, scheme):
+        def theta(t):
+            return np.where((t > 0.3) & (t < 0.4) | (t > 0.6) & (t < 0.7), math.nan, t)
+
+        with pytest.raises(DomainError, match=r"inside the gap \[0.25, 0.5\]$"):
+            tangent_integrals(theta, [0.0, 0.25, 0.5, 1.0], 1e-10, scheme=scheme)
+
+    @RULES
+    def test_non_finite_theta_first_met_after_a_doubling(self, scheme):
+        # NaN at one node that only the second pass evaluates: a node of 16
+        # Gauss panels, or a midpoint of 256 Simpson panels (an odd multiple
+        # of 1/512).
+        node = (8.0 + _GAUSS_NODES[0]) / 16.0 if scheme == "gauss" else 257.0 / 512.0
+        calls = []
+
+        def theta(t):
+            calls.append(np.size(t))
+            return np.where(np.abs(t - node) < 1e-9, math.nan, 2.0 * np.log(t + 0.05))
+
+        with pytest.raises(DomainError, match=r"inside the gap \[0, 1\]$"):
+            tangent_integrals(theta, [0.0, 1.0], 1e-10, scheme=scheme)
+        assert calls == ([2, 63, 64, 128, 256] if scheme == "simpson" else [2, 128, 256])
+
 
 class TestTangentIntegral:
     def test_matches_scalar_routine(self):
@@ -175,6 +224,15 @@ class TestGaussLegendre:
         x, w = np.polynomial.legendre.leggauss(16)
         for literal, reference in ((_LEGENDRE_16_NODES, x), (_GAUSS_WEIGHTS, w)):
             assert np.all(np.abs(literal - reference) <= 2.0 * np.spacing(np.abs(reference)))
+
+    def test_tail_literal_is_legvander(self):
+        # a_k = (2k + 1)/2 * sum_j w_j P_k(x_j) f_j for k = 14, 15, bit for bit.
+        order = len(_GAUSS_NODES) - 1
+        legendre = np.polynomial.legendre.legvander(2.0 * _GAUSS_NODES - 1.0, order)[:, -2:].T
+        degree = np.arange(order - 1, order + 1)[:, None]
+        tail = (2.0 * degree + 1.0) * legendre * (_GAUSS_WEIGHTS / _GAUSS_WEIGHTS.sum())
+        assert _GAUSS_TAIL.flags.c_contiguous
+        assert np.array_equal(_GAUSS_TAIL, tail)
 
     def test_polynomial_exactness(self):
         # Order 16 on [0, 1] integrates t**k exactly for k < 32.

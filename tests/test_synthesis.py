@@ -1,5 +1,6 @@
 """Curve synthesis: endpoint oracles, invariants, serialization."""
 
+import html
 import io
 import math
 import sys
@@ -14,6 +15,7 @@ from gcspiral import (
     ConstantProfile,
     DomainError,
     GcsProfile,
+    LddcHistogram,
     LinearProfile,
     PlanarCurve,
     Pose,
@@ -23,12 +25,23 @@ from gcspiral import (
     curve_to_csv,
     curve_to_svg,
     endpoint,
+    gradient_from_samples,
     lcg_gcs_points,
+    lddc_histogram,
     synthesize,
 )
-from gcspiral.svg import polyline_svg
+from gcspiral import synthesis
+from gcspiral.errors import InputError
+from gcspiral.svg import bar_chart_svg, polyline_svg
 from gcspiral.tables import row_array, write_table
-from tutil import arc_lengths, fig_sweep_profiles, kappas, menger_curvature, shape_factors
+from tutil import (
+    arc_lengths,
+    fig_sweep_profiles,
+    gcs_profiles,
+    kappas,
+    menger_curvature,
+    shape_factors,
+)
 
 # Independently computed with 40-digit arithmetic.
 COS_T2_01 = 0.90452423790027208147
@@ -319,6 +332,73 @@ class TestValidation:
         assert curve.x.dtype == np.float64
 
 
+class TestCurvatureSamples:
+    """lddc_histogram and gradient_from_samples take a PlanarCurve or an (s, kappa) pair."""
+
+    ANALYSES = (lambda samples: lddc_histogram(samples, 8), gradient_from_samples)
+
+    @staticmethod
+    def bits(analysis, samples):
+        """The result's floats as bytes, or the rejection's type and message."""
+        try:
+            result = analysis(samples)
+        except InputError as exc:
+            return type(exc), str(exc)
+        if isinstance(result, LddcHistogram):
+            floats = (result.bin_edges, result.lengths, [result.total_length, result.excluded_length])
+        else:
+            trace, line = result
+            floats = (trace.ravel(), [line.slope_a, line.intercept_b, *line.domain, line.residual])
+        return np.concatenate(floats).tobytes()
+
+    @settings(max_examples=50)
+    @given(profile=gcs_profiles(), n=st.integers(min_value=7, max_value=64))
+    def test_pair_and_curve_agree_bit_for_bit(self, profile, n):
+        curve = synthesize(profile, config=QuadratureConfig(samples_per_curve=n))
+        grid = np.linspace(0.0, profile.arc_length, n)
+        kappa = profile.kappa(grid)
+        for analysis in self.ANALYSES:
+            expected = self.bits(analysis, curve)
+            for pair in ((curve.s, curve.kappa), (grid, kappa), (grid.tolist(), kappa.tolist())):
+                assert self.bits(analysis, pair) == expected
+
+    BAD = {
+        "repeated s": ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+        "decreasing s": ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0]),
+        "non-finite s": ([0.0, 1.0, math.inf], [1.0, 2.0, 3.0]),
+        "nan kappa": ([0.0, 1.0, 2.0], [1.0, math.nan, 3.0]),
+        "infinite kappa": ([0.0, 1.0, 2.0], [1.0, 2.0, -math.inf]),
+        "short kappa": ([0.0, 1.0, 2.0], [1.0, 2.0]),
+        "long kappa": ([0.0, 1.0], [1.0, 2.0, 3.0]),
+        "one sample": ([0.0], [1.0]),
+        "text kappa": ([0.0, 1.0], ["1", "2"]),
+    }
+
+    @pytest.mark.parametrize("s, kappa", BAD.values(), ids=list(BAD))
+    def test_pair_rejected_like_a_curve(self, s, kappa):
+        zeros = [0.0] * len(s)
+        with pytest.raises(DomainError) as expected:
+            PlanarCurve(s, zeros, zeros, zeros, kappa)
+        for analysis in self.ANALYSES:
+            with pytest.raises(DomainError) as rejected:
+                analysis((s, kappa))
+            assert str(rejected.value) == str(expected.value)
+
+    def test_other_inputs_rejected(self):
+        s = [0.0, 1.0, 2.0]
+        for samples in ((s,), (s, s, s), 5.0, None):
+            for analysis in self.ANALYSES:
+                with pytest.raises(DomainError, match="a PlanarCurve or an \\(s, kappa\\) pair"):
+                    analysis(samples)
+
+    def test_a_curve_is_not_checked_again(self, monkeypatch):
+        curve = synthesize(GcsProfile(0.5, 2.0, math.pi, 1.0))
+        expected = [self.bits(analysis, curve) for analysis in self.ANALYSES]
+        monkeypatch.setattr(synthesis, "_sample_columns", None)  # a call would raise TypeError
+        assert [self.bits(analysis, curve) for analysis in self.ANALYSES] == expected
+        assert curve.scale == 2.0
+
+
 class TestSerialization:
     def test_csv_round_trip_exact(self):
         curve = synthesize(GcsProfile(0.1, 2.0, math.pi, 2.0), Pose(0.5, -0.25, 0.1))
@@ -355,6 +435,16 @@ class TestSerialization:
         for ragged in ([(0.0, 1.0), (2.0,)], [(0.0, 1.0, 2.0)], [0.0, 1.0], np.zeros((3, 3))):
             with pytest.raises(DomainError, match="every row must hold 2 values"):
                 polyline_svg([xy, ragged])
+
+    @given(st.text(min_size=1))
+    @example("a&b<c>d\"e'f &amp; ]]>")
+    def test_svg_text_is_escaped_as_html_escape_does(self, text):
+        escaped = html.escape(text, quote=False)
+        svg = polyline_svg([[(0.0, 0.0), (1.0, 1.0)]], labels=[text], title=text)
+        assert svg.count(f"<title>{escaped}</title>") == 2  # the title and the line's label
+        assert f">{escaped}</text>" in svg  # the label's legend entry
+        chart = bar_chart_svg([0.0, 1.0], [1.0], x_label=text, y_label=text)
+        assert f">{html.escape(f'{text} / {text}', quote=False)}</text>" in chart
 
     def test_row_array_matches_asarray(self):
         points, _ = lcg_gcs_points(GcsProfile(0.1, 2.0, math.pi, 2.0), np.linspace(0.0, math.pi, 9))
