@@ -380,6 +380,12 @@ def cmd_lddc(args) -> int:
     out = _Artifacts(args, args.prefix or "lddc")
 
     histogram = lddc_histogram((grid, profile.kappa(grid)), args.bins)
+    comparison = None
+    if args.compare:  # before any file is written: a rejected profile leaves none behind
+        gcs = to_gcs(profile)
+        if gcs is None:
+            raise DomainError("--compare needs a rational-linear profile")
+        comparison = lddc_vs_lcg(histogram, gradient_line(gcs), gcs)
     out.write("csv", f"{out.base}.csv", lambda path: lddc_to_csv(histogram, path))
     out.write("svg", f"{out.base}.svg", lambda path: lddc_to_svg(histogram, path))
     summary = {
@@ -387,11 +393,7 @@ def cmd_lddc(args) -> int:
         "total_length": histogram.total_length,
         "excluded_length": histogram.excluded_length,
     }
-    if args.compare:
-        gcs = to_gcs(profile)
-        if gcs is None:
-            raise DomainError("--compare needs a rational-linear profile")
-        comparison = lddc_vs_lcg(histogram, gradient_line(gcs), gcs)
+    if comparison is not None:
         out.write(
             "csv", f"{out.base}_compare.csv", lambda path: comparison_to_csv(comparison, path)
         )

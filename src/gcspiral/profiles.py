@@ -125,6 +125,10 @@ def _series_terms(largest: float) -> int:
     return terms
 
 
+# The divisors k + 2 of the series terms, as floats, for every |u| < 1/4.
+_SERIES_DIVISORS = tuple(k + 2.0 for k in range(_series_terms(0.25)))
+
+
 def _remainder_series(u: np.ndarray) -> np.ndarray:
     """sum_k (-u)**k / (k+2) for |u| < 1/4, element by element.
 
@@ -139,10 +143,10 @@ def _remainder_series(u: np.ndarray) -> np.ndarray:
     total = np.full(u.shape, 0.5)
     power = neg.copy()
     term = np.empty_like(u)
-    for k in range(1, _series_terms(largest)):
-        np.divide(power, k + 2, out=term)
-        np.add(total, term, out=total)
-        np.multiply(power, neg, out=power)
+    for divisor in _SERIES_DIVISORS[1 : _series_terms(largest)]:
+        np.divide(power, divisor, term)
+        np.add(total, term, total)
+        np.multiply(power, neg, power)
     return total
 
 

@@ -27,13 +27,18 @@ the first pass), the interior panel ends I and the panel midpoints M. The
 p-panel sum is h/6 * (E + 2I + 4M) with h = width / p, and a doubling sets
 I <- I + M and evaluates only the 2p new midpoints into M, so every node
 is evaluated once. Its first pass is at p panels, at least 64, and its
-first estimate compares p against 2p. Its result, the Richardson value
+first estimate compares p against 2p; both panel counts' interior nodes,
+the 4p - 1 quarter points of the p panels, are evaluated in one theta call
+and summed by set. Its result, the Richardson value
 R = fine + (fine - coarse)/15, is O(h**6) accurate while that estimate is
 O(h**4), so from its second comparison on it also applies Romberg's next
 column (Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed.,
 1984, section 6.3): a gap within |fine - coarse|/15 returns R_2p, and one
 that misses it still accepts if |R_2p - R_p|/63 meets its tolerance, and
 then returns R_2p + (R_2p - R_p)/63.
+
+Both schemes return the theta(edges) values they size the first pass with,
+so a caller that needs the angle at the edges does not evaluate it again.
 """
 
 from __future__ import annotations
@@ -86,6 +91,14 @@ _GAUSS_WEIGHTS = np.concatenate((_LEGENDRE_16[::-1, 1], _LEGENDRE_16[:, 1]))
 # curvature has its pole within S/50 of the gap. From 64 panels on it
 # over-reports there, so Simpson starts at 64 panels.
 _SIMPSON_MIN_PANELS = 64
+# Simpson's first comparison evaluates the 4p - 1 interior nodes
+# t = lo + j * h/4 of p panels of width h in one theta call, as nodes
+# k = j - 1, and sums them by j mod 4 into three sets: 0, the interior
+# panel ends of p panels (j = 4i); 1, their midpoints (j = 4i + 2); 2, the
+# midpoints of 2p panels (odd j). For a power-of-two p these are the very
+# floats that lo + (i + 1) * h, lo + (i + 1/2) * h and
+# lo + (i + 1/2) * (width / 2p) give.
+_QUARTERS = np.array([2, 1, 2, 0])
 # Simpson's Richardson correction over p and 2p panels: the estimate
 # |fine - coarse| / 15 and the result fine + (fine - coarse) / 15.
 _RICHARDSON = 1.0 / 15.0
@@ -152,32 +165,35 @@ def _gauss_sums(theta, lo, width, panels, tail: bool):
     return sums, np.maximum(tails[0], tails[1]) if tail else None
 
 
-def _node_sums(theta, lo, h, offset: float, counts) -> np.ndarray:
-    """Per gap, the (cos, sin) of theta summed over t = lo + (k + offset) * h, k < counts."""
-    sums = np.zeros((2, len(lo)))
+def _node_sums(theta, lo, step, offset: float, counts, sets=None) -> np.ndarray:
+    """Per gap, the (cos, sin) of theta summed over t = lo + (k + offset) * step, k < counts.
+
+    Returns shape (2, gaps). With `sets`, node k is summed into set
+    sets[k % len(sets)], in node order within each set, and the shape is
+    (2, gaps, max(sets) + 1).
+    """
+    n = len(lo)
+    size = 1 if sets is None else int(sets.max()) + 1
+    sums = np.zeros((2, n * size))
     for gap, k in _blocks(counts, _BLOCK_NODES):
-        angle = theta(lo[gap] + (k + offset) * h[gap])
-        sums[0] += np.bincount(gap, np.cos(angle), len(lo))
-        sums[1] += np.bincount(gap, np.sin(angle), len(lo))
-    return sums
+        angle = theta(lo[gap] + (k + offset) * step[gap])
+        bins = gap if sets is None else size * gap + sets[k % len(sets)]
+        sums[0] += np.bincount(bins, np.cos(angle), n * size)
+        sums[1] += np.bincount(bins, np.sin(angle), n * size)
+    return sums if sets is None else sums.reshape(2, n, size)
 
 
 def _unit(angle) -> np.ndarray:
     return np.array([np.cos(angle), np.sin(angle)])
 
 
-def _simpson_sums(theta, lo, width, panels, ends, inner):
-    """Composite Simpson (cos, sin) sums h/6 * (E + 2I + 4M) over each gap in `panels` panels.
+def _simpson_sums(h, ends, inner, mids):
+    """Composite Simpson (cos, sin) sums h/6 * (E + 2I + 4M) over panels of width h.
 
-    `ends` are the sums E at the two gap ends and `inner` the sums I at the
-    interior panel ends (None on the first pass, which evaluates them); only
-    the midpoints M are evaluated. Also returns I + M, the interior-end sums
-    of 2 * panels panels.
+    `ends` are the sums E at the two gap ends, `inner` the sums I at the
+    interior panel ends and `mids` the sums M at the panel midpoints. Also
+    returns I + M, the interior-end sums of twice the panels.
     """
-    h = width / panels
-    if inner is None:
-        inner = _node_sums(theta, lo, h, 1.0, panels - 1)
-    mids = _node_sums(theta, lo, h, 0.5, panels)
     return h / 6.0 * (ends + 2.0 * inner + 4.0 * mids), inner + mids
 
 
@@ -187,14 +203,16 @@ def tangent_integrals(
     abs_tol: float = 1e-10,
     max_subdivisions: int = 40,
     scheme: str = "gauss",
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate (cos(theta(t)), sin(theta(t))) over each gap of `edges`.
 
     `theta` maps an array of t to an array of angles; `edges` is a
     nondecreasing grid of finite values; `scheme` is "gauss" or "simpson".
-    Returns (dx, dy), one entry per gap, each within abs_tol (absolute) by
-    the scheme's error estimate: for "gauss" the first pass's Legendre
-    tail, then doubling; for "simpson" doubling, the smaller of
+    Returns (dx, dy, phase): dx and dy hold one entry per gap, and phase
+    is theta(edges), the call that sizes the first pass. Each entry is
+    within abs_tol (absolute) by the scheme's error estimate: for "gauss"
+    the first pass's Legendre tail, then doubling; for "simpson" p against
+    2p panels, both from one theta call, then doubling, and the smaller of
     |fine - coarse|/15 and, from the second comparison on, Romberg's
     |R_2p - R_p|/63. A gap may be halved at most max_subdivisions times,
     so it never has more than 2**max_subdivisions panels. Raises
@@ -253,11 +271,14 @@ def tangent_integrals(
                 err = np.max(np.abs(fine_sums - coarse_sums), axis=0)
             dx[todo], dy[todo] = fine_sums
         else:
-            if first:
-                coarse_sums, inner = _simpson_sums(
-                    theta, lo, width, coarse.astype(np.int64), ends, None
-                )
-            fine_sums, inner = _simpson_sums(theta, lo[todo], width[todo], panels, ends, inner)
+            h = width[todo] / panels
+            if first:  # one theta call for p and 2p panels (see _QUARTERS)
+                nodes = _node_sums(theta, lo, 0.5 * h, 1.0, 2 * panels - 1, _QUARTERS)
+                inner, mids, new = nodes[..., 0], nodes[..., 1], nodes[..., 2]
+                coarse_sums, inner = _simpson_sums(width / coarse, ends, inner, mids)
+            else:
+                new = _node_sums(theta, lo[todo], h, 0.5, panels)
+            fine_sums, inner = _simpson_sums(h, ends, inner, new)
             err = _RICHARDSON * np.max(np.abs(fine_sums - coarse_sums), axis=0)
             value = fine_sums + _RICHARDSON * (fine_sums - coarse_sums)
             dx[todo], dy[todo] = value
@@ -269,7 +290,7 @@ def tangent_integrals(
             rich = value
         failing = ~(err <= abs_tol) | (coarse < need)
         if not failing.any():
-            return dx, dy
+            return dx, dy, phase
         # A non-finite sum gives a NaN estimate, so only failing gaps can hold one.
         bad = failing & ~np.isfinite(fine_sums).all(axis=0)
         if bad.any():

@@ -165,8 +165,10 @@ def synthesize(
 
     Returns N = config.samples_per_curve samples uniformly spaced in arc
     length on [0, S]; positions accumulate the integrals of the unit tangent
-    over the gaps. Raises DomainError if abs_tol is below S * eps, and
-    QuadratureError if any gap cannot meet its error budget.
+    over the gaps, and theta is the angle at the samples as
+    tangent_integrals returns it, so theta is evaluated there once. Raises
+    DomainError if abs_tol is below S * eps, and QuadratureError if any gap
+    cannot meet its error budget.
     """
     _check_tolerance(profile, config)
     n = config.samples_per_curve
@@ -175,10 +177,12 @@ def synthesize(
     def angle(t):
         return pose.theta0 + profile.theta(t)
 
-    dx, dy = tangent_integrals(angle, s_grid, config.abs_tol / (n - 1), config.max_subdivisions)
+    dx, dy, theta = tangent_integrals(
+        angle, s_grid, config.abs_tol / (n - 1), config.max_subdivisions
+    )
     xs = np.cumsum(np.concatenate(([pose.x0], dx)))
     ys = np.cumsum(np.concatenate(([pose.y0], dy)))
-    return PlanarCurve(s_grid, xs, ys, angle(s_grid), profile.kappa(s_grid))
+    return PlanarCurve(s_grid, xs, ys, theta, profile.kappa(s_grid))
 
 
 # Simpson's gaps grow this many times in distance from a curvature pole.
@@ -218,8 +222,10 @@ def endpoint(
     independent schemes and serve as mutual cross-checks. Simpson
     integrates gap by gap over edges graded toward a nearby curvature pole,
     each gap within its width's share of abs_tol, which stays above the
-    gap's width * eps. Raises DomainError if abs_tol is below S * eps, and
-    for any other scheme.
+    gap's width * eps. theta is the last gap's end angle as
+    tangent_integrals returns it, equal bit for bit to the float
+    theta0 + profile.theta(S). Raises DomainError if abs_tol is below
+    S * eps, and for any other scheme.
     """
     _check_tolerance(profile, config)
     S = profile.arc_length
@@ -231,11 +237,11 @@ def endpoint(
     edges = _simpson_edges(profile) if simpson else np.array([0.0, S])
     dx = dy = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        (gx,), (gy,) = tangent_integrals(
+        (gx,), (gy,), (_, theta) = tangent_integrals(
             angle, (a, b), config.abs_tol * ((b - a) / S), config.max_subdivisions, scheme
         )
         dx, dy = dx + gx, dy + gy
-    return EndState(pose.x0 + float(dx), pose.y0 + float(dy), angle(S))
+    return EndState(pose.x0 + float(dx), pose.y0 + float(dy), float(theta))
 
 
 # -- serialization -------------------------------------------------------

@@ -568,6 +568,21 @@ class TestExitPaths:
         assert code == 0, err
         assert len(summary_of(out)["files"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--quadratic", "1,0.5,2"], "--compare needs a rational-linear profile"),
+            (["--constant", "2"], "LCG closed forms divide by kappa0 - kappa1"),
+        ],
+    )
+    def test_rejected_lddc_comparison_writes_nothing(self, tmp_path, capsys, argv, message):
+        # As with synth, a rejected input leaves no partial output behind.
+        argv = ["lddc", *argv, "--length", "1", "--compare", "--out", str(tmp_path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_usage_error_is_exit_2(self, capsys):
         # A value starting with "-" reads as an option unless given as --gcs=...
         code, _, err = run(capsys, "classify", "--gcs", "-1,2,3,1")

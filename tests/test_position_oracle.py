@@ -13,6 +13,7 @@ the profile's float coefficients n1, n0, S and r exactly, so it is the
 position of the very curvature the library integrates.
 """
 
+import collections
 import math
 import sys
 
@@ -89,13 +90,26 @@ def quad_position(profile: GcsProfile, s: float) -> complex:
         return complex(mpmath.quad(lambda t: mpmath.expj(angle(t)), pieces))
 
 
+# oracle_position's calls by the route that answered them.
+ROUTES = collections.Counter()
+
+
 def oracle_position(profile: GcsProfile, s: float) -> complex:
     """The closed form, or mpmath quadrature where mpmath's incomplete-gamma
     series does not converge (|a| in the tens of thousands, at small r)."""
     try:
-        return gcs_position(profile, s)
+        value = gcs_position(profile, s)
     except mpmath.libmp.NoConvergence:
+        ROUTES["quadrature"] += 1
         return quad_position(profile, s)
+    ROUTES["closed form"] += 1
+    return value
+
+
+def budget_profile(r, turn0, turn1, straightness, s_total) -> GcsProfile:
+    """A GCS turning turn0 and turn1 rad at its ends, scaled down by 10**straightness."""
+    scale = 10.0**straightness / s_total
+    return GcsProfile(turn0 * scale, turn1 * scale, s_total, r)
 
 
 class TestOracle:
@@ -168,9 +182,33 @@ class TestSimpsonNextToThePole:
     def test_endpoint_within_budget(self, r, turn0, turn1, straightness, s_total):
         # r in (-0.9999, 1e3), |kappa|*S up to 300 and scaled down to nearly
         # straight; a pole within S/15 of the curve grades the gaps toward it.
-        scale = 10.0**straightness / s_total
-        profile = GcsProfile(turn0 * scale, turn1 * scale, s_total, r)
+        profile = budget_profile(r, turn0, turn1, straightness, s_total)
         end = endpoint(profile, scheme="simpson")
         exact = oracle_position(profile, s_total)
         assert abs(end.x - exact.real) <= ABS_TOL
         assert abs(end.y - exact.imag) <= ABS_TOL
+
+    # Seeded draws over the domain of the property above, and the share of
+    # them whose position may come from the quadrature fallback. Seed 0 falls
+    # back on 3 of 400; 1,000-draw sweeps of seeds 1-3 fell back on 4 to 6.
+    SWEEP_DRAWS = 400
+    MAX_FALLBACK_SHARE = 0.02
+
+    def test_sweep_stays_on_the_closed_form(self):
+        rng = np.random.default_rng(0)
+        before = collections.Counter(ROUTES)
+        for _ in range(self.SWEEP_DRAWS):
+            if rng.random() < 0.5:
+                r = -1.0 + 10.0 ** rng.uniform(-4.0, -0.3)
+            else:
+                r = 10.0 ** rng.uniform(-2.0, 3.0)
+            turn0, turn1 = rng.uniform(-300.0, 300.0, 2)
+            profile = budget_profile(r, turn0, turn1, rng.uniform(-9.0, 0.0), rng.uniform(0.5, 2.0))
+            S = profile.arc_length
+            end = endpoint(profile, scheme="simpson")
+            exact = oracle_position(profile, S)
+            assert abs(end.x - exact.real) <= ABS_TOL, profile
+            assert abs(end.y - exact.imag) <= ABS_TOL, profile
+        routes = ROUTES - before
+        assert sum(routes.values()) == self.SWEEP_DRAWS
+        assert routes["quadrature"] <= self.MAX_FALLBACK_SHARE * self.SWEEP_DRAWS, routes

@@ -34,7 +34,7 @@ RULES = pytest.mark.parametrize("scheme", SCHEMES)
 
 
 def integrate(theta, a, b, abs_tol, scheme, max_subdivisions=40):
-    (dx,), (dy,) = tangent_integrals(theta, [a, b], abs_tol, max_subdivisions, scheme)
+    (dx,), (dy,), _ = tangent_integrals(theta, [a, b], abs_tol, max_subdivisions, scheme)
     return float(dx), float(dy)
 
 
@@ -121,7 +121,7 @@ class TestAdaptiveSimpson:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_theta_inside_a_gap_fails_at_the_first_check(self, scheme, bad):
         # Finite at the edges, so only a pass sees it: Gauss's first pass
-        # (2 + 32 points), Simpson's first comparison (2 + 63 + 64 + 128).
+        # (2 + 32 points), Simpson's first comparison (2 + 255).
         # The passes do not run under np.errstate, which would slow every
         # ufunc call in them, so an infinite theta warns in cos and sin first
         # (an exception under -W error::RuntimeWarning); a NaN does not warn.
@@ -138,7 +138,7 @@ class TestAdaptiveSimpson:
         messages = {str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)}
         invalid = {f"invalid value encountered in {f}" for f in ("cos", "sin")}
         assert messages == (set() if math.isnan(bad) else invalid)
-        assert calls == ([2, 63, 64, 128] if scheme == "simpson" else [2, 32])
+        assert calls == ([2, 255] if scheme == "simpson" else [2, 32])
 
     @RULES
     def test_non_finite_theta_names_the_first_gap_it_fills(self, scheme):
@@ -162,7 +162,7 @@ class TestAdaptiveSimpson:
 
         with pytest.raises(DomainError, match=r"inside the gap \[0, 1\]$"):
             tangent_integrals(theta, [0.0, 1.0], 1e-10, scheme=scheme)
-        assert calls == ([2, 63, 64, 128, 256] if scheme == "simpson" else [2, 128, 256])
+        assert calls == ([2, 255, 256] if scheme == "simpson" else [2, 128, 256])
 
 
 class TestTangentIntegral:
@@ -172,7 +172,7 @@ class TestTangentIntegral:
         theta = lambda t: 2.0 * t * t / math.pi
         edges = np.linspace(0.0, math.pi, 9)
         for scheme in SCHEMES:
-            dx, dy = tangent_integrals(theta, edges, 1e-12, scheme=scheme)
+            dx, dy, _ = tangent_integrals(theta, edges, 1e-12, scheme=scheme)
             for i in range(len(edges) - 1):
                 gx, gy = integrate(theta, edges[i], edges[i + 1], 1e-12, scheme)
                 assert dx[i] == pytest.approx(gx, abs=2e-12)
@@ -180,6 +180,15 @@ class TestTangentIntegral:
             wx, wy = integrate(theta, 0.0, math.pi, 1e-12, scheme)
             assert float(np.sum(dx)) == pytest.approx(wx, abs=1e-11)
             assert float(np.sum(dy)) == pytest.approx(wy, abs=1e-11)
+
+    @RULES
+    def test_returns_the_edge_phase(self, scheme):
+        # The theta(edges) call that sizes the first pass is returned, so
+        # callers need not evaluate theta at the edges again.
+        theta = lambda t: 2.0 * t * t / math.pi
+        edges = np.linspace(0.0, math.pi, 9)
+        *_, phase = tangent_integrals(theta, edges, 1e-12, scheme=scheme)
+        assert np.array_equal(phase, theta(edges))
 
     def test_unit_circle_multiple_turns(self):
         # theta spans 20*pi; the phase bound must set enough panels.
@@ -294,7 +303,8 @@ class TestNestedSimpson:
 
     def test_first_comparison_returns_the_richardson_value(self):
         # A gentle gap accepts on 64 against 128 panels and returns
-        # fine + (fine - coarse) / 15, bit for bit.
+        # fine + (fine - coarse) / 15, bit for bit, from one theta call for
+        # all 255 interior nodes of 128 panels.
         theta = lambda t: 0.3 * t * t
         calls = []
 
@@ -302,15 +312,43 @@ class TestNestedSimpson:
             calls.append(np.size(t))
             return theta(t)
 
-        (dx,), (dy,) = tangent_integrals(counting, [0.0, 1.0], 1e-10, scheme="simpson")
-        assert calls == [2, 63, 64, 128]  # the ends, then each pass's new nodes
-        lo, width = np.array([0.0]), np.array([1.0])
-        ends = theta(np.array([0.0, 1.0]))
-        tips = np.array([np.cos(ends), np.sin(ends)]).sum(axis=1)[:, None]
-        coarse, inner = _simpson_sums(theta, lo, width, np.array([64]), tips, None)
-        fine, _ = _simpson_sums(theta, lo, width, np.array([128]), tips, inner)
+        (dx,), (dy,), _ = tangent_integrals(counting, [0.0, 1.0], 1e-10, scheme="simpson")
+        assert calls == [2, 255]  # the ends, then every interior node of 128 panels
+
+        def sums(t):  # the (cos, sin) of theta summed in node order
+            angle = theta(t)
+            return np.array([[np.cumsum(np.cos(angle))[-1]], [np.cumsum(np.sin(angle))[-1]]])
+
+        k = np.arange(128)
+        tips = sums(np.array([0.0, 1.0]))
+        inner, mids = sums((k[:63] + 1.0) / 64), sums((k[:64] + 0.5) / 64)
+        coarse, inner = _simpson_sums(1.0 / 64, tips, inner, mids)
+        fine, _ = _simpson_sums(1.0 / 128, tips, inner, sums((k + 0.5) / 128))
         expected = fine + _RICHARDSON * (fine - coarse)
         assert (dx, dy) == (expected[0, 0], expected[1, 0])
+
+    @pytest.mark.parametrize("turn", [0.3, 150.0, 5000.0])
+    def test_first_comparison_nodes_are_those_of_each_panel_count(self, turn):
+        # The quarter nodes lo + (j/4) * h of p panels are, float for float,
+        # the interior ends lo + i*h and midpoints lo + (i + 1/2)*h of p
+        # panels and the midpoints lo + (i + 1/2) * (width/2p) of 2p panels,
+        # for p = 64, 256 and 8192 (in blocks) on a gap whose ends are not dyadic.
+        lo, hi = 0.3, 1.0 + 1.0 / 3.0
+        seen = []
+
+        def theta(t):
+            seen.append(np.array(t, dtype=float))
+            return turn * t * t
+
+        tangent_integrals(theta, [lo, hi], 1.0, scheme="simpson")  # accepts at once
+        nodes = np.concatenate(seen[1:])
+        p = (len(nodes) + 1) // 4
+        assert p == {0.3: 64, 150.0: 256, 5000.0: 8192}[turn]
+        width = hi - lo
+        i = np.arange(2 * p)
+        assert np.array_equal(nodes[3::4], lo + (i[: p - 1] + 1.0) * (width / p))
+        assert np.array_equal(nodes[1::4], lo + (i[:p] + 0.5) * (width / p))
+        assert np.array_equal(nodes[::2], lo + (i + 0.5) * (width / (2 * p)))
 
     def test_evaluates_each_node_once_on_a_grid(self):
         points = self.evaluated_points(

@@ -19,6 +19,7 @@ from gcspiral import (
     LinearProfile,
     PlanarCurve,
     Pose,
+    QuadraticProfile,
     QuadratureConfig,
     QuadratureError,
     curve_from_csv,
@@ -162,6 +163,46 @@ class TestSynthesize:
             s = float(curve.s[i])
             assert curve.theta[i] == pytest.approx(0.4 + p.theta(s), abs=1e-12)
             assert curve.kappa[i] == pytest.approx(p.kappa(s), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            ConstantProfile(1.5, 2.0),
+            LinearProfile(-1.0, 3.0, 2.0),
+            QuadraticProfile(0.7, -1.0, 2.0, 1.5),
+            GcsProfile(0.3, 1.7, 2.0, 1.5),  # the remainder series and its direct form
+            GcsProfile(-2.0, 1.0, 2.0, 0.2),  # the series alone
+            GcsProfile(0.0, 2.0, 1.0, -0.999),  # Simpson's gaps graded toward the pole
+        ],
+        ids=["constant", "linear", "quadratic", "gcs", "gcs-series", "gcs-graded"],
+    )
+    def test_theta_is_the_profile_angle_bit_for_bit(self, profile):
+        # synthesize and endpoint read theta off the kernel's edge phase; it
+        # equals the profile's own array call, and at S its float call.
+        pose = Pose(0.7, -1.2, 0.9)
+        curve = synthesize(profile, pose, QuadratureConfig(samples_per_curve=97))
+        assert np.array_equal(curve.theta, pose.theta0 + profile.theta(curve.s))
+        expected = pose.theta0 + profile.theta(profile.arc_length)
+        for scheme in ("gauss", "simpson"):
+            end = endpoint(profile, pose, scheme=scheme)
+            assert type(end.theta) is float and end.theta == expected
+
+    def test_theta_is_evaluated_once_per_node_set(self, monkeypatch):
+        calls = []
+        theta = GcsProfile.theta
+
+        def counting(self, s):
+            calls.append(np.size(s))
+            return theta(self, s)
+
+        monkeypatch.setattr(GcsProfile, "theta", counting)
+        profile = GcsProfile(0.5, 1.5, 2.0, 1.0)
+        synthesize(profile, config=QuadratureConfig(samples_per_curve=100))
+        assert calls == [100, 32 * 99]  # the grid once, then one Gauss pass of 2 panels a gap
+        for scheme, passes in (("gauss", [2, 64]), ("simpson", [2, 255, 256])):
+            calls.clear()
+            endpoint(profile, scheme=scheme)
+            assert calls == passes  # the ends once, then the passes; no float call at S
 
     def test_chords_never_exceed_arc_gaps(self):
         for p in (GcsProfile(0.0, 2.0, math.pi, 100.0), ConstantProfile(0.0, 1.0)):
