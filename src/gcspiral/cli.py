@@ -113,27 +113,18 @@ def build_parser() -> argparse.ArgumentParser:
             help="comma-separated subset of csv,json,svg (default csv,svg)",
         )
 
-    def add_quadrature_options(sp):
-        sp.add_argument(
-            "--abs-tol", type=float, default=1e-10, help="absolute error bound on x and y"
-        )
-        sp.add_argument(
-            "--max-subdivisions",
-            type=int,
-            default=40,
-            help="times a sample gap may be halved (at most 2**N panels)",
-        )
-
     def add_command(name, help_text, profile=True, samples=True, quadrature=False):
         # Commands that take a profile name their files by --prefix; the
         # gallery's names are fixed. Only the commands that integrate
-        # positions (synth, figures) read the quadrature options.
+        # positions (synth, figures) read the quadrature tolerance.
         sp = sub.add_parser(name, help=help_text)
         if profile:
             add_profile_options(sp)
         add_output_options(sp, prefix=profile)
         if quadrature:
-            add_quadrature_options(sp)
+            sp.add_argument(
+                "--abs-tol", type=float, default=1e-10, help="absolute error bound on x and y"
+            )
         if samples:
             sp.add_argument("--samples", type=int, default=256, help="output samples per curve")
         return sp
@@ -227,7 +218,7 @@ def _pose_from_args(args) -> Pose:
 
 
 def _config_from_args(args) -> QuadratureConfig:
-    return QuadratureConfig(args.abs_tol, args.max_subdivisions, args.samples)
+    return QuadratureConfig(abs_tol=args.abs_tol, samples_per_curve=args.samples)
 
 
 class _Artifacts:

@@ -161,6 +161,12 @@ class _RealFields:
                 above = 0.0 if f.name == "arc_length" else None
                 object.__setattr__(self, f.name, real(f.name, getattr(self, f.name), above))
 
+    @staticmethod
+    def _finite_coefficients(*values: float) -> None:
+        """Reject fields whose derived curvature coefficients overflow to inf or nan."""
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError("profile parameters overflow the curvature coefficients")
+
 
 @dataclass(frozen=True)
 class ConstantProfile(_RealFields):
@@ -188,6 +194,10 @@ class LinearProfile(_RealFields):
     kappa0: float
     kappa1: float
     arc_length: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._finite_coefficients(self.kappa1 - self.kappa0)
 
     def kappa(self, s):
         s = _clamp_s(s, self.arc_length)
@@ -217,6 +227,11 @@ class QuadraticProfile(_RealFields):
     kappa0: float
     kappa1: float
     arc_length: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        # b (inf or nan if a*S*S or kappa1 - kappa0 is), kappa'' = 2a and kappa'(S)
+        self._finite_coefficients(self.b, 2.0 * self.a, 2.0 * self.a * self.arc_length + self.b)
 
     @property
     def b(self) -> float:
@@ -271,8 +286,7 @@ class GcsProfile(_RealFields):
             raise DomainError(f"shape factor r must be > -1, got {r!r}")
         n1 = k1 - k0 + r * k1
         n0 = k0 * S
-        if not (math.isfinite(n1) and math.isfinite(n0)):
-            raise DomainError("profile parameters overflow the curvature coefficients")
+        self._finite_coefficients(n1, n0)
         scale = max(abs(k0), abs(k1), 1.0 / S)
         for name, value in (
             ("n1", n1),

@@ -39,6 +39,7 @@ then returns R_2p + (R_2p - R_p)/63.
 
 Both schemes return the theta(edges) values they size the first pass with,
 so a caller that needs the angle at the edges does not evaluate it again.
+A call's one work limit is MAX_PANELS panels, checked before each pass.
 """
 
 from __future__ import annotations
@@ -48,15 +49,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, count, real
+from .errors import DomainError, QuadratureError, real
 
 __all__ = ["MAX_PANELS", "tangent_integrals"]
 
 _MAX_PHASE_SPAN = 0.5 * math.pi
 
-# Work ceiling: the panels one tangent_integrals call may evaluate. It is
-# checked before each pass, so an impossible request fails before any
-# allocation. Phase swings of 1e5 rad need about 2e5 panels per pass.
+# Work ceiling, the one limit: the panels one tangent_integrals call may
+# evaluate. It is checked before each pass, so an impossible request fails
+# before any allocation. Phase swings of 1e5 rad need about 2e5 panels per pass.
 MAX_PANELS = 2**22
 
 # Gauss panels, and single Simpson nodes, evaluated together; they bound
@@ -201,7 +202,6 @@ def tangent_integrals(
     theta: Callable,
     edges,
     abs_tol: float = 1e-10,
-    max_subdivisions: int = 40,
     scheme: str = "gauss",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate (cos(theta(t)), sin(theta(t))) over each gap of `edges`.
@@ -214,16 +214,14 @@ def tangent_integrals(
     the first pass's Legendre tail, then doubling; for "simpson" p against
     2p panels, both from one theta call, then doubling, and the smaller of
     |fine - coarse|/15 and, from the second comparison on, Romberg's
-    |R_2p - R_p|/63. A gap may be halved at most max_subdivisions times,
-    so it never has more than 2**max_subdivisions panels. Raises
-    DomainError for an unknown scheme before theta is called, for a
-    non-finite theta at an edge before any pass, and for a theta that is
-    not finite inside a gap, naming the first such gap, after the pass that
-    evaluates it there; an infinite theta also makes NumPy warn of an
-    invalid value in cos and sin first. Raises QuadratureError
-    naming the worst gap, by that estimate, when that budget is spent,
-    and, before a pass is evaluated, when it would take the call above
-    MAX_PANELS panels.
+    |R_2p - R_p|/63. Raises DomainError for an unknown scheme before theta
+    is called, for a non-finite theta at an edge before any pass, and for a
+    theta that is not finite inside a gap, naming the first such gap, after
+    the pass that evaluates it there; an infinite theta also makes NumPy
+    warn of an invalid value in cos and sin first. Raises QuadratureError
+    before a pass is evaluated when it would take the call above MAX_PANELS
+    panels, naming the worst failing gap, by that estimate, once a pass has
+    been evaluated.
     """
     if not (isinstance(scheme, str) and scheme in ("gauss", "simpson")):
         raise DomainError(f"unknown quadrature scheme {scheme!r}")
@@ -234,8 +232,6 @@ def tangent_integrals(
     if np.any(np.diff(edges) < 0.0):
         raise DomainError(f"integration bounds out of order: {edges!r}")
     abs_tol = real("abs_tol", abs_tol, above=0.0)
-    # Beyond 2**62 panels the work ceiling binds first.
-    limit = 2.0 ** min(count("max_subdivisions", max_subdivisions), 62)
 
     lo = edges[:-1]
     width = np.diff(edges)
@@ -243,9 +239,10 @@ def tangent_integrals(
     finite = np.isfinite(phase)
     if not finite.all():
         raise DomainError(f"theta is not finite at t = {edges[np.argmin(finite)]:.17g}")
-    need = np.maximum(np.abs(np.diff(phase)) / _MAX_PHASE_SPAN, 1.0)
+    # Past MAX_PANELS a gap fails before any pass; the clip keeps panel counts finite.
+    need = np.clip(np.abs(np.diff(phase)) / _MAX_PHASE_SPAN, 1.0, MAX_PANELS)
     least = _SIMPSON_MIN_PANELS if simpson else 1
-    coarse = np.minimum(np.maximum(np.exp2(np.ceil(np.log2(need))), least), 0.5 * limit)
+    coarse = np.maximum(np.exp2(np.ceil(np.log2(need))), least)
     if simpson:  # the (cos, sin) at the gap ends, reused by every pass
         ends = _unit(phase[:-1]) + _unit(phase[1:])
 
@@ -253,16 +250,23 @@ def tangent_integrals(
     dy = np.empty(len(lo))
     todo = np.arange(len(lo))
     work = 0.0
-    coarse_sums = inner = rich = None
+    coarse_sums = inner = rich = err = None
     while True:
         fine = 2.0 * coarse
         first = coarse_sums is None
         # Gauss skips the first coarse pass and accepts on its Legendre tail.
         work += float(np.sum(fine)) + (float(np.sum(coarse)) if simpson and first else 0.0)
         if not work <= MAX_PANELS:
+            reason = "the tangent angle turns too far"
+            if not first:
+                worst = int(np.argmax(err))
+                reason = (
+                    f"worst sub-interval [{lo[todo[worst]]:.17g}, {edges[todo[worst] + 1]:.17g}] "
+                    f"with error estimate {err[worst]:.3g}"
+                )
             raise QuadratureError(
                 f"integration needs {work:.0f} panels, above the ceiling of {MAX_PANELS} "
-                "panels per call; the tangent angle turns too far"
+                f"panels per call; {reason}"
             )
         panels = fine.astype(np.int64)
         if not simpson:
@@ -288,6 +292,7 @@ def tangent_integrals(
                 dx[todo[late]], dy[todo[late]] = (value + _ROMBERG * (value - rich))[:, late]
                 err = np.minimum(err, romberg)
             rich = value
+        # exp2(ceil(log2(need))) can round below a need just above 2**k, k >= 4.
         failing = ~(err <= abs_tol) | (coarse < need)
         if not failing.any():
             return dx, dy, phase
@@ -298,15 +303,7 @@ def tangent_integrals(
             raise DomainError(
                 f"theta is not finite inside the gap [{lo[gap]:.17g}, {edges[gap + 1]:.17g}]"
             )
-        spent = failing & (2.0 * fine > limit)
-        if spent.any():
-            worst = int(np.argmax(np.where(spent, err, -1.0)))
-            raise QuadratureError(
-                f"tolerance {abs_tol:g} not met after {max_subdivisions} subdivisions; "
-                f"worst sub-interval [{lo[todo[worst]]:.17g}, {edges[todo[worst] + 1]:.17g}] "
-                f"with error estimate {err[worst]:.3g}"
-            )
-        todo, need, coarse = todo[failing], need[failing], fine[failing]
+        todo, need, coarse, err = todo[failing], need[failing], fine[failing], err[failing]
         coarse_sums = fine_sums[:, failing]
         if simpson:
             ends, inner, rich = ends[:, failing], inner[:, failing], rich[:, failing]

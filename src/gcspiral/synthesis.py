@@ -48,23 +48,20 @@ class Pose:
             object.__setattr__(self, name, real(f"pose field {name}", getattr(self, name)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class QuadratureConfig:
-    """Tolerance and sampling knobs for synthesis.
+    """Tolerance and sampling knobs for synthesis, given by keyword.
 
     abs_tol bounds the absolute error of each coordinate integral over any
     prefix [0, s_i]; the per-gap budget is abs_tol / (N - 1) so accumulated
-    gap errors stay within it. A gap may be halved at most max_subdivisions
-    times, so it has at most 2**max_subdivisions panels.
+    gap errors stay within it.
     """
 
     abs_tol: float = 1e-10
-    max_subdivisions: int = 40
     samples_per_curve: int = 256
 
     def __post_init__(self):
         object.__setattr__(self, "abs_tol", real("abs_tol", self.abs_tol, above=0.0))
-        count("max_subdivisions", self.max_subdivisions)
         count("samples_per_curve", self.samples_per_curve, least=2)
 
 
@@ -167,8 +164,9 @@ def synthesize(
     length on [0, S]; positions accumulate the integrals of the unit tangent
     over the gaps, and theta is the angle at the samples as
     tangent_integrals returns it, so theta is evaluated there once. Raises
-    DomainError if abs_tol is below S * eps, and QuadratureError if any gap
-    cannot meet its error budget.
+    DomainError if abs_tol is below S * eps, and QuadratureError if meeting
+    the gaps' error budgets would take more than quadrature.MAX_PANELS
+    panels.
     """
     _check_tolerance(profile, config)
     n = config.samples_per_curve
@@ -177,9 +175,7 @@ def synthesize(
     def angle(t):
         return pose.theta0 + profile.theta(t)
 
-    dx, dy, theta = tangent_integrals(
-        angle, s_grid, config.abs_tol / (n - 1), config.max_subdivisions
-    )
+    dx, dy, theta = tangent_integrals(angle, s_grid, config.abs_tol / (n - 1))
     xs = np.cumsum(np.concatenate(([pose.x0], dx)))
     ys = np.cumsum(np.concatenate(([pose.y0], dy)))
     return PlanarCurve(s_grid, xs, ys, theta, profile.kappa(s_grid))
@@ -225,7 +221,8 @@ def endpoint(
     gap's width * eps. theta is the last gap's end angle as
     tangent_integrals returns it, equal bit for bit to the float
     theta0 + profile.theta(S). Raises DomainError if abs_tol is below
-    S * eps, and for any other scheme.
+    S * eps, and for any other scheme; QuadratureError if a gap would take
+    more than quadrature.MAX_PANELS panels.
     """
     _check_tolerance(profile, config)
     S = profile.arc_length
@@ -238,7 +235,7 @@ def endpoint(
     dx = dy = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         (gx,), (gy,), (_, theta) = tangent_integrals(
-            angle, (a, b), config.abs_tol * ((b - a) / S), config.max_subdivisions, scheme
+            angle, (a, b), config.abs_tol * ((b - a) / S), scheme=scheme
         )
         dx, dy = dx + gx, dy + gy
     return EndState(pose.x0 + float(dx), pose.y0 + float(dy), float(theta))

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -512,15 +513,6 @@ class TestFiguresCommand:
 
 
 class TestExitPaths:
-    def test_quadrature_failure_is_exit_3(self, tmp_path, capsys):
-        code, _, err = run(
-            capsys,
-            "synth", "--constant", "5.0", "--length", "10.0",
-            "--max-subdivisions", "2", "--samples", "2", "--out", str(tmp_path),
-        )
-        assert code == 3
-        assert "quadrature failure" in err
-
     def test_tolerance_below_float_floor_is_exit_2(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -543,6 +535,25 @@ class TestExitPaths:
         assert "kappa0 must be a finite real number, got '1'" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [["synth"], ["lcg"], ["lddc"], ["gradient", "--sampled"]])
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            ["--linear=-1e308,1e308", "--length", "1"],
+            ["--quadratic", "1e308,0,0", "--length", "10"],
+            ["--quadratic", "1e308,0,0", "--length", "1"],
+        ],
+    )
+    def test_overflowing_coefficients_are_exit_2(self, tmp_path, capsys, command, profile):
+        # kappa1 - kappa0, a*S*S or kappa'' = 2a overflows: rejected when the profile is built.
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, *command, *profile, "--out", str(tmp_path))
+        assert code == 2
+        assert "profile parameters overflow the curvature coefficients" in err
+        assert list(tmp_path.iterdir()) == []
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+
     def test_work_ceiling_is_exit_3(self, tmp_path, capsys):
         start = time.perf_counter()
         code, _, err = run(
@@ -550,6 +561,7 @@ class TestExitPaths:
         )
         assert time.perf_counter() - start < 1.0
         assert code == 3
+        assert "quadrature failure: integration needs" in err
         assert "above the ceiling" in err
         assert list(tmp_path.iterdir()) == []
 
@@ -682,12 +694,12 @@ class TestOptions:
     PROFILE = ["--gcs", "--constant", "--linear", "--quadratic", "--length", "--profile"]
     OUTPUT = ["--out", "--prefix", "--formats"]
     OPTIONS = {
-        "synth": PROFILE + OUTPUT + ["--abs-tol", "--max-subdivisions", "--samples", "--pose"],
+        "synth": PROFILE + OUTPUT + ["--abs-tol", "--samples", "--pose"],
         "lcg": PROFILE + OUTPUT + ["--samples"],
         "gradient": PROFILE + OUTPUT + ["--samples", "--sampled"],
         "classify": PROFILE + OUTPUT,
         "lddc": PROFILE + OUTPUT + ["--samples", "--bins", "--compare"],
-        "figures": ["--out", "--formats", "--abs-tol", "--max-subdivisions", "--samples"],
+        "figures": ["--out", "--formats", "--abs-tol", "--samples"],
     }
 
     class Recorder:
@@ -720,12 +732,16 @@ class TestOptions:
             ["lcg", "--abs-tol", "1e-9"],
             ["gradient", "--sampled", "--abs-tol", "1e-9"],
             ["classify", "--samples", "64"],
+            # The MAX_PANELS ceiling is the one work limit: no subdivision cap to set.
+            ["synth", "--max-subdivisions", "2"],
+            ["figures", "--max-subdivisions", "2"],
         ],
     )
     def test_options_a_command_does_not_read_are_usage_errors(self, tmp_path, capsys, argv):
-        code, _, err = run(capsys, *argv, "--gcs", "0.5,2,3,1", "--out", str(tmp_path))
+        argv = argv + ([] if argv[0] == "figures" else ["--gcs", "0.5,2,3,1"])
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 2
-        assert "unrecognized arguments" in err
+        assert re.search(r"unrecognized arguments: --[a-z-]+ \S+$", err.strip())
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["synth", "lcg", "gradient", "lddc", "figures"])

@@ -75,6 +75,21 @@ class TestConstruction:
             with pytest.raises(DomainError):
                 GcsProfile(*bad)
 
+    def test_overflowing_coefficients_rejected(self):
+        message = "profile parameters overflow the curvature coefficients"
+        for build in (
+            lambda: GcsProfile(-1e308, 1e308, 1.0, 0.0),
+            lambda: LinearProfile(-1e308, 1e308, 1.0),  # kappa1 - kappa0
+            lambda: QuadraticProfile(1e308, 0.0, 0.0, 10.0),  # a*S*S
+            lambda: QuadraticProfile(0.0, -1e308, 1e308, 1.0),  # b
+            lambda: QuadraticProfile(1e308, 0.0, 0.0, 1.0),  # kappa'' = 2a
+            lambda: QuadraticProfile(8e307, 0.0, 0.0, 1.2),  # kappa'(S) = 2aS + b
+        ):
+            with pytest.raises(DomainError, match=message):
+                build()
+        assert LinearProfile(-1e307, 1e307, 1.0).kappa_prime(0.5) == 2e307
+        assert QuadraticProfile(1e306, 0.0, 0.0, 10.0).b == -1e307
+
     def test_profiles_are_immutable(self):
         p = GcsProfile(0.0, 2.0, math.pi, 1.0)
         with pytest.raises(Exception):

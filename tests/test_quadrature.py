@@ -1,6 +1,7 @@
 """The batched tangent-integral kernel under its Simpson and Gauss-Legendre schemes."""
 
 import math
+import re
 import time
 import warnings
 
@@ -10,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gcspiral import GcsProfile
+from gcspiral import GcsProfile, quadrature
 from gcspiral.errors import DomainError, QuadratureError
 from gcspiral.quadrature import (
     _GAUSS_NODES,
@@ -33,13 +34,24 @@ SCHEMES = ("simpson", "gauss")
 RULES = pytest.mark.parametrize("scheme", SCHEMES)
 
 
-def integrate(theta, a, b, abs_tol, scheme, max_subdivisions=40):
-    (dx,), (dy,), _ = tangent_integrals(theta, [a, b], abs_tol, max_subdivisions, scheme)
+def integrate(theta, a, b, abs_tol, scheme):
+    (dx,), (dy,), _ = tangent_integrals(theta, [a, b], abs_tol, scheme)
     return float(dx), float(dy)
 
 
 def chirp(t):
     return 4.0 * t * t - t
+
+
+def jumps(t):
+    """An angle with jumps of 0.1 rad at t = 0.3 and 1 rad at t = 4: no panel count meets 1e-14."""
+    return 0.1 * (t > 0.3) + 1.0 * (t > 4.0)
+
+
+@pytest.fixture
+def low_ceiling(monkeypatch):
+    """A work ceiling of 2**14 panels, so a gap that never converges reaches it in milliseconds."""
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 2**14)
 
 
 class TestAdaptiveSimpson:
@@ -71,13 +83,13 @@ class TestAdaptiveSimpson:
             assert dx == pytest.approx(ox, abs=1e-11)
             assert dy == pytest.approx(oy, abs=1e-11)
 
-    def test_exhaustion_reports_worst_interval(self):
-        for scheme in SCHEMES:
-            with pytest.raises(QuadratureError) as exc_info:
-                tangent_integrals(lambda t: 5.0 * t, [0.0, 1.0, 10.0], 1e-14, 1, scheme)
-            message = str(exc_info.value)
-            assert "worst sub-interval [1, 10]" in message
-            assert "after 1 subdivisions" in message
+    def test_exhaustion_reports_worst_interval(self, low_ceiling):
+        # Both gaps keep failing; the ceiling names the one further from its tolerance.
+        with pytest.raises(QuadratureError) as exc_info:
+            tangent_integrals(jumps, [0.0, 1.0, 10.0], 1e-14, "simpson")
+        message = str(exc_info.value)
+        assert "above the ceiling of 16384 panels per call" in message
+        assert re.search(r"worst sub-interval \[1, 10\] with error estimate \d", message)
 
     def test_invalid_bounds_rejected(self):
         for edges in ([1.0, 0.0], [0.0, math.inf], [0.0, math.nan], [0.0], [[0.0, 1.0]]):
@@ -88,9 +100,6 @@ class TestAdaptiveSimpson:
         for tol in (0.0, -1e-10, math.inf, math.nan, True):
             with pytest.raises(DomainError):
                 tangent_integrals(lambda t: t, [0.0, 1.0], tol)
-        for count in (0, 2.5, True):
-            with pytest.raises(DomainError):
-                tangent_integrals(lambda t: t, [0.0, 1.0], 1e-10, count)
 
     def test_unknown_scheme_rejected_before_theta(self):
         calls = []
@@ -202,10 +211,6 @@ class TestTangentIntegral:
         assert dx == 1.0
         assert dy == 0.0
 
-    def test_exhaustion_raises(self):
-        with pytest.raises(QuadratureError):
-            integrate(lambda t: 25.0 * t, 0.0, 10.0, 1e-10, "gauss", max_subdivisions=2)
-
     @RULES
     def test_work_ceiling_fails_before_evaluating(self, scheme):
         calls = []
@@ -215,10 +220,58 @@ class TestTangentIntegral:
             return 1e9 * t
 
         start = time.perf_counter()
-        with pytest.raises(QuadratureError, match=f"panels, above the ceiling of {MAX_PANELS}"):
+        ceiling = f"panels, above the ceiling of {MAX_PANELS} panels per call; "
+        with pytest.raises(QuadratureError, match=ceiling + "the tangent angle turns too far$"):
             tangent_integrals(theta, np.linspace(0.0, 1.0, 256), 1e-10, scheme=scheme)
         assert time.perf_counter() - start < 1.0
         assert calls == [256]  # only the phase of the grid itself
+
+    @RULES
+    @pytest.mark.parametrize("swing", [1e300, 1.5e308])
+    def test_huge_phase_swing_fails_without_overflow(self, scheme, swing):
+        # Panel counts near 2**1024 would overflow in exp2, in the doubling
+        # and in the work sum; each gap's count is clipped to the ceiling.
+        def theta(t):
+            return np.where(t == 0.5, swing, 0.0)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(QuadratureError, match=r"integration needs \d{8} panels, above"):
+                tangent_integrals(theta, [0.0, 0.5, 1.0], 1e-10, scheme=scheme)
+
+    @RULES
+    def test_work_ceiling_after_a_pass_names_the_worst_gap(self, scheme):
+        # The angle barely turns, so the first pass fits; the jump keeps the
+        # gap failing until the next doubling would pass the ceiling.
+        def theta(t):
+            return np.where(t < 1.0 / 3.0, 0.0, 1.0)
+
+        with pytest.raises(QuadratureError) as exc_info:
+            tangent_integrals(theta, [0.0, 1.0], 1e-10, scheme)
+        message = str(exc_info.value)
+        assert f"panels, above the ceiling of {MAX_PANELS} panels per call; " in message
+        assert re.search(r"; worst sub-interval \[0, 1\] with error estimate \d\S*$", message)
+        assert "turns too far" not in message
+
+    @RULES
+    def test_gap_sized_below_its_phase_need_doubles(self, scheme):
+        # exp2(ceil(log2(need))) rounds a need just above 2**k down to 2**k
+        # panels, whose swing is above pi/2 each: such a gap doubles once
+        # more although its estimate meets the tolerance.
+        k = 4 if scheme == "gauss" else 6  # Simpson starts at 64 panels
+        swing = 2.0**k * quadrature._MAX_PHASE_SPAN
+        while not swing / quadrature._MAX_PHASE_SPAN > 2.0**k:
+            swing = np.nextafter(swing, math.inf)
+        assert np.exp2(np.ceil(np.log2(swing / quadrature._MAX_PHASE_SPAN))) == 2.0**k
+        calls = []
+
+        def theta(t):
+            calls.append(np.size(t))
+            return swing * t
+
+        integrate(theta, 0.0, 1.0, 1e-6, scheme)
+        p = 2**k
+        assert calls == ([2, 4 * p - 1, 4 * p] if scheme == "simpson" else [2, 32 * p, 64 * p])
 
     @RULES
     def test_phase_swing_of_1e5_rad_runs(self, scheme):
@@ -264,16 +317,16 @@ class TestGaussLegendre:
         assert dx == pytest.approx(COS_T2_01, abs=1e-11)
         assert dy == pytest.approx(SIN_T2_01, abs=1e-11)
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, low_ceiling):
         with pytest.raises(QuadratureError) as exc_info:
-            integrate(lambda t: 50.0 * t * t, 0.0, 10.0, 1e-14, "gauss", max_subdivisions=2)
-        assert "worst sub-interval [0, 10]" in str(exc_info.value)
+            tangent_integrals(jumps, [0.0, 1.0, 10.0], 1e-14, "gauss")
+        message = str(exc_info.value)
+        assert "above the ceiling of 16384 panels per call" in message
+        assert re.search(r"worst sub-interval \[1, 10\] with error estimate \d", message)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(DomainError):
             integrate(math.cos, 0.0, 1.0, -1.0, "gauss")
-        with pytest.raises(DomainError):
-            integrate(math.cos, 0.0, 1.0, 1e-10, "gauss", max_subdivisions=0)
 
 
 class TestSchemeIndependence:

@@ -1,5 +1,6 @@
 """Curve synthesis: endpoint oracles, invariants, serialization."""
 
+import dataclasses
 import html
 import io
 import math
@@ -31,7 +32,7 @@ from gcspiral import (
     lddc_histogram,
     synthesize,
 )
-from gcspiral import synthesis
+from gcspiral import quadrature, synthesis
 from gcspiral.errors import InputError
 from gcspiral.svg import bar_chart_svg, polyline_svg
 from gcspiral.tables import row_array, write_table
@@ -244,13 +245,19 @@ class TestSynthesize:
             recovered = menger_curvature(curve.x, curve.y)
             assert float(np.max(np.abs(recovered - curve.kappa[1:-1]))) <= 1e-3
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        # A theta with a jump at s = 0.2 keeps the first sample gap failing;
+        # a ceiling of 2**14 panels is reached in milliseconds.
+        class Jump(ConstantProfile):
+            def theta(self, s):
+                return super().theta(s) + np.where(np.asarray(s) < 0.2, 0.0, 1.0)
+
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 2**14)
         with pytest.raises(QuadratureError) as exc_info:
-            synthesize(
-                ConstantProfile(5.0, 10.0),
-                config=QuadratureConfig(max_subdivisions=2, samples_per_curve=2),
-            )
-        assert "worst sub-interval" in str(exc_info.value)
+            synthesize(Jump(1.0, 1.0), config=QuadratureConfig(samples_per_curve=3))
+        message = str(exc_info.value)
+        assert "above the ceiling of 16384 panels per call" in message
+        assert "worst sub-interval [0, 0.5] with error estimate" in message
 
     def test_work_ceiling_fails_fast(self):
         start = time.perf_counter()
@@ -318,18 +325,25 @@ class TestValidation:
         with pytest.raises(DomainError):
             QuadratureConfig(abs_tol=0.0)
         with pytest.raises(DomainError):
-            QuadratureConfig(max_subdivisions=0)
-        with pytest.raises(DomainError):
             QuadratureConfig(samples_per_curve=1)
         for bad in (2.5, True, "8"):
             with pytest.raises(DomainError):
                 QuadratureConfig(samples_per_curve=bad)
-            with pytest.raises(DomainError):
-                QuadratureConfig(max_subdivisions=bad)
         for bad in (math.inf, math.nan, True):
             with pytest.raises(DomainError):
                 QuadratureConfig(abs_tol=bad)
         assert QuadratureConfig(abs_tol=np.float32(1e-8)).abs_tol == float(np.float32(1e-8))
+
+    def test_config_fields_are_keyword_only(self):
+        # A positional (abs_tol, max_subdivisions) call from before that field
+        # was removed would otherwise mean 40 samples per curve.
+        assert [f.name for f in dataclasses.fields(QuadratureConfig)] == [
+            "abs_tol",
+            "samples_per_curve",
+        ]
+        for args in ((1e-10, 40), (1e-10,)):
+            with pytest.raises(TypeError):
+                QuadratureConfig(*args)
 
     def test_tolerance_below_float_floor_rejected(self):
         # S*eps = 2.2e-10 for S = 1e6: no arc-length integral is that exact.
