@@ -92,7 +92,7 @@ def lddc_histogram(
     s, kappa, scale = _curvature_samples(curve)
     num_bins = count("num_bins", num_bins)
     seg_len = np.diff(s)
-    kappa_mid = 0.5 * (kappa[:-1] + kappa[1:])
+    kappa_mid = 0.5 * kappa[:-1] + 0.5 * kappa[1:]  # halved first: no overflow near 1e308
     include = np.abs(kappa_mid) >= REL_TOL * scale
     excluded = float(np.sum(seg_len[~include]))
     if not np.any(include):

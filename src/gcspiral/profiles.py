@@ -286,13 +286,15 @@ class GcsProfile(_RealFields):
             raise DomainError(f"shape factor r must be > -1, got {r!r}")
         n1 = k1 - k0 + r * k1
         n0 = k0 * S
-        self._finite_coefficients(n1, n0)
+        c = S * (1.0 + r) * (k0 - k1)
+        # and 2*n1*(r*s + S) at s = 0 and s = S, as lcg.gradient_gcs forms it
+        self._finite_coefficients(n1, n0, c, 2.0 * n1 * S, 2.0 * n1 * (r * S + S))
         scale = max(abs(k0), abs(k1), 1.0 / S)
         for name, value in (
             ("n1", n1),
             ("n0", n0),
             ("scale", scale),
-            ("c", S * (1.0 + r) * (k0 - k1)),
+            ("c", c),
             ("circular", abs(k0 - k1) <= REL_TOL * scale),
         ):
             object.__setattr__(self, name, value)

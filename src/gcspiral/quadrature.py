@@ -37,14 +37,19 @@ column (Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed.,
 that misses it still accepts if |R_2p - R_p|/63 meets its tolerance, and
 then returns R_2p + (R_2p - R_p)/63.
 
-Both schemes return the theta(edges) values they size the first pass with,
-so a caller that needs the angle at the edges does not evaluate it again.
-A call's one work limit is MAX_PANELS panels, checked before each pass.
+A call's error budget is abs_tol for each coordinate over its span
+edges[-1] - edges[0]: each gap meets its width's share abs_tol * width /
+span, and an abs_tol below the float floor span * eps fails before theta
+is called. Its one work limit is MAX_PANELS panels over all its gaps,
+checked before each pass. Both schemes return the theta(edges) values
+they size the first pass with, so a caller that needs the angle at the
+edges does not evaluate it again.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -208,20 +213,22 @@ def tangent_integrals(
 
     `theta` maps an array of t to an array of angles; `edges` is a
     nondecreasing grid of finite values; `scheme` is "gauss" or "simpson".
-    Returns (dx, dy, phase): dx and dy hold one entry per gap, and phase
-    is theta(edges), the call that sizes the first pass. Each entry is
-    within abs_tol (absolute) by the scheme's error estimate: for "gauss"
-    the first pass's Legendre tail, then doubling; for "simpson" p against
-    2p panels, both from one theta call, then doubling, and the smaller of
-    |fine - coarse|/15 and, from the second comparison on, Romberg's
-    |R_2p - R_p|/63. Raises DomainError for an unknown scheme before theta
-    is called, for a non-finite theta at an edge before any pass, and for a
-    theta that is not finite inside a gap, naming the first such gap, after
-    the pass that evaluates it there; an infinite theta also makes NumPy
-    warn of an invalid value in cos and sin first. Raises QuadratureError
-    before a pass is evaluated when it would take the call above MAX_PANELS
-    panels, naming the worst failing gap, by that estimate, once a pass has
-    been evaluated.
+    Returns (dx, dy, phase): dx and dy hold one entry per gap, and phase is
+    theta(edges), the call that sizes the first pass. abs_tol is the
+    absolute budget of each coordinate over the span edges[-1] - edges[0],
+    so each entry is within its gap's share abs_tol * width / span by the
+    scheme's error estimate: for "gauss" the first pass's Legendre tail,
+    then doubling; for "simpson" p against 2p panels, both from one theta
+    call, then doubling, and the smaller of |fine - coarse|/15 and, from the
+    second comparison on, Romberg's |R_2p - R_p|/63. Raises DomainError
+    before theta is called for an unknown scheme and for an abs_tol below
+    the float floor span * eps; for a non-finite theta at an edge before any
+    pass; and for a theta that is not finite inside a gap, naming the first
+    such gap, after the pass that evaluates it there; an infinite theta also
+    makes NumPy warn of an invalid value in cos and sin first. Raises
+    QuadratureError before a pass is evaluated when it would take the call,
+    all its gaps together, above MAX_PANELS panels, naming the worst failing
+    gap, by that estimate, once a pass has been evaluated.
     """
     if not (isinstance(scheme, str) and scheme in ("gauss", "simpson")):
         raise DomainError(f"unknown quadrature scheme {scheme!r}")
@@ -232,9 +239,15 @@ def tangent_integrals(
     if np.any(np.diff(edges) < 0.0):
         raise DomainError(f"integration bounds out of order: {edges!r}")
     abs_tol = real("abs_tol", abs_tol, above=0.0)
+    span = float(edges[-1] - edges[0])
+    floor = span * sys.float_info.epsilon
+    if abs_tol < floor:
+        raise DomainError(f"abs_tol {abs_tol!r} is below the float floor span*eps = {floor:.3g}")
 
     lo = edges[:-1]
     width = np.diff(edges)
+    # Each gap's share of abs_tol, by width; a zero span has only empty gaps.
+    tol = abs_tol * (width / span) if span > 0.0 else np.full(len(lo), abs_tol)
     phase = theta(edges)
     finite = np.isfinite(phase)
     if not finite.all():
@@ -288,12 +301,12 @@ def tangent_integrals(
             dx[todo], dy[todo] = value
             if rich is not None:  # Romberg's next column, from the second comparison on
                 romberg = _ROMBERG * np.max(np.abs(value - rich), axis=0)
-                late = ~(err <= abs_tol) & (romberg <= abs_tol)
+                late = ~(err <= tol) & (romberg <= tol)
                 dx[todo[late]], dy[todo[late]] = (value + _ROMBERG * (value - rich))[:, late]
                 err = np.minimum(err, romberg)
             rich = value
         # exp2(ceil(log2(need))) can round below a need just above 2**k, k >= 4.
-        failing = ~(err <= abs_tol) | (coarse < need)
+        failing = ~(err <= tol) | (coarse < need)
         if not failing.any():
             return dx, dy, phase
         # A non-finite sum gives a NaN estimate, so only failing gaps can hold one.
@@ -303,7 +316,7 @@ def tangent_integrals(
             raise DomainError(
                 f"theta is not finite inside the gap [{lo[gap]:.17g}, {edges[gap + 1]:.17g}]"
             )
-        todo, need, coarse, err = todo[failing], need[failing], fine[failing], err[failing]
+        todo, need, coarse, err, tol = (v[failing] for v in (todo, need, fine, err, tol))
         coarse_sums = fine_sums[:, failing]
         if simpson:
             ends, inner, rich = ends[:, failing], inner[:, failing], rich[:, failing]

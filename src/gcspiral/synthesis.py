@@ -10,7 +10,6 @@ up to sample i instead of re-integrating from zero.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import IO, Union
 
@@ -53,8 +52,8 @@ class QuadratureConfig:
     """Tolerance and sampling knobs for synthesis, given by keyword.
 
     abs_tol bounds the absolute error of each coordinate integral over any
-    prefix [0, s_i]; the per-gap budget is abs_tol / (N - 1) so accumulated
-    gap errors stay within it.
+    prefix [0, s_i]; it is passed whole to tangent_integrals, which splits
+    it across the gaps.
     """
 
     abs_tol: float = 1e-10
@@ -143,16 +142,6 @@ def _sample_grid(profile: CurvatureProfile, samples: int) -> np.ndarray:
     return np.linspace(0.0, profile.arc_length, count("samples_per_curve", samples, least=2))
 
 
-def _check_tolerance(profile: CurvatureProfile, config: QuadratureConfig) -> None:
-    """Reject an abs_tol below S * eps, which no arc-length integral can meet."""
-    floor = profile.arc_length * sys.float_info.epsilon
-    if config.abs_tol < floor:
-        raise DomainError(
-            f"abs_tol {config.abs_tol!r} is below the float floor S*eps = {floor:.3g} "
-            f"for arc length S = {profile.arc_length!r}"
-        )
-
-
 def synthesize(
     profile: CurvatureProfile,
     pose: Pose = Pose(),
@@ -162,20 +151,18 @@ def synthesize(
 
     Returns N = config.samples_per_curve samples uniformly spaced in arc
     length on [0, S]; positions accumulate the integrals of the unit tangent
-    over the gaps, and theta is the angle at the samples as
-    tangent_integrals returns it, so theta is evaluated there once. Raises
+    over the gaps, from one tangent_integrals call over the samples with
+    config.abs_tol as its budget, and theta is the angle at the samples as
+    that call returns it, so theta is evaluated there once. Raises
     DomainError if abs_tol is below S * eps, and QuadratureError if meeting
-    the gaps' error budgets would take more than quadrature.MAX_PANELS
-    panels.
+    the budget would take more than quadrature.MAX_PANELS panels.
     """
-    _check_tolerance(profile, config)
-    n = config.samples_per_curve
-    s_grid = _sample_grid(profile, n)
+    s_grid = _sample_grid(profile, config.samples_per_curve)
 
     def angle(t):
         return pose.theta0 + profile.theta(t)
 
-    dx, dy, theta = tangent_integrals(angle, s_grid, config.abs_tol / (n - 1))
+    dx, dy, theta = tangent_integrals(angle, s_grid, config.abs_tol)
     xs = np.cumsum(np.concatenate(([pose.x0], dx)))
     ys = np.cumsum(np.concatenate(([pose.y0], dy)))
     return PlanarCurve(s_grid, xs, ys, theta, profile.kappa(s_grid))
@@ -215,30 +202,25 @@ def endpoint(
     scheme is passed to tangent_integrals: "simpson" (composite Simpson
     with the Richardson correction, and Romberg's next one once a gap has
     doubled) or "gauss" (composite Gauss-Legendre). The two are
-    independent schemes and serve as mutual cross-checks. Simpson
-    integrates gap by gap over edges graded toward a nearby curvature pole,
-    each gap within its width's share of abs_tol, which stays above the
-    gap's width * eps. theta is the last gap's end angle as
-    tangent_integrals returns it, equal bit for bit to the float
-    theta0 + profile.theta(S). Raises DomainError if abs_tol is below
-    S * eps, and for any other scheme; QuadratureError if a gap would take
+    independent schemes and serve as mutual cross-checks. One
+    tangent_integrals call with config.abs_tol as its budget covers [0, S]:
+    Gauss as one gap, Simpson over edges graded toward a nearby curvature
+    pole, each gap within its width's share of abs_tol. The gap integrals
+    are summed from s = 0. theta is the last edge's angle as that call
+    returns it, equal bit for bit to the float theta0 + profile.theta(S).
+    Raises DomainError if abs_tol is below S * eps, and for any other
+    scheme; QuadratureError if the call, all its gaps together, would take
     more than quadrature.MAX_PANELS panels.
     """
-    _check_tolerance(profile, config)
-    S = profile.arc_length
-
     def angle(t):
         return pose.theta0 + profile.theta(t)
 
     simpson = isinstance(scheme, str) and scheme == "simpson"  # an array scheme has no truth value
-    edges = _simpson_edges(profile) if simpson else np.array([0.0, S])
-    dx = dy = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        (gx,), (gy,), (_, theta) = tangent_integrals(
-            angle, (a, b), config.abs_tol * ((b - a) / S), scheme=scheme
-        )
-        dx, dy = dx + gx, dy + gy
-    return EndState(pose.x0 + float(dx), pose.y0 + float(dy), float(theta))
+    edges = _simpson_edges(profile) if simpson else np.array([0.0, profile.arc_length])
+    dx, dy, phase = tangent_integrals(angle, edges, config.abs_tol, scheme=scheme)
+    # Summed gap by gap from s = 0, as cumsum adds; np.sum would pair them.
+    x, y = np.cumsum(dx)[-1], np.cumsum(dy)[-1]
+    return EndState(pose.x0 + float(x), pose.y0 + float(y), float(phase[-1]))
 
 
 # -- serialization -------------------------------------------------------

@@ -450,6 +450,21 @@ class TestLddcCommand:
         assert code == 2
         assert "--compare" in err
 
+    @pytest.mark.parametrize(
+        "profile", [["--gcs", "1e308,1e308,1,0"], ["--constant", "1e308", "--length", "1"]]
+    )
+    def test_curvature_near_the_float_limit(self, tmp_path, capsys, profile):
+        # Each midpoint curvature is halved before the sum, which stays finite.
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code, out, _ = run(capsys, "lddc", *profile, "--out", str(tmp_path))
+        assert code == 0
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+        assert summary_of(out)["total_length"] == 1.0
+        rows = read_table(tmp_path / "lddc.csv", "bin_lo_log10rho,bin_hi_log10rho,length", "lddc")
+        assert rows[:, 2].sum() == 1.0
+        assert np.all(rows[rows[:, 2] > 0.0, :2] == [[-308.0, -307.9375]])
+
 
 class TestFiguresCommand:
     def test_gallery_contents(self, tmp_path, capsys):
@@ -535,17 +550,24 @@ class TestExitPaths:
         assert "kappa0 must be a finite real number, got '1'" in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", [["synth"], ["lcg"], ["lddc"], ["gradient", "--sampled"]])
+    @pytest.mark.parametrize(
+        "command",
+        [["synth"], ["lcg"], ["lddc"], ["gradient", "--sampled"], ["classify"], ["gradient"]],
+    )
     @pytest.mark.parametrize(
         "profile",
         [
             ["--linear=-1e308,1e308", "--length", "1"],
             ["--quadratic", "1e308,0,0", "--length", "10"],
             ["--quadratic", "1e308,0,0", "--length", "1"],
+            ["--gcs=1e308,1e307,1,0"],
+            ["--gcs=0,1e10,1e300,0"],
         ],
     )
     def test_overflowing_coefficients_are_exit_2(self, tmp_path, capsys, command, profile):
-        # kappa1 - kappa0, a*S*S or kappa'' = 2a overflows: rejected when the profile is built.
+        # kappa1 - kappa0, a*S*S, kappa'' = 2a, or a GCS's c = S*(1 + r)*(kappa0 - kappa1)
+        # or 2*n1*(r*s + S) overflows: rejected when the profile is built, not met
+        # later as an infinite gradient or residual.
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             code, _, err = run(capsys, *command, *profile, "--out", str(tmp_path))

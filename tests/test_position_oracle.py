@@ -24,6 +24,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gcspiral import GcsProfile, Pose, QuadratureConfig, endpoint, synthesize
+from gcspiral.quadrature import tangent_integrals
+from gcspiral.synthesis import _simpson_edges
 
 ABS_TOL = QuadratureConfig().abs_tol
 DPS = 40
@@ -76,8 +78,9 @@ def _clothoid(half_slope, start, s):
     return phase * (fresnel(s + shift) - fresnel(shift)) / scale
 
 
-def quad_position(profile: GcsProfile, s: float) -> complex:
-    """x(s) + i*y(s) by mpmath quadrature of the tangent angle written with logs."""
+def quad_position(profile: GcsProfile, s: float, start: float = 0.0) -> complex:
+    """x(s) + i*y(s), less its value at `start`, by mpmath quadrature of the
+    tangent angle written with logs."""
     with mpmath.workdps(DPS):
         n1, n0, S, r = map(mpmath.mpf, (profile.n1, profile.n0, profile.arc_length, profile.r))
 
@@ -86,7 +89,7 @@ def quad_position(profile: GcsProfile, s: float) -> complex:
                 return (n0 * t + n1 * t * t / 2) / S
             return n1 * t / r + (n0 * r - n1 * S) / r**2 * mpmath.log(1 + r * t / S)
 
-        pieces = mpmath.linspace(0, mpmath.mpf(s), 17)
+        pieces = mpmath.linspace(mpmath.mpf(start), mpmath.mpf(s), 17)
         return complex(mpmath.quad(lambda t: mpmath.expj(angle(t)), pieces))
 
 
@@ -137,6 +140,23 @@ class TestPositionsWithinBudget:
         exact = gcs_position(profile, profile.arc_length)
         assert abs(end.x - exact.real) <= ABS_TOL
         assert abs(end.y - exact.imag) <= ABS_TOL
+
+    @pytest.mark.parametrize("scheme", ["gauss", "simpson"])
+    @pytest.mark.parametrize("r", [-0.99, -0.999])
+    def test_each_graded_gap_within_its_share(self, r, scheme):
+        # One kernel call over the non-uniform grid of Simpson's endpoint:
+        # each gap within abs_tol * width / S, so their sum within abs_tol.
+        profile = GcsProfile(1.0, 300.0, 1.0, r)
+        edges = _simpson_edges(profile)
+        assert len(edges) > 2
+        dx, dy, _ = tangent_integrals(profile.theta, edges, ABS_TOL, scheme)
+        share = ABS_TOL * np.diff(edges) / profile.arc_length
+        exact = np.array([quad_position(profile, b, a) for a, b in zip(edges[:-1], edges[1:])])
+        assert np.all(np.abs(dx - exact.real) <= share)
+        assert np.all(np.abs(dy - exact.imag) <= share)
+        end = gcs_position(profile, profile.arc_length)
+        assert abs(np.cumsum(dx)[-1] - end.real) <= ABS_TOL
+        assert abs(np.cumsum(dy)[-1] - end.imag) <= ABS_TOL
 
     @pytest.mark.parametrize("profile", PROFILES, ids=IDS)
     def test_synthesize_17_samples(self, profile):

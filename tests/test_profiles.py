@@ -84,11 +84,15 @@ class TestConstruction:
             lambda: QuadraticProfile(0.0, -1e308, 1e308, 1.0),  # b
             lambda: QuadraticProfile(1e308, 0.0, 0.0, 1.0),  # kappa'' = 2a
             lambda: QuadraticProfile(8e307, 0.0, 0.0, 1.2),  # kappa'(S) = 2aS + b
+            lambda: GcsProfile(1e308, 1e307, 1.0, 0.0),  # 2*n1 in the LCG gradient
+            lambda: GcsProfile(0.0, 1e10, 1e300, 0.0),  # c = S*(1 + r)*(kappa0 - kappa1)
         ):
             with pytest.raises(DomainError, match=message):
                 build()
         assert LinearProfile(-1e307, 1e307, 1.0).kappa_prime(0.5) == 2e307
         assert QuadraticProfile(1e306, 0.0, 0.0, 10.0).b == -1e307
+        # Just inside: 2*n1 = -9e307 is finite and the gradient exact.
+        assert np.all(gradient_gcs(GcsProfile(5e307, 5e306, 1.0, 0.0), [0.0, 0.5, 1.0]) == -1.0)
 
     def test_profiles_are_immutable(self):
         p = GcsProfile(0.0, 2.0, math.pi, 1.0)

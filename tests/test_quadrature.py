@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import time
 import warnings
 
@@ -100,6 +101,28 @@ class TestAdaptiveSimpson:
         for tol in (0.0, -1e-10, math.inf, math.nan, True):
             with pytest.raises(DomainError):
                 tangent_integrals(lambda t: t, [0.0, 1.0], tol)
+
+    @RULES
+    def test_float_floor_rejected_before_theta(self, scheme):
+        # abs_tol is the budget over the whole span: below span*eps no gap's
+        # share could stay above its own width*eps.
+        calls = []
+
+        def theta(t):
+            calls.append(np.size(t))
+            return 0.0 * t
+
+        edges = [0.0, 4e5, 1e6]
+        with pytest.raises(DomainError, match=r"below the float floor span\*eps = 2\.22e-10$"):
+            tangent_integrals(theta, edges, 1e-10, scheme)
+        assert calls == []
+        dx, dy, _ = tangent_integrals(theta, edges, 1e6 * sys.float_info.epsilon, scheme)
+        assert dx == pytest.approx([4e5, 6e5]) and np.all(dy == 0.0)
+
+    @RULES
+    def test_zero_span_meets_any_budget(self, scheme):
+        dx, dy, phase = tangent_integrals(lambda t: 3.0 * t, [1.0, 1.0, 1.0], 1e-300, scheme)
+        assert np.all(dx == 0.0) and np.all(dy == 0.0) and np.all(phase == 3.0)
 
     def test_unknown_scheme_rejected_before_theta(self):
         calls = []

@@ -205,6 +205,58 @@ class TestSynthesize:
             endpoint(profile, scheme=scheme)
             assert calls == passes  # the ends once, then the passes; no float call at S
 
+    @pytest.mark.parametrize("r", [100.0, -0.99])
+    def test_endpoint_makes_one_kernel_call(self, monkeypatch, r):
+        # The kernel splits abs_tol across Simpson's graded gaps, so endpoint
+        # passes it whole in one call, and theta(edges) covers every edge.
+        profile = GcsProfile(0.0, 2.0, 1.0, r)
+        graded = synthesis._simpson_edges(profile)
+        assert len(graded) > 2
+        kernel, calls = [], []
+        tangent_integrals, theta = synthesis.tangent_integrals, GcsProfile.theta
+
+        def counting_kernel(angle, edges, abs_tol, scheme):
+            kernel.append((list(edges), abs_tol))
+            return tangent_integrals(angle, edges, abs_tol, scheme)
+
+        def counting(self, s):
+            calls.append(np.size(s))
+            return theta(self, s)
+
+        monkeypatch.setattr(synthesis, "tangent_integrals", counting_kernel)
+        monkeypatch.setattr(GcsProfile, "theta", counting)
+        for scheme, edges in (("simpson", list(graded)), ("gauss", [0.0, 1.0])):
+            kernel.clear()
+            calls.clear()
+            endpoint(profile, scheme=scheme)
+            assert kernel == [(edges, QuadratureConfig().abs_tol)]
+            assert calls[0] == len(edges)
+
+    def test_synthesize_passes_abs_tol_whole(self, monkeypatch):
+        budgets = []
+        tangent_integrals = synthesis.tangent_integrals
+
+        def counting_kernel(angle, edges, abs_tol):
+            budgets.append(abs_tol)
+            return tangent_integrals(angle, edges, abs_tol)
+
+        monkeypatch.setattr(synthesis, "tangent_integrals", counting_kernel)
+        synthesize(GcsProfile(0.5, 1.5, 2.0, 1.0), config=QuadratureConfig(abs_tol=3e-11))
+        assert budgets == [3e-11]
+
+    def test_graded_endpoint_has_one_work_ceiling(self, monkeypatch):
+        # MAX_PANELS bounds the one call over all graded gaps: two gaps of
+        # 64 + 128 panels in Simpson's first comparison, then 256 more for
+        # the gap next to the pole, 640 in all, where each gap alone takes
+        # at most 448.
+        profile = GcsProfile(0.0, 2.0, 1.0, 100.0)
+        assert len(synthesis._simpson_edges(profile)) == 3
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 640)
+        endpoint(profile, scheme="simpson")
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 639)
+        with pytest.raises(QuadratureError, match="needs 640 panels, above the ceiling of 639"):
+            endpoint(profile, scheme="simpson")
+
     def test_chords_never_exceed_arc_gaps(self):
         for p in (GcsProfile(0.0, 2.0, math.pi, 100.0), ConstantProfile(0.0, 1.0)):
             curve = synthesize(p)
