@@ -7,121 +7,18 @@ sampled data, classifies curves under the linear-gradient criterion, and
 builds radius-of-curvature histograms with an analytic cross-check.
 """
 
-from .errors import (
-    DegenerateDataError,
-    DomainError,
-    MismatchedInputsError,
-    QuadratureError,
-    SingularPointError,
-    SingularProfileError,
-)
-from .lcg import (
-    AestheticClass,
-    LcgLine,
-    LcgPoint,
-    SkippedPoint,
-    classify_aesthetic,
-    gradient_from_samples,
-    gradient_gcs,
-    gradient_line,
-    gradient_to_csv,
-    lcg_gcs_points,
-    lcg_gradient_numeric,
-    lcg_line_to_json_dict,
-    lcg_numeric,
-    lcg_points_to_csv,
-    line_residual,
-)
-from .lddc import (
-    LddcComparison,
-    LddcHistogram,
-    comparison_to_csv,
-    lddc_from_csv,
-    lddc_histogram,
-    lddc_to_csv,
-    lddc_to_svg,
-    lddc_vs_lcg,
-)
-from .profiles import (
-    ConstantProfile,
-    CurvatureProfile,
-    DegenerateClass,
-    GcsProfile,
-    LinearProfile,
-    QuadraticProfile,
-    classify_degenerate,
-    inflection,
-    profile_from_dict,
-    profile_from_json,
-    profile_to_dict,
-    profile_to_json,
-    to_gcs,
-)
-from .synthesis import (
-    EndState,
-    PlanarCurve,
-    Pose,
-    QuadratureConfig,
-    curve_from_csv,
-    curve_to_csv,
-    curve_to_svg,
-    endpoint,
-    synthesize,
-)
+from . import errors, lcg, lddc, profiles, synthesis
+from .errors import *
+from .lcg import *
+from .lddc import *
+from .profiles import *
+from .synthesis import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AestheticClass",
-    "ConstantProfile",
-    "CurvatureProfile",
-    "DegenerateClass",
-    "DegenerateDataError",
-    "DomainError",
-    "EndState",
-    "GcsProfile",
-    "LcgLine",
-    "LcgPoint",
-    "LddcComparison",
-    "LddcHistogram",
-    "LinearProfile",
-    "MismatchedInputsError",
-    "PlanarCurve",
-    "Pose",
-    "QuadraticProfile",
-    "QuadratureConfig",
-    "QuadratureError",
-    "SingularPointError",
-    "SingularProfileError",
-    "SkippedPoint",
-    "classify_aesthetic",
-    "classify_degenerate",
-    "comparison_to_csv",
-    "curve_from_csv",
-    "curve_to_csv",
-    "curve_to_svg",
-    "endpoint",
-    "gradient_from_samples",
-    "gradient_gcs",
-    "gradient_line",
-    "gradient_to_csv",
-    "inflection",
-    "lcg_gcs_points",
-    "lcg_gradient_numeric",
-    "lcg_line_to_json_dict",
-    "lcg_numeric",
-    "lcg_points_to_csv",
-    "lddc_from_csv",
-    "lddc_histogram",
-    "lddc_to_csv",
-    "lddc_to_svg",
-    "lddc_vs_lcg",
-    "line_residual",
-    "profile_from_dict",
-    "profile_from_json",
-    "profile_to_dict",
-    "profile_to_json",
-    "synthesize",
-    "to_gcs",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += lcg.__all__
+__all__ += lddc.__all__
+__all__ += profiles.__all__
+__all__ += synthesis.__all__

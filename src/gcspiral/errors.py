@@ -14,6 +14,15 @@ import numbers
 
 import numpy as np
 
+__all__ = [
+    "DomainError",
+    "QuadratureError",
+    "SingularProfileError",
+    "SingularPointError",
+    "DegenerateDataError",
+    "MismatchedInputsError",
+]
+
 
 class InputError(ValueError):
     """An input that an operation rejects."""

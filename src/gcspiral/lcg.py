@@ -19,6 +19,7 @@ needed). Natural logarithms are used throughout this module.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import IO, NamedTuple, Sequence, Union
@@ -218,6 +219,8 @@ def gradient_line(profile: GcsProfile) -> LcgLine:
     r, S = profile.r, profile.arc_length
     a = 2.0 * r * profile.n1 / ((1.0 + r) * S * (k0 - k1))
     b = 2.0 * r * k0 / ((1.0 + r) * (k0 - k1)) - 1.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("profile parameters overflow the LCG gradient line")
     return LcgLine(a, b, (0.0, S))
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "classify_degenerate",
     "inflection",
     "to_gcs",
-    "PROFILE_KINDS",
     "profile_to_dict",
     "profile_from_dict",
     "profile_to_json",

@@ -255,7 +255,8 @@ def tangent_integrals(
     # Past MAX_PANELS a gap fails before any pass; the clip keeps panel counts finite.
     need = np.clip(np.abs(np.diff(phase)) / _MAX_PHASE_SPAN, 1.0, MAX_PANELS)
     least = _SIMPSON_MIN_PANELS if simpson else 1
-    coarse = np.maximum(np.exp2(np.ceil(np.log2(need))), least)
+    m, e = np.frexp(need)  # the least power of two >= need, exactly
+    coarse = np.maximum(np.ldexp(1.0, e - (m == 0.5)), least)
     if simpson:  # the (cos, sin) at the gap ends, reused by every pass
         ends = _unit(phase[:-1]) + _unit(phase[1:])
 
@@ -305,8 +306,7 @@ def tangent_integrals(
                 dx[todo[late]], dy[todo[late]] = (value + _ROMBERG * (value - rich))[:, late]
                 err = np.minimum(err, romberg)
             rich = value
-        # exp2(ceil(log2(need))) can round below a need just above 2**k, k >= 4.
-        failing = ~(err <= tol) | (coarse < need)
+        failing = ~(err <= tol)
         if not failing.any():
             return dx, dy, phase
         # A non-finite sum gives a NaN estimate, so only failing gaps can hold one.
@@ -316,7 +316,7 @@ def tangent_integrals(
             raise DomainError(
                 f"theta is not finite inside the gap [{lo[gap]:.17g}, {edges[gap + 1]:.17g}]"
             )
-        todo, need, coarse, err, tol = (v[failing] for v in (todo, need, fine, err, tol))
+        todo, coarse, err, tol = (v[failing] for v in (todo, fine, err, tol))
         coarse_sums = fine_sums[:, failing]
         if simpson:
             ends, inner, rich = ends[:, failing], inner[:, failing], rich[:, failing]

@@ -576,6 +576,14 @@ class TestExitPaths:
         assert list(tmp_path.iterdir()) == []
         assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("command", [["classify"], ["gradient"], ["lddc", "--compare"]])
+    @pytest.mark.parametrize("profile", ["--gcs=1,1e-90,1e-10,1e200", "--gcs=1e10,0,1e-10,1e300"])
+    def test_overflowing_gradient_line_is_exit_2(self, tmp_path, capsys, command, profile):
+        code, _, err = run(capsys, *command, profile, "--out", str(tmp_path))
+        assert code == 2
+        assert "profile parameters overflow the LCG gradient line" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_work_ceiling_is_exit_3(self, tmp_path, capsys):
         start = time.perf_counter()
         code, _, err = run(

@@ -351,6 +351,14 @@ class TestGradientLine:
         g = gradient_gcs(profile, t)
         assert line(t) == pytest.approx(g, rel=1e-12, abs=1e-12 * (1.0 + abs(g)))
 
+    @pytest.mark.parametrize("args", [(1.0, 1e-90, 1e-10, 1e200), (1e10, 0.0, 1e-10, 1e300)])
+    def test_overflowing_line_rejected(self, args):
+        # 2*r*n1 and 2*r*kappa0 overflow although the gradient is finite at both ends.
+        p = GcsProfile(*args)
+        assert np.all(np.isfinite(gradient_gcs(p, [0.0, p.arc_length])))
+        with pytest.raises(DomainError, match="profile parameters overflow the LCG gradient line"):
+            gradient_line(p)
+
     def test_residual_of_exact_line_vanishes(self):
         p = GcsProfile(0.3, 1.7, 2.0, 1.5)
         assert line_residual(p, gradient_line(p)) <= 1e-12

@@ -277,10 +277,10 @@ class TestTangentIntegral:
         assert "turns too far" not in message
 
     @RULES
-    def test_gap_sized_below_its_phase_need_doubles(self, scheme):
-        # exp2(ceil(log2(need))) rounds a need just above 2**k down to 2**k
-        # panels, whose swing is above pi/2 each: such a gap doubles once
-        # more although its estimate meets the tolerance.
+    def test_gap_just_above_a_power_of_two_is_sized_up(self, scheme):
+        # A need just above 2**k takes 2**(k + 1) panels, each swinging at
+        # most pi/2, from its first pass; exp2(ceil(log2(need))) rounds such
+        # a need down to 2**k.
         k = 4 if scheme == "gauss" else 6  # Simpson starts at 64 panels
         swing = 2.0**k * quadrature._MAX_PHASE_SPAN
         while not swing / quadrature._MAX_PHASE_SPAN > 2.0**k:
@@ -294,7 +294,7 @@ class TestTangentIntegral:
 
         integrate(theta, 0.0, 1.0, 1e-6, scheme)
         p = 2**k
-        assert calls == ([2, 4 * p - 1, 4 * p] if scheme == "simpson" else [2, 32 * p, 64 * p])
+        assert calls == ([2, 8 * p - 1] if scheme == "simpson" else [2, 64 * p])
 
     @RULES
     def test_phase_swing_of_1e5_rad_runs(self, scheme):
