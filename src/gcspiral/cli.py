@@ -36,12 +36,11 @@ from .lcg import (
     gradient_to_csv,
     lcg_gcs_points,
     lcg_gradient_numeric,
-    lcg_line_to_json_dict,
     lcg_numeric,
     lcg_points_to_csv,
     line_residual,
 )
-from .lddc import comparison_to_csv, lddc_histogram, lddc_to_csv, lddc_to_svg, lddc_vs_lcg
+from .lddc import comparison_to_csv, lddc_histogram, lddc_to_csv, lddc_vs_lcg
 from .profiles import (
     PROFILE_KINDS,
     ConstantProfile,
@@ -53,13 +52,12 @@ from .profiles import (
     profile_from_json,
     to_gcs,
 )
-from .svg import polyline_svg
+from .svg import bar_chart_svg, polyline_svg
 from .synthesis import (
     Pose,
     QuadratureConfig,
     _sample_grid,
     curve_to_csv,
-    curve_to_svg,
     endpoint,
     synthesize,
 )
@@ -212,11 +210,6 @@ def profile_from_args(args) -> CurvatureProfile:
     return profile_from_dict({"type": kind, **dict(zip(keys, numbers))})
 
 
-def _pose_from_args(args) -> Pose:
-    x0, y0, theta0 = _parse_floats(args.pose, 3, "--pose")
-    return Pose(x0, y0, theta0)
-
-
 def _config_from_args(args) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=args.abs_tol, samples_per_curve=args.samples)
 
@@ -239,9 +232,9 @@ class _Artifacts:
         self.base = base
         self.files: list[str] = []
 
-    def write(self, fmt: str, name: str, writer: Callable[[str], None]) -> None:
-        """Call writer(path) for out/name if `fmt` is wanted; --out is made on first use."""
-        if fmt not in self.formats:
+    def write(self, name: str, writer: Callable[[str], None]) -> None:
+        """Call writer(path) for out/name if its extension is a wanted format; makes --out."""
+        if name.rpartition(".")[2] not in self.formats:
             return
         os.makedirs(self.out, exist_ok=True)
         path = os.path.join(self.out, name)
@@ -257,7 +250,6 @@ class _Artifacts:
         if json_doc is None:
             json_doc = dict(summary, files=sorted(self.files))
         self.write(
-            "json",
             f"{self.base}.json",
             lambda path: write_text(path, json.dumps(json_doc, sort_keys=True, indent=2) + "\n"),
         )
@@ -266,21 +258,23 @@ class _Artifacts:
         print(json.dumps(summary, sort_keys=True))
 
 
-def _svg_writer(polylines, **options) -> Callable[[str], None]:
-    return lambda path: write_text(path, polyline_svg(polylines, **options))
+def _svg_writer(render: Callable[..., str], *args, **options) -> Callable[[str], None]:
+    """A writer of the SVG render(*args, **options), drawn only when the file is written."""
+    return lambda path: write_text(path, render(*args, **options))
 
 
 # -- commands ------------------------------------------------------------
 
 def cmd_synth(args) -> int:
     profile = profile_from_args(args)
-    pose = _pose_from_args(args)
+    pose = Pose(*_parse_floats(args.pose, 3, "--pose"))
     config = _config_from_args(args)
     out = _Artifacts(args, args.prefix or "curve")
 
     curve = synthesize(profile, pose, config)
-    out.write("csv", f"{out.base}.csv", lambda path: curve_to_csv(curve, path))
-    out.write("svg", f"{out.base}.svg", lambda path: curve_to_svg(curve, path, title=out.base))
+    out.write(f"{out.base}.csv", lambda path: curve_to_csv(curve, path))
+    xy = np.column_stack((curve.x, curve.y))
+    out.write(f"{out.base}.svg", _svg_writer(polyline_svg, [xy], title=out.base))
     end = {"x": float(curve.x[-1]), "y": float(curve.y[-1]), "theta": float(curve.theta[-1])}
     out.emit({"endpoint": end, "arc_length": curve.total_length, "samples": len(curve)})
     return 0
@@ -299,8 +293,9 @@ def cmd_lcg(args) -> int:
     if not points:
         raise DegenerateDataError("the LCG is undefined at every grid value for this profile")
 
-    out.write("csv", f"{out.base}.csv", lambda path: lcg_points_to_csv(points, path))
-    out.write("svg", f"{out.base}.svg", _svg_writer([row_array(points, 3)[:, 1:]], title=out.base))
+    out.write(f"{out.base}.csv", lambda path: lcg_points_to_csv(points, path))
+    xy = row_array(points, 3)[:, 1:]
+    out.write(f"{out.base}.svg", _svg_writer(polyline_svg, [xy], title=out.base))
     skipped_doc = [{"t": sp.t, "reason": sp.reason} for sp in skipped]
     out.emit({"points": len(points), "skipped": skipped_doc})
     return 0
@@ -327,9 +322,10 @@ def cmd_gradient(args) -> int:
         trace = np.column_stack((grid, gradient_gcs(gcs, grid)))
         aesthetic = classify_aesthetic(line, residual, tol_fit=1e-6)
 
-    out.write("csv", f"{out.base}.csv", lambda path: gradient_to_csv(trace, path))
-    out.write("svg", f"{out.base}.svg", _svg_writer([trace], title=out.base))
-    line_doc = lcg_line_to_json_dict(line, aesthetic)
+    out.write(f"{out.base}.csv", lambda path: gradient_to_csv(trace, path))
+    out.write(f"{out.base}.svg", _svg_writer(polyline_svg, [trace], title=out.base))
+    values = (line.slope_a, line.intercept_b, list(line.domain), line.residual, aesthetic.value)
+    line_doc = dict(zip(("A", "B", "domain", "residual", "class"), values))
     out.emit({"line": line_doc}, json_doc=line_doc)
     return 0
 
@@ -377,17 +373,17 @@ def cmd_lddc(args) -> int:
         if gcs is None:
             raise DomainError("--compare needs a rational-linear profile")
         comparison = lddc_vs_lcg(histogram, gradient_line(gcs), gcs)
-    out.write("csv", f"{out.base}.csv", lambda path: lddc_to_csv(histogram, path))
-    out.write("svg", f"{out.base}.svg", lambda path: lddc_to_svg(histogram, path))
+    out.write(f"{out.base}.csv", lambda path: lddc_to_csv(histogram, path))
+    bars = (histogram.bin_edges.tolist(), histogram.lengths.tolist())
+    chart = _svg_writer(bar_chart_svg, *bars, x_label="log10 rho", y_label="log10 length")
+    out.write(f"{out.base}.svg", chart)
     summary = {
         "bins": histogram.num_bins,
         "total_length": histogram.total_length,
         "excluded_length": histogram.excluded_length,
     }
     if comparison is not None:
-        out.write(
-            "csv", f"{out.base}_compare.csv", lambda path: comparison_to_csv(comparison, path)
-        )
+        out.write(f"{out.base}_compare.csv", lambda path: comparison_to_csv(comparison, path))
         summary["max_abs_deviation"] = comparison.max_abs_deviation
     out.emit(summary)
     return 0
@@ -402,12 +398,9 @@ def cmd_figures(args) -> int:
 
     demo = LinearProfile(0.0, 2.0, 1.0)
     demo_curve = synthesize(demo, Pose(), config)
-    out.write("csv", "fig1_curve.csv", lambda path: curve_to_csv(demo_curve, path))
-    out.write(
-        "svg",
-        "fig1.svg",
-        lambda path: curve_to_svg(demo_curve, path, title="linear curvature demo curve"),
-    )
+    out.write("fig1_curve.csv", lambda path: curve_to_csv(demo_curve, path))
+    demo_xy = np.column_stack((demo_curve.x, demo_curve.y))
+    out.write("fig1.svg", _svg_writer(polyline_svg, [demo_xy], title="linear curvature demo curve"))
 
     profile_lines, curve_lines, lcg_lines, gradient_lines = [], [], [], []
     labels = [f"r={tag(r)}" for r in R_SWEEP]
@@ -417,9 +410,7 @@ def cmd_figures(args) -> int:
 
         kappa_trace = np.column_stack((grid, profile.kappa(grid)))
         out.write(
-            "csv",
-            f"fig2_profile_r{tag(r)}.csv",
-            lambda path: write_table(path, "s,kappa", kappa_trace),
+            f"fig2_profile_r{tag(r)}.csv", lambda path: write_table(path, "s,kappa", kappa_trace)
         )
         profile_lines.append(kappa_trace)
 
@@ -427,15 +418,15 @@ def cmd_figures(args) -> int:
             curve = synthesize(profile, Pose(), config)
         except QuadratureError as exc:
             raise QuadratureError(f"curve synthesis failed at r={tag(r)}: {exc}") from None
-        out.write("csv", f"fig3_curve_r{tag(r)}.csv", lambda path: curve_to_csv(curve, path))
+        out.write(f"fig3_curve_r{tag(r)}.csv", lambda path: curve_to_csv(curve, path))
         curve_lines.append(np.column_stack((curve.x, curve.y)))
 
         points, _skipped = lcg_gcs_points(profile, grid)
-        out.write("csv", f"fig4_lcg_r{tag(r)}.csv", lambda path: lcg_points_to_csv(points, path))
+        out.write(f"fig4_lcg_r{tag(r)}.csv", lambda path: lcg_points_to_csv(points, path))
         lcg_lines.append(row_array(points, 3)[:, 1:])
 
         trace = np.column_stack((grid, gradient_gcs(profile, grid)))
-        out.write("csv", f"fig5_gradient_r{tag(r)}.csv", lambda path: gradient_to_csv(trace, path))
+        out.write(f"fig5_gradient_r{tag(r)}.csv", lambda path: gradient_to_csv(trace, path))
         gradient_lines.append(trace)
 
     for name, lines, title in (
@@ -444,7 +435,7 @@ def cmd_figures(args) -> int:
         ("fig4.svg", lcg_lines, "logarithmic curvature graphs over the r sweep"),
         ("fig5.svg", gradient_lines, "LCG gradients over the r sweep"),
     ):
-        out.write("svg", name, _svg_writer(lines, labels=labels, title=title))
+        out.write(name, _svg_writer(polyline_svg, lines, labels=labels, title=title))
 
     out.emit(
         {

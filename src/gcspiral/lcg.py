@@ -55,7 +55,6 @@ __all__ = [
     "gradient_from_samples",
     "lcg_points_to_csv",
     "gradient_to_csv",
-    "lcg_line_to_json_dict",
 ]
 
 class LcgPoint(NamedTuple):
@@ -181,10 +180,16 @@ def lcg_gcs_points(
     t = _clamp_s(increasing("t_grid", t_grid, least=1), S)
     nu = profile.n1 * t + profile.n0
     den = profile.r * t + S
+    # |den*nu| is at most the product of their largest ends, as both are linear in t.
+    bound = max(S, profile.r * S + S) * max(abs(profile.n0), abs(profile.n1 * S + profile.n0))
     with np.errstate(divide="ignore", invalid="ignore"):
         kept = ~(np.abs(nu / den) < REL_TOL * profile.scale)
         log_rho = np.log(np.abs(den[kept] / nu[kept]))
-        log_freq = np.log(np.abs(den[kept] * nu[kept] / profile.c))
+        if math.isfinite(bound):
+            log_freq = np.log(np.abs(den[kept] * nu[kept] / profile.c))
+        else:  # den*nu may overflow; the logs of its factors do not
+            log_den_nu = np.log(np.abs(den[kept])) + np.log(np.abs(nu[kept]))
+            log_freq = log_den_nu - math.log(abs(profile.c))
     points = _rows(LcgPoint, t[kept].tolist(), log_rho.tolist(), log_freq.tolist())
     skipped = [
         SkippedPoint(v, f"curvature vanishes at t={v!r} (inflection); LCG point undefined")
@@ -312,7 +317,11 @@ def gradient_from_samples(curve: Union[PlanarCurve, tuple]) -> tuple[np.ndarray,
     g_fit = grad[interior]
     if len(s_fit) < 2:
         raise DegenerateDataError("too few interior samples to fit a gradient line")
-    slope, intercept = np.polyfit(s_fit, g_fit, 1)
+    # polyfit squares s; scaled by a power of two to below 1 it cannot overflow,
+    # and polyfit's own column scaling leaves every bit of the fit as unscaled.
+    unit = math.ldexp(1.0, -math.frexp(s[-1])[1])
+    slope, intercept = np.polyfit(s_fit * unit, g_fit, 1)
+    slope *= unit
     residual = float(np.max(np.abs(g_fit - (slope * s_fit + intercept))))
     line = LcgLine(float(slope), float(intercept), (float(s[0]), float(s[-1])), residual)
     return trace, line
@@ -328,12 +337,3 @@ def gradient_to_csv(samples, target: Union[str, IO[str]]) -> None:
     """Write an (n, 2) array-like of (s, gradient) rows."""
     write_table(target, "s,gradient", samples)
 
-
-def lcg_line_to_json_dict(line: LcgLine, aesthetic: AestheticClass) -> dict:
-    return {
-        "A": line.slope_a,
-        "B": line.intercept_b,
-        "domain": [line.domain[0], line.domain[1]],
-        "residual": line.residual,
-        "class": aesthetic.value,
-    }

@@ -28,9 +28,8 @@ from .errors import (
 )
 from .lcg import LcgLine
 from .profiles import REL_TOL, GcsProfile
-from .svg import bar_chart_svg
 from .synthesis import PlanarCurve, _curvature_samples
-from .tables import read_table, write_table, write_text
+from .tables import read_table, write_table
 
 __all__ = [
     "LddcHistogram",
@@ -39,7 +38,6 @@ __all__ = [
     "lddc_vs_lcg",
     "lddc_to_csv",
     "lddc_from_csv",
-    "lddc_to_svg",
     "comparison_to_csv",
 ]
 
@@ -206,11 +204,6 @@ def lddc_from_csv(source: Union[str, IO[str]]) -> LddcHistogram:
     if total <= 0.0:
         raise DomainError("LDDC CSV carries no arc length")
     return LddcHistogram(np.append(lo_edges, hi_edges[-1]), lengths, total)
-
-
-def lddc_to_svg(histogram: LddcHistogram, target: Union[str, IO[str]]) -> None:
-    edges, lengths = histogram.bin_edges.tolist(), histogram.lengths.tolist()
-    write_text(target, bar_chart_svg(edges, lengths, x_label="log10 rho", y_label="log10 length"))
 
 
 def comparison_to_csv(comparison: LddcComparison, target: Union[str, IO[str]]) -> None:

@@ -46,7 +46,6 @@ __all__ = [
     "to_gcs",
     "profile_to_dict",
     "profile_from_dict",
-    "profile_to_json",
     "profile_from_json",
 ]
 
@@ -162,7 +161,7 @@ class _RealFields:
 
     @staticmethod
     def _finite_coefficients(*values: float) -> None:
-        """Reject fields whose derived curvature coefficients overflow to inf or nan."""
+        """Reject fields whose derived coefficients or theta(S) overflow to inf or nan."""
         if not all(math.isfinite(v) for v in values):
             raise DomainError("profile parameters overflow the curvature coefficients")
 
@@ -173,6 +172,10 @@ class ConstantProfile(_RealFields):
 
     kappa_value: float
     arc_length: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._finite_coefficients(self.kappa_value * self.arc_length)  # theta(S)
 
     def kappa(self, s):
         return _like(_clamp_s(s, self.arc_length), self.kappa_value)
@@ -196,7 +199,9 @@ class LinearProfile(_RealFields):
 
     def __post_init__(self):
         super().__post_init__()
-        self._finite_coefficients(self.kappa1 - self.kappa0)
+        k0, k1, S = self.kappa0, self.kappa1, self.arc_length
+        # kappa1 - kappa0 and theta(S), as theta forms it
+        self._finite_coefficients(k1 - k0, k0 * S + (k1 - k0) * S * S / (2.0 * S))
 
     def kappa(self, s):
         s = _clamp_s(s, self.arc_length)
@@ -229,8 +234,11 @@ class QuadraticProfile(_RealFields):
 
     def __post_init__(self):
         super().__post_init__()
-        # b (inf or nan if a*S*S or kappa1 - kappa0 is), kappa'' = 2a and kappa'(S)
-        self._finite_coefficients(self.b, 2.0 * self.a, 2.0 * self.a * self.arc_length + self.b)
+        # b (inf or nan if a*S*S or kappa1 - kappa0 is), kappa'' = 2a, kappa'(S),
+        # and theta(S) as theta forms it
+        a, b, S = self.a, self.b, self.arc_length
+        theta_end = ((a * S / 3.0 + b / 2.0) * S + self.kappa0) * S
+        self._finite_coefficients(b, 2.0 * a, 2.0 * a * S + b, theta_end)
 
     @property
     def b(self) -> float:
@@ -286,8 +294,9 @@ class GcsProfile(_RealFields):
         n1 = k1 - k0 + r * k1
         n0 = k0 * S
         c = S * (1.0 + r) * (k0 - k1)
-        # and 2*n1*(r*s + S) at s = 0 and s = S, as lcg.gradient_gcs forms it
-        self._finite_coefficients(n1, n0, c, 2.0 * n1 * S, 2.0 * n1 * (r * S + S))
+        # 2*n1*(r*s + S) at s = 0 and s = S, as lcg.gradient_gcs forms it, and
+        # s*s at s = S, as theta forms it
+        self._finite_coefficients(n1, n0, c, 2.0 * n1 * S, 2.0 * n1 * (r * S + S), S * S)
         scale = max(abs(k0), abs(k1), 1.0 / S)
         for name, value in (
             ("n1", n1),
@@ -307,15 +316,19 @@ class GcsProfile(_RealFields):
         s = _clamp_s(s, self.arc_length)
         return (self.n1 * s + self.n0) / (self.r * s + self.arc_length)
 
+    # kappa' = -c/den**2 and kappa'' = -2r*kappa'/den, a den at a time; past the float range
+    # near a pole they are +-inf (nan for r = 0), which the numeric LCG skips or rejects.
     def kappa_prime(self, s):
         s = _clamp_s(s, self.arc_length)
         den = self.r * s + self.arc_length
-        return (self.n1 * self.arc_length - self.n0 * self.r) / (den * den)
+        with np.errstate(over="ignore"):
+            return -self.c / den / den
 
     def kappa_double_prime(self, s):
         s = _clamp_s(s, self.arc_length)
         den = self.r * s + self.arc_length
-        return -2.0 * self.r * (self.n1 * self.arc_length - self.n0 * self.r) / (den * den * den)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -2.0 * self.r / den * (-self.c / den / den)
 
     def theta(self, s):
         # kappa0*s + (1+r)(kappa1-kappa0)*(s^2/S)*f(r*s/S) with
@@ -326,7 +339,12 @@ class GcsProfile(_RealFields):
         t = s if isinstance(s, np.ndarray) else np.array([s])
         S = self.arc_length
         rem = _log1p_remainder(self.r * t / S)
-        theta = self.kappa0 * t + (1.0 + self.r) * (self.kappa1 - self.kappa0) * (t * t / S) * rem
+        dk = self.kappa1 - self.kappa0
+        coefficient = (1.0 + self.r) * dk
+        if math.isfinite(coefficient):
+            theta = self.kappa0 * t + coefficient * (t * t / S) * rem
+        else:  # so r > 0, where rem <= 1/2 and (1 + r) * rem is finite
+            theta = self.kappa0 * t + (1.0 + self.r) * rem * (t * t / S) * dk
         return theta if t is s else float(theta[0])
 
 
@@ -423,10 +441,6 @@ def profile_from_dict(data: dict) -> CurvatureProfile:
     if unknown:
         raise DomainError(f"profile document has unknown field {unknown[0]!r}")
     return cls(*(data[key] for key in keys))
-
-
-def profile_to_json(profile: CurvatureProfile) -> str:
-    return json.dumps(profile_to_dict(profile))
 
 
 def profile_from_json(text: str) -> CurvatureProfile:

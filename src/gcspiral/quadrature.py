@@ -65,9 +65,8 @@ _MAX_PHASE_SPAN = 0.5 * math.pi
 # before any allocation. Phase swings of 1e5 rad need about 2e5 panels per pass.
 MAX_PANELS = 2**22
 
-# Gauss panels, and single Simpson nodes, evaluated together; they bound
-# the scratch memory.
-_BLOCK_PANELS = 256
+# Nodes evaluated together, Simpson's one by one and Gauss's a panel at a
+# time (_BLOCK_PANELS below); they bound the scratch memory.
 _BLOCK_NODES = 4096
 
 # The order-16 Gauss-Legendre nodes on [-1, 1] and their weights, as
@@ -90,6 +89,7 @@ _LEGENDRE_16_NODES = np.concatenate((-_LEGENDRE_16[::-1, 0], _LEGENDRE_16[:, 0])
 # mean of the integrand at these nodes.
 _GAUSS_NODES = 0.5 * (_LEGENDRE_16_NODES + 1.0)
 _GAUSS_WEIGHTS = np.concatenate((_LEGENDRE_16[::-1, 1], _LEGENDRE_16[:, 1]))
+_BLOCK_PANELS = _BLOCK_NODES // len(_GAUSS_NODES)
 
 # Simpson's /15 estimate holds only once the panels resolve how fast the
 # curvature changes. On fewer, wider panels it under-reports: by up to 6.7x

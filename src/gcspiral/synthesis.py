@@ -18,8 +18,7 @@ import numpy as np
 from .errors import DomainError, count, increasing, numeric, real
 from .profiles import CurvatureProfile
 from .quadrature import tangent_integrals
-from .svg import polyline_svg
-from .tables import read_table, write_table, write_text
+from .tables import read_table, write_table
 
 __all__ = [
     "Pose",
@@ -30,7 +29,6 @@ __all__ = [
     "endpoint",
     "curve_to_csv",
     "curve_from_csv",
-    "curve_to_svg",
 ]
 
 
@@ -237,6 +235,3 @@ def curve_to_csv(curve: PlanarCurve, target: Union[str, IO[str]]) -> None:
 def curve_from_csv(source: Union[str, IO[str]]) -> PlanarCurve:
     return PlanarCurve(*read_table(source, _CURVE_HEADER, "curve CSV").T)
 
-
-def curve_to_svg(curve: PlanarCurve, target: Union[str, IO[str]], title: str = "") -> None:
-    write_text(target, polyline_svg([np.column_stack((curve.x, curve.y))], title=title))

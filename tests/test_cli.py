@@ -20,6 +20,7 @@ import pytest
 
 import gcspiral
 from gcspiral import (
+    ConstantProfile,
     DegenerateDataError,
     DomainError,
     GcsProfile,
@@ -100,6 +101,23 @@ class TestSynth:
         assert code == 0, err
         root = ET.parse(str(tmp_path / "a<b&c.svg")).getroot()
         assert root.find("{http://www.w3.org/2000/svg}title").text == "a<b&c"
+
+    def test_svg_viewbox_has_margin(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "synth", "--constant", "1.0", "--length", PI, "--formats", "svg",
+            "--out", str(tmp_path),
+        )
+        assert code == 0, err
+        curve = synthesize(ConstantProfile(1.0, math.pi))
+        text = (tmp_path / "curve.svg").read_text()
+        assert text.startswith("<?xml")
+        assert "<polyline" in text
+        view = text.split('viewBox="')[1].split('"')[0]
+        x_lo, y_lo, width, height = (float(v) for v in view.split())
+        data_x_lo, data_x_hi = float(np.min(curve.x)), float(np.max(curve.x))
+        span = data_x_hi - data_x_lo
+        assert x_lo == pytest.approx(data_x_lo - 0.05 * span, rel=1e-6)
+        assert width == pytest.approx(1.1 * span, rel=1e-6)
 
     def test_json_format_writes_summary_file(self, tmp_path, capsys):
         code, out, _ = run(
@@ -364,6 +382,18 @@ class TestGradientCommand:
         assert abs(line["B"] + 2.0 / 3.0) <= 1e-3
         assert line["class"] == "gcs"
 
+    def test_line_document_shape(self, tmp_path, capsys):
+        code, out, _ = run(
+            capsys, "gradient", "--gcs", f"0,2,{PI},1", "--formats", "json", "--out", str(tmp_path)
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "gradient.json").read_text())
+        assert payload == summary_of(out)["line"]
+        assert set(payload) == {"A", "B", "domain", "residual", "class"}
+        assert payload["class"] == "gcs"
+        assert payload["B"] == -1.0
+        assert payload["domain"] == [0.0, math.pi]
+
     def test_closed_form_requires_rational_linear(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "gradient", "--quadratic", "1,0,2", "--length", "1", "--out", str(tmp_path)
@@ -440,6 +470,18 @@ class TestLddcCommand:
         summary = summary_of(out)
         assert summary["max_abs_deviation"] <= 4.0 * math.pi / (n - 1)
         assert (tmp_path / "lddc_compare.csv").is_file()
+
+    def test_svg_output(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "lddc", "--gcs", f"0.5,2,{PI},0", "--bins", "8", "--formats", "svg",
+            "--out", str(tmp_path),
+        )
+        assert code == 0, err
+        curve = synthesize(GcsProfile(0.5, 2.0, math.pi, 0.0))
+        hist = lddc_histogram(curve, 8)
+        text = (tmp_path / "lddc.svg").read_text()
+        assert text.startswith("<?xml")
+        assert text.count("<rect") >= 1 + int(np.count_nonzero(hist.lengths))
 
     def test_compare_requires_rational_linear(self, tmp_path, capsys):
         code, _, err = run(
@@ -815,6 +857,29 @@ class TestCurvatureCommands:
         code, _, err = run(capsys, "synth", "--gcs", "0.5,2,3,1", "--out", str(tmp_path))
         assert code == 0, err
         assert calls["tangent_integrals"] == 1 and calls["theta"] >= 2  # the wrappers count
+
+
+class TestLazySvg:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--gcs", "0.5,2,3,1"],
+            ["lcg", "--gcs", "0.5,2,3,1"],
+            ["gradient", "--gcs", "0.5,2,3,1"],
+            ["lddc", "--gcs", "0.5,2,3,1", "--compare"],
+            ["figures", "--samples", "16"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_only_draws_no_svg(self, tmp_path, capsys, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVG was rendered for --formats csv")
+
+        monkeypatch.setattr(cli, "polyline_svg", refuse)
+        monkeypatch.setattr(cli, "bar_chart_svg", refuse)
+        code, _, err = run(capsys, *argv, "--formats", "csv", "--out", str(tmp_path))
+        assert code == 0, err
+        assert not list(tmp_path.glob("*.svg"))
 
 
 class TestParserReuse:

@@ -1,7 +1,6 @@
 """LCG coordinates, gradients, linear-gradient classification, sampled fits."""
 
 import io
-import json
 import math
 import re
 
@@ -33,7 +32,6 @@ from gcspiral import (
     inflection,
     lcg_gcs_points,
     lcg_gradient_numeric,
-    lcg_line_to_json_dict,
     lcg_numeric,
     lcg_points_to_csv,
     line_residual,
@@ -505,11 +503,3 @@ class TestSerialization:
         lines = buffer.getvalue().splitlines()
         assert lines[0] == "s,gradient"
         assert lines[1] == "0,-1"
-
-    def test_line_json_shape(self):
-        line = gradient_line(GcsProfile(0.0, 2.0, math.pi, 1.0))
-        payload = json.loads(json.dumps(lcg_line_to_json_dict(line, AestheticClass.GCS)))
-        assert set(payload) == {"A", "B", "domain", "residual", "class"}
-        assert payload["class"] == "gcs"
-        assert payload["B"] == -1.0
-        assert payload["domain"] == [0.0, math.pi]

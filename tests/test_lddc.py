@@ -24,7 +24,6 @@ from gcspiral import (
     lddc_from_csv,
     lddc_histogram,
     lddc_to_csv,
-    lddc_to_svg,
     lddc_vs_lcg,
     synthesize,
 )
@@ -441,14 +440,6 @@ class TestSerialization:
         text = "bin_lo_log10rho,bin_hi_log10rho,length\n"
         with pytest.raises(DomainError):
             lddc_from_csv(io.StringIO(text))
-
-    def test_svg_output(self):
-        hist = lddc_histogram(dense(RAMP, n=256), 8)
-        buffer = io.StringIO()
-        lddc_to_svg(hist, buffer)
-        text = buffer.getvalue()
-        assert text.startswith("<?xml")
-        assert text.count("<rect") >= 1 + int(np.count_nonzero(hist.lengths))
 
     def test_bar_chart_caption_is_escaped(self):
         text = bar_chart_svg([0.0, 1.0, 2.0], [1.0, 2.0], x_label="a<b", y_label="c&d")

@@ -25,7 +25,6 @@ from gcspiral import (
     QuadratureError,
     curve_from_csv,
     curve_to_csv,
-    curve_to_svg,
     endpoint,
     gradient_from_samples,
     lcg_gcs_points,
@@ -573,16 +572,3 @@ class TestSerialization:
         assert written[0] == written[1] == "a,b\n0.5,-1\n1,0.33333333333333331\n"
         assert written[2] == written[3] == "a,b\n"
 
-    def test_svg_viewbox_has_margin(self):
-        curve = synthesize(ConstantProfile(1.0, math.pi))
-        buffer = io.StringIO()
-        curve_to_svg(curve, buffer)
-        text = buffer.getvalue()
-        assert text.startswith("<?xml")
-        assert "<polyline" in text
-        view = text.split('viewBox="')[1].split('"')[0]
-        x_lo, y_lo, width, height = (float(v) for v in view.split())
-        data_x_lo, data_x_hi = float(np.min(curve.x)), float(np.max(curve.x))
-        span = data_x_hi - data_x_lo
-        assert x_lo == pytest.approx(data_x_lo - 0.05 * span, rel=1e-6)
-        assert width == pytest.approx(1.1 * span, rel=1e-6)
