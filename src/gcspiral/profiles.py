@@ -333,18 +333,23 @@ class GcsProfile(_RealFields):
     def theta(self, s):
         # kappa0*s + (1+r)(kappa1-kappa0)*(s^2/S)*f(r*s/S) with
         # f(u) = (u - log1p(u))/u^2; equal to the log antiderivative for
-        # r != 0 and free of the removable singularity at r = 0. A float
-        # is evaluated as a one-element array.
+        # r != 0 and free of the removable singularity at r = 0. For
+        # r >= 1 with |kappa0| > |kappa1| that form cancels its kappa0*s
+        # term, by about |kappa0|*s*eps once r*s/S >> 1, so there theta is
+        # the log antiderivative kappa1*s + dk*(s/r - (S/r)((1+r)/r)log1p(u)),
+        # whose bracket loses at most two bits for r >= 1. A float is
+        # evaluated as a one-element array.
         s = _clamp_s(s, self.arc_length)
         t = s if isinstance(s, np.ndarray) else np.array([s])
-        S = self.arc_length
-        rem = _log1p_remainder(self.r * t / S)
-        dk = self.kappa1 - self.kappa0
-        coefficient = (1.0 + self.r) * dk
-        if math.isfinite(coefficient):
-            theta = self.kappa0 * t + coefficient * (t * t / S) * rem
-        else:  # so r > 0, where rem <= 1/2 and (1 + r) * rem is finite
-            theta = self.kappa0 * t + (1.0 + self.r) * rem * (t * t / S) * dk
+        S, r = self.arc_length, self.r
+        k0, dk = self.kappa0, self.kappa1 - self.kappa0
+        if r >= 1.0 and abs(k0) > abs(self.kappa1):
+            log_term = (S / r) * ((1.0 + r) / r) * np.log1p(r * t / S)
+            theta = self.kappa1 * t + dk * (t / r - log_term)
+        elif math.isfinite((1.0 + r) * dk):
+            theta = k0 * t + (1.0 + r) * dk * (t * t / S) * _log1p_remainder(r * t / S)
+        else:  # so r > 0, where the remainder is <= 1/2 and (1 + r) times it is finite
+            theta = k0 * t + (1.0 + r) * _log1p_remainder(r * t / S) * (t * t / S) * dk
         return theta if t is s else float(theta[0])
 
 

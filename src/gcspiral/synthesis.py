@@ -156,28 +156,34 @@ def synthesize(
     the budget would take more than quadrature.MAX_PANELS panels.
     """
     s_grid = _sample_grid(profile, config.samples_per_curve)
-
-    def angle(t):
-        return pose.theta0 + profile.theta(t)
-
-    dx, dy, theta = tangent_integrals(angle, s_grid, config.abs_tol)
-    xs = np.cumsum(np.concatenate(([pose.x0], dx)))
-    ys = np.cumsum(np.concatenate(([pose.y0], dy)))
+    xs, ys, theta = _integrate(profile, pose, s_grid, config.abs_tol, "gauss")
     return PlanarCurve(s_grid, xs, ys, theta, profile.kappa(s_grid))
 
 
-# Simpson's gaps grow this many times in distance from a curvature pole.
+def _integrate(profile: CurvatureProfile, pose: Pose, edges, abs_tol: float, scheme: str):
+    """(x, y, theta) at `edges` from one tangent_integrals call, the gaps summed from `pose`."""
+    def angle(t):
+        return pose.theta0 + profile.theta(t)
+
+    dx, dy, theta = tangent_integrals(angle, edges, abs_tol, scheme=scheme)
+    xs = np.cumsum(np.concatenate(([pose.x0], dx)))
+    ys = np.cumsum(np.concatenate(([pose.y0], dy)))
+    return xs, ys, theta
+
+
+# An endpoint's gaps grow this many times in distance from a curvature pole.
 _POLE_GRADING = 16.0
 
 
-def _simpson_edges(profile: CurvatureProfile) -> np.ndarray:
+def _graded_edges(profile: CurvatureProfile) -> np.ndarray:
     """Edges over [0, S] graded toward a curvature pole within S/15 of the curve.
 
-    Simpson's estimate under-reports on panels many times wider than their
-    distance from the pole, which lies d = S/r before the start of a GCS
-    with r > 0 and d = S*(1 + r)/|r| past the end for r < 0. The gaps end
-    at distances d * 16**k from the pole, so the panels of each gap's
-    64-panel first pass are under a quarter of their distance from it.
+    The pole lies d = S/r before the start of a GCS with r > 0 and
+    d = S*(1 + r)/|r| past the end for r < 0. The gaps end at distances
+    d * 16**k from it, so each is refined on its own, where one gap would
+    refine all of [0, S] to the panels the pole needs, and a Simpson gap's
+    64 first panels are under a quarter of their distance from the pole,
+    where its estimate no longer under-reports.
     """
     S = profile.arc_length
     pole = profile.kappa_pole
@@ -200,25 +206,17 @@ def endpoint(
     scheme is passed to tangent_integrals: "simpson" (composite Simpson
     with the Richardson correction, and Romberg's next one once a gap has
     doubled) or "gauss" (composite Gauss-Legendre). The two are
-    independent schemes and serve as mutual cross-checks. One
-    tangent_integrals call with config.abs_tol as its budget covers [0, S]:
-    Gauss as one gap, Simpson over edges graded toward a nearby curvature
-    pole, each gap within its width's share of abs_tol. The gap integrals
-    are summed from s = 0. theta is the last edge's angle as that call
-    returns it, equal bit for bit to the float theta0 + profile.theta(S).
-    Raises DomainError if abs_tol is below S * eps, and for any other
-    scheme; QuadratureError if the call, all its gaps together, would take
-    more than quadrature.MAX_PANELS panels.
+    independent schemes and serve as mutual cross-checks. Either makes
+    synthesize's one tangent_integrals call, with config.abs_tol as its
+    budget, over edges graded toward a curvature pole within S/15 of the
+    curve (else the one gap [0, S]); theta is the last edge's angle as
+    that call returns it, equal bit for bit to the float
+    theta0 + profile.theta(S). Raises DomainError if abs_tol is below
+    S * eps, and for any other scheme; QuadratureError if the call, all its
+    gaps together, would take more than quadrature.MAX_PANELS panels.
     """
-    def angle(t):
-        return pose.theta0 + profile.theta(t)
-
-    simpson = isinstance(scheme, str) and scheme == "simpson"  # an array scheme has no truth value
-    edges = _simpson_edges(profile) if simpson else np.array([0.0, profile.arc_length])
-    dx, dy, phase = tangent_integrals(angle, edges, config.abs_tol, scheme=scheme)
-    # Summed gap by gap from s = 0, as cumsum adds; np.sum would pair them.
-    x, y = np.cumsum(dx)[-1], np.cumsum(dy)[-1]
-    return EndState(pose.x0 + float(x), pose.y0 + float(y), float(phase[-1]))
+    xs, ys, theta = _integrate(profile, pose, _graded_edges(profile), config.abs_tol, scheme)
+    return EndState(float(xs[-1]), float(ys[-1]), float(theta[-1]))
 
 
 # -- serialization -------------------------------------------------------

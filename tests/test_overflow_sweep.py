@@ -145,6 +145,9 @@ def test_mended_theta_overflow(tmp_path):
     # (1 + r)*(kappa1 - kappa0) overflows while theta is finite: theta at t = 0 was nan.
     theta = g.GcsProfile(1e10, 0.0, 1e-10, 1e300).theta([0.0, 1e-11, 1e-10])
     assert np.all(np.abs(theta) <= 1e-15)
+    # The same overflow with r < 1, which theta's log form for r >= 1 does not take.
+    theta = g.GcsProfile(-1.79e308, -5.4e307, 0.5, 0.9).theta([0.0, 0.25, 0.5])
+    assert theta[0] == 0.0 and np.all(np.isfinite(theta))
     src = str(Path(g.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     argv = ["-W", "error::RuntimeWarning", "-m", "gcspiral", "synth", "--gcs=1e10,0,1e-10,1e300"]

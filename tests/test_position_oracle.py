@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from gcspiral import GcsProfile, Pose, QuadratureConfig, endpoint, synthesize
 from gcspiral.quadrature import tangent_integrals
-from gcspiral.synthesis import _simpson_edges
+from gcspiral.synthesis import _graded_edges
 
 ABS_TOL = QuadratureConfig().abs_tol
 DPS = 40
@@ -144,10 +144,10 @@ class TestPositionsWithinBudget:
     @pytest.mark.parametrize("scheme", ["gauss", "simpson"])
     @pytest.mark.parametrize("r", [-0.99, -0.999])
     def test_each_graded_gap_within_its_share(self, r, scheme):
-        # One kernel call over the non-uniform grid of Simpson's endpoint:
+        # One kernel call over the pole-graded grid of endpoint:
         # each gap within abs_tol * width / S, so their sum within abs_tol.
         profile = GcsProfile(1.0, 300.0, 1.0, r)
-        edges = _simpson_edges(profile)
+        edges = _graded_edges(profile)
         assert len(edges) > 2
         dx, dy, _ = tangent_integrals(profile.theta, edges, ABS_TOL, scheme)
         share = ABS_TOL * np.diff(edges) / profile.arc_length

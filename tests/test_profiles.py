@@ -4,7 +4,9 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -209,6 +211,7 @@ ARRAY_CASES = [
     GcsProfile(0.5, -2.0, 3.0, 4.0),  # both branches of the log1p remainder
     GcsProfile(2.0, 0.3, 1.5, -0.99),
     GcsProfile(0.0, 2.0, math.pi, 0.0),
+    GcsProfile(1e8, 1.0, 1.0, 1e8),  # theta's log form: r >= 1, |kappa0| > |kappa1|
 ]
 
 
@@ -444,6 +447,26 @@ class TestTheta:
         assert p.kappa(2.0) == pytest.approx(1.5, abs=1e-12)
         oracle, _ = quad(p.kappa, 0.0, 1.3, epsabs=1e-12)
         assert p.theta(1.3) == pytest.approx(oracle, abs=1e-10)
+
+    def test_dominant_kappa0_at_large_r_matches_mpmath(self):
+        # For r >= 1 and |kappa0| >> |kappa1|, kappa0*s cancels against the
+        # rest of theta, so theta is held to a few eps of the terms that do
+        # not cancel, |kappa1|*s and |theta - kappa1*s|, not of |kappa0|*s.
+        rng = np.random.default_rng(2026)
+        shape_factors = np.concatenate(([1.0, 1e12], 10.0 ** rng.uniform(0.0, 12.0, 48)))
+        for shape in shape_factors:
+            kappa1 = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0)
+            kappa0 = rng.choice([-1.0, 1.0]) * abs(kappa1) * 10.0 ** rng.uniform(2.0, 12.0)
+            p = GcsProfile(kappa0, kappa1, 10.0 ** rng.uniform(-1.0, 1.0), shape)
+            s = p.arc_length * np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0])
+            with mpmath.workdps(40):
+                k0, k1, S, r = (mpmath.mpf(v) for v in (p.kappa0, p.kappa1, p.arc_length, p.r))
+                n1 = k1 - k0 + r * k1
+                for t, value in zip(s.tolist(), p.theta(s)):
+                    # The rational curvature's antiderivative, from theta(0) = 0.
+                    exact = n1 / r * t + (k0 * S - n1 * S / r) / r * mpmath.log1p(r * t / S)
+                    scale = abs(k1) * t + abs(exact - k1 * t)
+                    assert abs(value - exact) <= 8.0 * sys.float_info.epsilon * scale, (p, t)
 
     @given(gcs_profiles(), unit_fractions)
     @settings(max_examples=100)

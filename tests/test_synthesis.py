@@ -48,6 +48,8 @@ from tutil import (
 COS_T2_01 = 0.90452423790027208147
 SIN_T2_01 = 0.31026830172338110181
 GCS_R1_END = (0.48605614719959432625, 1.3485027722714506877)
+# GcsProfile(1e8, 1, 1, 1e8), whose curvature pole lies S/1e8 before s = 0.
+NEAR_POLE_END = (0.24679299072474285620, -0.66264109337921092706)
 EPS = sys.float_info.epsilon
 
 
@@ -98,6 +100,25 @@ class TestEndpointOracles:
         end = endpoint(ConstantProfile(c, s_total))
         assert end.x == pytest.approx(math.sin(c * s_total) / c, abs=1e-9)
         assert end.y == pytest.approx((1.0 - math.cos(c * s_total)) / c, abs=1e-9)
+
+    def test_near_pole_endpoint(self, monkeypatch):
+        # Both schemes grade their gaps toward the pole, so Gauss refines
+        # only the gaps next to it, not all of [0, S] (67,108,354 points).
+        points = []
+        theta = GcsProfile.theta
+
+        def counting(self, s):
+            points.append(np.size(s))
+            return theta(self, s)
+
+        monkeypatch.setattr(GcsProfile, "theta", counting)
+        profile = GcsProfile(1e8, 1.0, 1.0, 1e8)
+        for scheme in ("simpson", "gauss"):
+            points.clear()
+            end = endpoint(profile, scheme=scheme)
+            assert abs(end.x - NEAR_POLE_END[0]) <= 1e-10
+            assert abs(end.y - NEAR_POLE_END[1]) <= 1e-10
+            assert sum(points) <= 100_000
 
     def test_unknown_scheme_rejected(self):
         for scheme in ("trapezoid", ["gauss"], None, np.array(["simpson", "gauss"])):
@@ -172,7 +193,7 @@ class TestSynthesize:
             QuadraticProfile(0.7, -1.0, 2.0, 1.5),
             GcsProfile(0.3, 1.7, 2.0, 1.5),  # the remainder series and its direct form
             GcsProfile(-2.0, 1.0, 2.0, 0.2),  # the series alone
-            GcsProfile(0.0, 2.0, 1.0, -0.999),  # Simpson's gaps graded toward the pole
+            GcsProfile(0.0, 2.0, 1.0, -0.999),  # endpoint's gaps graded toward the pole
         ],
         ids=["constant", "linear", "quadratic", "gcs", "gcs-series", "gcs-graded"],
     )
@@ -206,10 +227,11 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("r", [100.0, -0.99])
     def test_endpoint_makes_one_kernel_call(self, monkeypatch, r):
-        # The kernel splits abs_tol across Simpson's graded gaps, so endpoint
-        # passes it whole in one call, and theta(edges) covers every edge.
+        # The kernel splits abs_tol across the graded gaps, so endpoint passes
+        # it whole in one call for either scheme, and theta(edges) covers
+        # every edge.
         profile = GcsProfile(0.0, 2.0, 1.0, r)
-        graded = synthesis._simpson_edges(profile)
+        graded = list(synthesis._graded_edges(profile))
         assert len(graded) > 2
         kernel, calls = [], []
         tangent_integrals, theta = synthesis.tangent_integrals, GcsProfile.theta
@@ -224,20 +246,20 @@ class TestSynthesize:
 
         monkeypatch.setattr(synthesis, "tangent_integrals", counting_kernel)
         monkeypatch.setattr(GcsProfile, "theta", counting)
-        for scheme, edges in (("simpson", list(graded)), ("gauss", [0.0, 1.0])):
+        for scheme in ("simpson", "gauss"):
             kernel.clear()
             calls.clear()
             endpoint(profile, scheme=scheme)
-            assert kernel == [(edges, QuadratureConfig().abs_tol)]
-            assert calls[0] == len(edges)
+            assert kernel == [(graded, QuadratureConfig().abs_tol)]
+            assert calls[0] == len(graded)
 
     def test_synthesize_passes_abs_tol_whole(self, monkeypatch):
         budgets = []
         tangent_integrals = synthesis.tangent_integrals
 
-        def counting_kernel(angle, edges, abs_tol):
+        def counting_kernel(angle, edges, abs_tol, scheme):
             budgets.append(abs_tol)
-            return tangent_integrals(angle, edges, abs_tol)
+            return tangent_integrals(angle, edges, abs_tol, scheme)
 
         monkeypatch.setattr(synthesis, "tangent_integrals", counting_kernel)
         synthesize(GcsProfile(0.5, 1.5, 2.0, 1.0), config=QuadratureConfig(abs_tol=3e-11))
@@ -249,7 +271,7 @@ class TestSynthesize:
         # the gap next to the pole, 640 in all, where each gap alone takes
         # at most 448.
         profile = GcsProfile(0.0, 2.0, 1.0, 100.0)
-        assert len(synthesis._simpson_edges(profile)) == 3
+        assert len(synthesis._graded_edges(profile)) == 3
         monkeypatch.setattr(quadrature, "MAX_PANELS", 640)
         endpoint(profile, scheme="simpson")
         monkeypatch.setattr(quadrature, "MAX_PANELS", 639)
