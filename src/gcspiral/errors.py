@@ -93,8 +93,8 @@ def increasing(name: str, values, least: int) -> np.ndarray:
     grid = numeric(name, values)
     if grid.ndim != 1 or len(grid) < least:
         raise DomainError(f"{name} must be a one-dimensional sequence of {least} or more values")
-    if not np.all(np.isfinite(grid)):
+    if not np.isfinite(grid).all():
         raise DomainError(f"{name} must be finite")
-    if not np.all(np.diff(grid) > 0.0):
+    if not (grid[1:] - grid[:-1] > 0.0).all():
         raise DomainError(f"{name} must be strictly increasing")
     return grid

@@ -62,11 +62,13 @@ def _clamp_s(s, arc_length: float):
 
     A real number (not a bool) is returned as a float; anything else must
     be a column of numbers (`errors.numeric`) and is returned as a clamped
-    float array.
+    float array, which is s itself when s is a float array within [0, S].
     """
     if type(s) is not float:
         if not isinstance(s, numbers.Real) or isinstance(s, bool):
             s = numeric("arc length s", s)
+            if s.size and 0.0 <= s.min() and s.max() <= arc_length:
+                return s  # np.clip would return an equal copy, -0.0 included
             slack = 1e-12 * max(1.0, arc_length)
             bad = ~((s >= -slack) & (s <= arc_length + slack))
             if bad.any():
@@ -123,8 +125,10 @@ def _series_terms(largest: float) -> int:
     return terms
 
 
-# The divisors k + 2 of the series terms, as floats, for every |u| < 1/4.
-_SERIES_DIVISORS = tuple(k + 2.0 for k in range(_series_terms(0.25)))
+# The divisors k + 2 of the series terms, for every |u| < 1/4, as 0-d float64
+# arrays: a ufunc takes them without converting a Python float, and on the
+# few-node arrays of stiff synthesis that fixed per-call cost dominates theta.
+_SERIES_DIVISORS = tuple(np.array(k + 2.0) for k in range(_series_terms(0.25)))
 
 
 def _remainder_series(u: np.ndarray) -> np.ndarray:

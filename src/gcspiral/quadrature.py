@@ -44,6 +44,10 @@ is called. Its one work limit is MAX_PANELS panels over all its gaps,
 checked before each pass. Both schemes return the theta(edges) values
 they size the first pass with, so a caller that needs the angle at the
 edges does not evaluate it again.
+
+The kernel calls ndarray methods and ufuncs, not NumPy's Python-level
+wrappers (`np.sum`, `np.clip`, `np.diff`, ...): on stiff profiles its time is
+the fixed cost of many small NumPy calls, not the work per node.
 """
 
 from __future__ import annotations
@@ -89,6 +93,7 @@ _LEGENDRE_16_NODES = np.concatenate((-_LEGENDRE_16[::-1, 0], _LEGENDRE_16[:, 0])
 # mean of the integrand at these nodes.
 _GAUSS_NODES = 0.5 * (_LEGENDRE_16_NODES + 1.0)
 _GAUSS_WEIGHTS = np.concatenate((_LEGENDRE_16[::-1, 1], _LEGENDRE_16[:, 1]))
+_GAUSS_WEIGHT_SUM = _GAUSS_WEIGHTS.sum()
 _BLOCK_PANELS = _BLOCK_NODES // len(_GAUSS_NODES)
 
 # Simpson's /15 estimate holds only once the panels resolve how fast the
@@ -138,12 +143,12 @@ _GAUSS_TAIL = np.array(
 
 def _blocks(counts, size: int):
     """(gap, k) for every k < counts[gap], in blocks of at most `size` pairs."""
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     starts = ends - counts
     total = int(ends[-1])
     for first in range(0, total, size):
         ids = np.arange(first, min(first + size, total))
-        gap = np.searchsorted(ends, ids, side="right")
+        gap = ends.searchsorted(ids, side="right")
         yield gap, ids - starts[gap]
 
 
@@ -156,14 +161,14 @@ def _gauss_sums(theta, lo, width, panels, tail: bool):
     cos and sin.
     """
     h = width / panels
-    weight_sum = _GAUSS_WEIGHTS.sum()
     sums = np.zeros((2, len(lo)))
     tails = np.zeros((2, len(lo))) if tail else None
     for gap, k in _blocks(panels, _BLOCK_PANELS):
         hg = h[gap]
         angle = theta((lo[gap] + k * hg)[:, None] + hg[:, None] * _GAUSS_NODES)
         for row, values in enumerate((np.cos(angle), np.sin(angle))):
-            sums[row] += np.bincount(gap, hg * ((values @ _GAUSS_WEIGHTS) / weight_sum), len(lo))
+            mean = (values @ _GAUSS_WEIGHTS) / _GAUSS_WEIGHT_SUM
+            sums[row] += np.bincount(gap, hg * mean, len(lo))
             if tail:
                 # Two matrix-vector products: a matrix product's BLAS buffers raise peak memory.
                 a = np.abs(values @ _GAUSS_TAIL[0]) + np.abs(values @ _GAUSS_TAIL[1])
@@ -234,9 +239,10 @@ def tangent_integrals(
         raise DomainError(f"unknown quadrature scheme {scheme!r}")
     simpson = scheme == "simpson"
     edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2 or not np.all(np.isfinite(edges)):
+    if edges.ndim != 1 or len(edges) < 2 or not np.isfinite(edges).all():
         raise DomainError(f"integration bounds must be finite, got {edges!r}")
-    if np.any(np.diff(edges) < 0.0):
+    width = edges[1:] - edges[:-1]
+    if (width < 0.0).any():
         raise DomainError(f"integration bounds out of order: {edges!r}")
     abs_tol = real("abs_tol", abs_tol, above=0.0)
     span = float(edges[-1] - edges[0])
@@ -245,7 +251,6 @@ def tangent_integrals(
         raise DomainError(f"abs_tol {abs_tol!r} is below the float floor span*eps = {floor:.3g}")
 
     lo = edges[:-1]
-    width = np.diff(edges)
     # Each gap's share of abs_tol, by width; a zero span has only empty gaps.
     tol = abs_tol * (width / span) if span > 0.0 else np.full(len(lo), abs_tol)
     phase = theta(edges)
@@ -253,7 +258,8 @@ def tangent_integrals(
     if not finite.all():
         raise DomainError(f"theta is not finite at t = {edges[np.argmin(finite)]:.17g}")
     # Past MAX_PANELS a gap fails before any pass; the clip keeps panel counts finite.
-    need = np.clip(np.abs(np.diff(phase)) / _MAX_PHASE_SPAN, 1.0, MAX_PANELS)
+    need = np.abs(phase[1:] - phase[:-1]) / _MAX_PHASE_SPAN
+    need = np.minimum(np.maximum(need, 1.0), MAX_PANELS)
     least = _SIMPSON_MIN_PANELS if simpson else 1
     m, e = np.frexp(need)  # the least power of two >= need, exactly
     coarse = np.maximum(np.ldexp(1.0, e - (m == 0.5)), least)
@@ -269,7 +275,7 @@ def tangent_integrals(
         fine = 2.0 * coarse
         first = coarse_sums is None
         # Gauss skips the first coarse pass and accepts on its Legendre tail.
-        work += float(np.sum(fine)) + (float(np.sum(coarse)) if simpson and first else 0.0)
+        work += float(fine.sum()) + (float(coarse.sum()) if simpson and first else 0.0)
         if not work <= MAX_PANELS:
             reason = "the tangent angle turns too far"
             if not first:
@@ -286,7 +292,7 @@ def tangent_integrals(
         if not simpson:
             fine_sums, err = _gauss_sums(theta, lo[todo], width[todo], panels, first)
             if not first:
-                err = np.max(np.abs(fine_sums - coarse_sums), axis=0)
+                err = np.abs(fine_sums - coarse_sums).max(axis=0)
             dx[todo], dy[todo] = fine_sums
         else:
             h = width[todo] / panels
@@ -297,11 +303,11 @@ def tangent_integrals(
             else:
                 new = _node_sums(theta, lo[todo], h, 0.5, panels)
             fine_sums, inner = _simpson_sums(h, ends, inner, new)
-            err = _RICHARDSON * np.max(np.abs(fine_sums - coarse_sums), axis=0)
+            err = _RICHARDSON * np.abs(fine_sums - coarse_sums).max(axis=0)
             value = fine_sums + _RICHARDSON * (fine_sums - coarse_sums)
             dx[todo], dy[todo] = value
             if rich is not None:  # Romberg's next column, from the second comparison on
-                romberg = _ROMBERG * np.max(np.abs(value - rich), axis=0)
+                romberg = _ROMBERG * np.abs(value - rich).max(axis=0)
                 late = ~(err <= tol) & (romberg <= tol)
                 dx[todo[late]], dy[todo[late]] = (value + _ROMBERG * (value - rich))[:, late]
                 err = np.minimum(err, romberg)

@@ -109,7 +109,7 @@ def _sample_columns(s, **columns) -> list[np.ndarray]:
     checked = [s]
     for name, values in columns.items():
         column = numeric(f"curve field {name}", values)
-        if column.shape != s.shape or not np.all(np.isfinite(column)):
+        if column.shape != s.shape or not np.isfinite(column).all():
             raise DomainError(f"curve field {name} must hold {len(s)} finite values")
         checked.append(column)
     return checked
@@ -166,8 +166,8 @@ def _integrate(profile: CurvatureProfile, pose: Pose, edges, abs_tol: float, sch
         return pose.theta0 + profile.theta(t)
 
     dx, dy, theta = tangent_integrals(angle, edges, abs_tol, scheme=scheme)
-    xs = np.cumsum(np.concatenate(([pose.x0], dx)))
-    ys = np.cumsum(np.concatenate(([pose.y0], dy)))
+    xs = np.concatenate(([pose.x0], dx)).cumsum()
+    ys = np.concatenate(([pose.y0], dy)).cumsum()
     return xs, ys, theta
 
 

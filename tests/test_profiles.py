@@ -297,6 +297,101 @@ class TestArcLengthArguments:
         assert lcg_gradient_numeric(self.P, value) == lcg_gradient_numeric(self.P, float(value))
 
 
+def _reference_clamp(s, arc_length):
+    """The mask-and-clip path every array took before the in-range fast path (the reference)."""
+    s = np.asarray(s, dtype=float)
+    slack = 1e-12 * max(1.0, arc_length)
+    bad = ~((s >= -slack) & (s <= arc_length + slack))
+    if bad.any():
+        raise DomainError(f"arc length s={float(s[bad][0])!r} outside [0, {arc_length}]")
+    return np.clip(s, 0.0, arc_length)
+
+
+@st.composite
+def arc_length_columns(draw, slack: bool = False):
+    """(S, s): a 1-D or (n, 16) float array s of 0.0, -0.0, S and values inside [0, S].
+
+    With `slack`, one value of s lies just outside [0, S], within the 1e-12 roundoff slack.
+    """
+    S = draw(st.sampled_from([0.05, 1.0, math.pi, 20.0]))
+    inside = st.one_of(st.sampled_from([0.0, -0.0, S]), st.floats(min_value=0.0, max_value=S))
+    shape = draw(st.one_of(
+        st.tuples(st.integers(1, 40)), st.tuples(st.integers(1, 4), st.just(16))
+    ))
+    values = draw(st.lists(inside, min_size=math.prod(shape), max_size=math.prod(shape)))
+    if slack:
+        pad = 1e-12 * max(1.0, S)
+        outside = st.one_of(
+            st.floats(min_value=-pad, max_value=-5e-324),
+            st.floats(min_value=math.nextafter(S, math.inf), max_value=S + pad),
+        )
+        values[draw(st.integers(0, len(values) - 1))] = draw(outside)
+    return S, np.array(values).reshape(shape)
+
+
+class TestArrayClamp:
+    """An array already inside [0, S] skips the mask and the clip, with the clip's bits."""
+
+    @given(arc_length_columns())
+    @example((1.0, np.array([-0.0, 0.0, 1.0])))
+    @example((math.pi, np.full((1, 16), -0.0)))
+    def test_in_range_array_returned_as_is(self, case):
+        S, s = case
+        got = _clamp_s(s, S)
+        assert got is s
+        assert np.array_equal(got.view(np.int64), _reference_clamp(s, S).view(np.int64))
+
+    @given(arc_length_columns(slack=True))
+    @example((math.pi, np.array([-1e-15, 0.5, math.nextafter(math.pi, 4.0)])))
+    def test_slack_values_come_back_clipped(self, case):
+        S, s = case
+        got = _clamp_s(s, S)
+        assert got is not s and ((got >= 0.0) & (got <= S)).all()
+        assert np.array_equal(got.view(np.int64), _reference_clamp(s, S).view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 16)])
+    def test_rejected_values_keep_their_message(self, shape):
+        S = math.pi
+        pad = 1e-12 * S
+        for bad in (math.nan, math.inf, -math.inf, -2.0 * pad, S + 2.0 * pad, -0.5, S + 0.5):
+            s = np.full(shape, 0.5 * S)
+            s.flat[:3] = (-0.0, S, bad)
+            with pytest.raises(DomainError) as expected:
+                _reference_clamp(s, S)
+            assert str(expected.value) == f"arc length s={bad!r} outside [0, {S}]"
+            with pytest.raises(DomainError, match=f"^{re.escape(str(expected.value))}$"):
+                _clamp_s(s, S)
+
+    @pytest.mark.parametrize(
+        "bad", [np.array(["0.5"]), np.array([True, False]), np.array([0.5 + 0j]), [0.5, None]],
+        ids=["str", "bool", "complex", "object"],
+    )
+    def test_non_numeric_dtypes_rejected(self, bad):
+        with pytest.raises(DomainError, match="^arc length s must hold only numbers$"):
+            _clamp_s(bad, 1.0)
+
+    @pytest.mark.parametrize(
+        "empty", [[], np.empty(0), np.empty((0, 16)), np.empty(0, dtype=np.int64)],
+        ids=["list", "1-D", "(0, 16)", "int"],
+    )
+    def test_empty_array_as_before(self, empty):
+        got = _clamp_s(empty, 2.0)
+        assert got.dtype == np.float64 and got.shape == _reference_clamp(empty, 2.0).shape
+        for profile in ARRAY_CASES:
+            for method in ("kappa", "kappa_prime", "kappa_double_prime", "theta"):
+                values = getattr(profile, method)(empty)
+                assert isinstance(values, np.ndarray) and values.shape == np.shape(empty)
+
+    @pytest.mark.parametrize("profile", ARRAY_CASES, ids=lambda p: type(p).__name__)
+    def test_methods_never_return_the_argument(self, profile):
+        S = profile.arc_length
+        for s in (np.linspace(0.0, S, 9), np.linspace(0.0, S, 32).reshape(2, 16)):
+            before = s.copy()
+            for method in ("kappa", "kappa_prime", "kappa_double_prime", "theta"):
+                assert not np.shares_memory(getattr(profile, method)(s), s)
+            assert np.array_equal(s, before)
+
+
 def _reference_series(u):
     """The former fixed 32-term series, kept verbatim as the bit-exact reference."""
     total = 0.0
