@@ -208,7 +208,9 @@ def gradient_gcs(profile: GcsProfile, t):
     if profile.circular:
         raise _circular_error(profile)
     S = profile.arc_length
-    t = _clamp_s(t, S)
+    # A float inside [0, S] is what _clamp_s would return; it skips the call.
+    if type(t) is not float or not 0.0 <= t <= S:
+        t = _clamp_s(t, S)
     return 1.0 + 2.0 * profile.n1 * (profile.r * t + S) / profile.c
 
 

@@ -2,7 +2,10 @@
 
 Output is plain static markup. The view box is fitted to the data's
 bounding box plus a 5% margin; the vertical axis is flipped so that
-mathematical y grows upward.
+mathematical y grows upward. Every number is written as ``%.8g``: the
+header numbers, short point lists and the bar charts by Python's ``%``,
+and longer point lists by the text kernel in `tables`, which writes the
+same bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .tables import row_array
+from .tables import _text, row_array
 
 __all__ = ["polyline_svg", "bar_chart_svg"]
 
@@ -105,7 +108,7 @@ def polyline_svg(
     for i, line in enumerate(polylines):
         color = PALETTE[i % len(PALETTE)]
         xy = np.column_stack((line[:, 0], flip(line[:, 1])))
-        pts = " ".join(["%.8g,%.8g"] * len(xy)) % tuple(xy.ravel().tolist())
+        pts = _text(xy, ", ", 8)[:-1]  # "x,y x,y ... x,y"
         label = labels[i] if labels is not None and i < len(labels) else ""
         title_el = f"<title>{label}</title>" if label else ""
         parts.append(

@@ -1,29 +1,33 @@
-"""Text output and the package's one CSV table format.
+"""Text output, the package's one CSV table format and its number text.
 
 A table is a header line of comma-separated column names followed by one
 line per row, every value written as ``%.17g`` (so it reads back bit for
 bit), with LF line ends and a trailing newline. Rows are an (n, k)
 array-like of real numbers; targets and sources are a path or an open
-text stream.
+text stream. SVG point lists (`svg.polyline_svg`) are written as ``%.8g``.
 
-At 17 digits CPython's ``%.17g`` leaves its fast path for bignum
-arithmetic, so `write_table` formats all but small tables in a NumPy
-kernel that writes the same bytes, a block of values at a time. For
-1e-6 < |x| < 1e17 with decimal exponent E, x * 10**(16 - E) is exactly
-hi + lo by Dekker's TwoProduct (10**k is an exact double for k <= 22), and
-rounding hi + lo half to even gives the 17 digits. E comes from log10 and
-is corrected by an exact range check on hi + lo. Each value is laid out
-in one constant row (sign, "0.000", the digits, the point, the exponent
-and the separator); a keep mask looked up by (E, last nonzero digit)
-picks the characters that ``%.17g`` prints, and one boolean compress
-joins the block. Any other value (0, -0, subnormals, |x| >= 1e17, inf,
-nan) is formatted by Python itself.
+Both precisions go through one NumPy kernel that writes the bytes of
+Python's own ``%`` (CPython's dtoa leaves its fast path at 17 digits, and
+even at 8 it is slower than the kernel on long lists). Text of all but a
+few hundred values is cut into whole rows split evenly over the fewest
+blocks of about 4096 values, and each block is one kernel call. For a value
+x of decimal exponent E in the kernel's range, x * 10**(digits - 1 - E) is
+exactly hi + lo by Dekker's TwoProduct (10**k is an exact double for
+k <= 22), and rounding hi + lo half to even gives the digits. E comes from
+log10 and is corrected by an exact range check on hi + lo. Each value is
+laid out in one constant row (sign, "0.000", the digits, the point, the
+exponent and the separator); a keep mask looked up by (E, last nonzero
+digit) picks the characters that ``%`` prints, and one boolean compress of
+the flat bytes joins the block. The kernel writes 1e-6 < |x| < 1e17 at 17
+digits and, at 8, the fixed notation of 1e-4 < |x| < 1e8; Python formats
+any other value (0, -0, subnormals, inf, nan, and the rest).
 """
 
 from __future__ import annotations
 
 import struct
 from itertools import chain
+from types import SimpleNamespace
 from typing import IO, Union
 
 import numpy as np
@@ -44,26 +48,36 @@ def write_text(target: Union[str, IO[str]], text: str) -> None:
 def write_table(target: Union[str, IO[str]], header: str, rows) -> None:
     """Write `header`, then the (n, k) array-like `rows`, k the header's width."""
     width = len(header.split(","))
-    values = row_array(rows, width).ravel()
-    if len(values) < _KERNEL_MIN_VALUES:
-        row_template = ",".join(["%.17g"] * width) + "\n"
-        body = row_template * (len(values) // width) % tuple(values.tolist())
-    else:
-        step = max(_BLOCK_VALUES // width, 1) * width
-        ends = np.full(step, ord(","), np.uint8)
-        ends[width - 1 :: width] = ord("\n")
-        blocks = (_format(values[i : i + step], ends) for i in range(0, len(values), step))
-        body = b"".join(blocks).decode("ascii")
+    body = _text(row_array(rows, width), "," * (width - 1) + "\n", 17)
     write_text(target, header + "\n" + body)
 
 
-# -- the %.17g kernel -----------------------------------------------------
+def _text(rows: np.ndarray, ends: str, digits: int) -> str:
+    """The (n, k) float array `rows` as `%.<digits>g` text (`digits` 17 or 8),
+    value j of each row followed by the character ends[j]."""
+    values = rows.ravel()
+    if len(values) < _KERNEL_MIN_VALUES[digits]:
+        template = "".join(f"%.{digits}g{end}" for end in ends)
+        return template * len(rows) % tuple(values.tolist())
+    # Whole rows, split evenly over the fewest blocks of about _BLOCK_VALUES,
+    # so that no block is left with the kernel's fixed cost for a few values.
+    blocks = -(-len(values) // _BLOCK_VALUES)
+    bounds = [len(rows) * i // blocks for i in range(blocks + 1)]
+    block_ends = np.tile(np.frombuffer(ends.encode("ascii"), np.uint8), -(-len(rows) // blocks))
+    layout = _LAYOUTS[digits]
+    text = (_format(rows[a:b].ravel(), block_ends, layout) for a, b in zip(bounds, bounds[1:]))
+    return b"".join(text).decode("ascii")
 
-# Below this many values a table is formatted by the % template, which is
-# quicker there than the kernel's fixed cost per call (they break even near
-# 200 values of 17 digits each).
-_KERNEL_MIN_VALUES = 256
-# Values formatted per kernel pass; bounds the scratch arrays to a few MB.
+
+# -- the %.17g and %.8g kernel --------------------------------------------
+
+# Below this many values, by digits, text is formatted by the % template,
+# which is quicker there than the kernel's fixed cost per call. With warm
+# caches they break even near 200 values of 17 digits and 500 of 8, where
+# CPython's dtoa is on its fast path; with cold ones, as in a CLI command
+# that writes one plot, near 650 and 1,500.
+_KERNEL_MIN_VALUES = {17: 256, 8: 1536}
+# Values formatted per kernel pass, about; bounds the scratch arrays to a few MB.
 _BLOCK_VALUES = 4096
 
 # 10**k for k = 0..22, each an exact double, and its Veltkamp split.
@@ -78,50 +92,70 @@ def _words(texts) -> np.ndarray:
     return np.frombuffer(b"".join(texts), "<u4")
 
 
-# One value's row of 52 bytes, built as 13 little-endian 4-byte words:
-#   0: sign   1-5: "0.000"   7: lead digit   8-23: digits 1-16
-#   27: "."   28-43: digits 1-16 again   44-47: "e-0" and the exponent digit
-#   48: separator   6, 24-26, 49-51: never kept
-# The digits are written twice so that a fixed-point number ("ddd.dddd") is
-# kept as runs either side of the point, not as every other byte.
-_ROW_WIDTH = 52
-_SEPARATOR = 48
-_PAD = 24  # the longest %.17g text, "-2.2250738585072014e-308"
-_HEAD, _POINT = _words([b"-0.0", b"\0\0\0."])
-# Word 1 by lead digit, word 11 by k = 16 - E, words 2-5 (and 7-10) by group.
-_LEADS = _words([b"00\0" + str(d).encode() for d in range(10)])
-_TAILS = _words([b"e-0" + bytes([ord("0") + k - 16]) for k in range(23)])
+# The text of each 4-digit group 0000-9999 as one word, and the place (0-3)
+# of its last nonzero digit (-64 for 0000, below any place plus its offset).
 _GROUPS = np.indices((10,) * 4).reshape(4, -1).T + ord("0")
 _GROUPS = _GROUPS.astype(np.uint8, order="C").view("<u4").ravel()
+_LAST_NONZERO = np.full(10**4, -64, np.int8)
+for _place, _nonzero in enumerate((_GROUPS.view(np.uint8).reshape(-1, 4) != ord("0")).T):
+    _LAST_NONZERO[_nonzero] = _place
+# The exponent word by k = 16 - E; only %.17g writes one, for E = -5 and -6.
+_TAILS = _words([b"e-0" + bytes([ord("0") + k - 16]) for k in range(23)])
+_PAD = 24  # the longest %.17g text, "-2.2250738585072014e-308"
 
 
-def _keep_table() -> np.ndarray:
-    """Keep masks of a positive value's row, indexed by k * 17 + last nonzero digit."""
-    exponent = np.arange(16, -7, -1)[:, None, None]
-    last = np.arange(17)[None, :, None]
-    digit = np.arange(1, 17)
-    scientific = exponent < -4
-    leading_zero = ~scientific & (exponent < 0)
-    point = np.where(scientific, 0, np.where(leading_zero, 16, exponent))
-    keep = np.zeros((23, 17, _ROW_WIDTH), bool)
+def _layout(digits: int, least: int, most: int) -> SimpleNamespace:
+    """The kernel's row of bytes for `digits` digits and the decimal
+    exponents least..most, in 4-byte words.
+
+    The digits are cut into 4-digit groups from the right, and the groups
+    are written twice, so that a fixed-point number ("ddd.dddd") is kept as
+    runs either side of the point, which overwrites the second lead digit:
+
+        17 digits, 52 bytes: "-0.0" "000d" "dddd"*4 "000." "dddd"*4 "e-0E" separator
+        8 digits, 28 bytes:  "-0.0" "00"   "dddd"*2 ".ddd" "dddd"   separator
+
+    Bytes 0-5 are the sign and "0.000", the zeros running on into the lead
+    group at 17 digits; the bytes left blank are never kept. Besides the
+    arguments, the layout holds `head`, the words before the groups;
+    `point`, the byte of the "."; `last`, by group and group value, the
+    place of its last nonzero digit; and `keep`, the keep masks by
+    k * digits + the place of the last nonzero digit.
+    """
+    groups = -(-digits // 4)
+    lead = 4 * -(-(digits + 6) // 4) - digits  # the byte of the lead digit
+    point = lead + 4 * groups
+    scientific = least < -4
+    separator = point + digits + 4 * scientific
+    exponent = np.arange(most, least - 1, -1)[:, None, None]
+    last = np.arange(digits)[None, :, None]
+    place = np.arange(1, digits)
+    in_scientific = exponent < -4
+    leading_zero = ~in_scientific & (exponent < 0)
+    point_place = np.where(in_scientific, 0, np.where(leading_zero, digits - 1, exponent))
+    keep = np.zeros((most - least + 1, digits, separator + 4), bool)
     keep[..., 1:3] = leading_zero
     keep[..., 3:6] = leading_zero & (np.arange(3) < -exponent - 1)
-    keep[..., 7] = True
-    keep[..., 8:24] = digit <= np.where(leading_zero, last, point)
-    keep[..., 27:28] = last > point
-    keep[..., 28:44] = (digit > point) & (digit <= last)
-    keep[..., 44:48] = scientific
-    keep[..., _SEPARATOR] = True
-    return keep.reshape(-1, _ROW_WIDTH)
+    keep[..., lead] = True
+    keep[..., lead + 1 : lead + digits] = place <= np.where(leading_zero, last, point_place)
+    keep[..., point : point + 1] = last > point_place
+    keep[..., point + 1 : point + digits] = (place > point_place) & (place <= last)
+    keep[..., point + digits : separator] = in_scientific
+    keep[..., separator] = True
+    head = _words([b"-0.000\0\0"[: lead + digits - 4 * groups]])
+    group_last = digits - 4 * np.arange(groups, 0, -1)[:, None] + _LAST_NONZERO
+    return SimpleNamespace(digits=digits, least=least, most=most, head=head, point=point,
+                           last=group_last.astype(np.int8), keep=keep.reshape(-1, separator + 4))
 
 
-_KEEP = _keep_table()
+# %.17g of 1e-6 < |x| < 1e17; %.8g of 1e-4 < |x| < 1e8, in fixed notation only.
+_LAYOUTS = {17: _layout(17, -6, 16), 8: _layout(8, -4, 7)}
 
 
 def _scaled(x: np.ndarray, x_hi: np.ndarray, x_lo: np.ndarray, k: np.ndarray):
     """x * 10**k as hi + lo exactly (Dekker's TwoProduct)."""
-    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
-    hi = x * _POW10[k]
+    p_hi, p_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    hi = x * _POW10.take(k)
     lo = x_hi * p_hi - hi
     lo += x_hi * p_lo
     lo += x_lo * p_hi
@@ -129,62 +163,80 @@ def _scaled(x: np.ndarray, x_hi: np.ndarray, x_lo: np.ndarray, k: np.ndarray):
     return hi, lo
 
 
-def _format(values: np.ndarray, ends: np.ndarray) -> bytes:
-    """The ASCII `%.17g` text of `values`, each followed by its byte of `ends`."""
-    count = len(values)
+def _format(values: np.ndarray, ends: np.ndarray, layout: SimpleNamespace) -> bytes:
+    """The ASCII `%.<layout.digits>g` text of `values`, each followed by its byte of `ends`."""
+    count, digits = len(values), layout.digits
     magnitude = np.abs(values)
-    slow = np.flatnonzero(~((magnitude > 1e-6) & (magnitude < 1e17)))
+    slow = ~((magnitude > 10.0**layout.least) & (magnitude < 10.0 ** (layout.most + 1)))
     magnitude[slow] = 1.0
     x_hi = magnitude * 134217729.0
     x_hi -= x_hi - magnitude
     x_lo = magnitude - x_hi
-    # k = 16 - E scales x into [1e16, 1e17); E is the decimal exponent.
-    k = 16 - np.floor(np.log10(magnitude)).astype(np.int64)
-    np.minimum(np.maximum(k, 0, out=k), 22, out=k)
+    # k = digits - 1 - E scales x into [10**(digits - 1), 10**digits).
+    k = digits - 1 - np.floor(np.log10(magnitude)).astype(np.int64)
+    np.minimum(np.maximum(k, 0, out=k), digits - 1 - layout.least, out=k)
     hi, lo = _scaled(magnitude, x_hi, x_lo, k)
-    # log10 may be one off next to a power of ten. hi - 1e16 and hi - 1e17
-    # are exact or far from 0, so these are exact checks of 1e16 <= hi + lo < 1e17.
-    under = (hi - 1e16) + lo < 0.0
-    over = (hi - 1e17) + lo >= 0.0
+    # log10 may be one off next to a power of ten. hi - 10**(digits - 1) and
+    # hi - 10**digits are exact or far from 0, so these are exact range checks.
+    under = (hi - 10.0 ** (digits - 1)) + lo < 0.0
+    over = (hi - 10.0**digits) + lo >= 0.0
     if under.any() or over.any():
         k += under
         k -= over
         hi, lo = _scaled(magnitude, x_hi, x_lo, k)
-    # hi >= 2**53 is an even integer, so rint(lo) rounds hi + lo half to even.
-    # No carry to 10**17: a double below 10**(E + 1) is more than 10 units of
-    # its 17th digit below it.
-    digits = hi.astype(np.int64)
-    digits += np.rint(lo).astype(np.int64)
-    # The lead digit, then four groups of four. Floor division by a constant
-    # is a multiply in NumPy; np.divmod and % are not.
-    halves = np.empty((count, 2), np.int64)
-    np.floor_divide(digits, 10**8, out=halves[:, 0])
-    np.subtract(digits, halves[:, 0] * 10**8, out=halves[:, 1])
-    lead = halves[:, 0] // 10**8
-    halves[:, 0] -= lead * 10**8
-    groups = np.empty((count, 2, 2), np.int64)
-    np.floor_divide(halves, 10**4, out=groups[..., 0])
-    np.subtract(halves, groups[..., 0] * 10**4, out=groups[..., 1])
-    groups = groups.reshape(count, 4)
-    words = np.empty((count, _ROW_WIDTH // 4), "<u4")
-    words[:, 0] = _HEAD
-    words[:, 1] = _LEADS[lead]
-    words[:, 2:6] = words[:, 7:11] = _GROUPS[groups]
-    words[:, 6] = _POINT
-    words[:, 11] = _TAILS[k]
-    words[:, 12] = ends[:count]
+    if digits == 17:
+        # hi >= 2**53 is an even integer, so rint(lo) rounds hi + lo half to
+        # even. No carry to 10**17: a double below 10**(E + 1) is more than
+        # 10 units of its 17th digit below it.
+        number = hi.astype(np.int64)
+        number += np.rint(lo).astype(np.int64)
+    else:
+        # hi < 10**8 < 2**27, so hi - floor(hi) - 0.5 is exact, and 0 or at
+        # least ulp(hi) > |lo|: adding lo gives the exact sign of
+        # hi + lo - (floor(hi) + 0.5). Round up above it, and to even on it.
+        floor = np.floor(hi)
+        tie = hi - floor
+        tie -= 0.5
+        tie += lo
+        number = floor.astype(np.int64)
+        number += (tie > 0.0) | ((tie == 0.0) & ((number & 1) == 1))
+        # A rounding up to 10**digits carries into E + 1; past `most`, that
+        # is scientific notation, which Python writes.
+        carry = number == 10**digits
+        if carry.any():
+            number[carry] = 10 ** (digits - 1)
+            k -= carry
+            slow |= k < 0
+            np.maximum(k, 0, out=k)
+    words = np.empty((count, len(layout.keep[0]) // 4), "<u4")
+    first, groups = len(layout.head), len(layout.last)
+    for i, word in enumerate(layout.head):
+        words[:, i] = word
+    # The groups from the right. Floor division by a constant is a multiply
+    # in NumPy; np.divmod and % are not.
+    last = np.zeros(count, np.int8)
+    for j in reversed(range(groups)):
+        group = number
+        if j:
+            number = group // 10**4
+            group = group - number * 10**4
+        words[:, first + j] = words[:, first + groups + j] = _GROUPS.take(group)
+        np.maximum(last, layout.last[j].take(group), out=last)
     rows = words.view(np.uint8)
-    # The place (0-16) of the last nonzero digit, counted from the lead digit.
-    last = 16 - (rows[:, 23:6:-1] != ord("0")).argmax(axis=1)
-    keep = _KEEP.take(k * 17 + last, axis=0)
+    rows[:, layout.point] = ord(".")
+    if layout.least < -4:
+        words[:, -2] = _TAILS.take(k)
+    words[:, -1] = ends[:count]
+    keep = layout.keep.take(k * digits + last, axis=0)
     np.less(values, 0.0, out=keep[:, 0])
+    slow = np.flatnonzero(slow)
     if len(slow):
-        text = ("%-24.17g" * len(slow) % tuple(values[slow].tolist())).encode("ascii")
+        text = (f"%-{_PAD}.{digits}g" * len(slow) % tuple(values[slow].tolist())).encode("ascii")
         padded = np.frombuffer(text, np.uint8).reshape(-1, _PAD)
         rows[slow, :_PAD] = padded
-        keep[slow, :_SEPARATOR] = False
+        keep[slow, :-4] = False
         keep[slow, :_PAD] = padded != ord(" ")
-    return rows[keep].tobytes()
+    return rows.ravel()[keep.ravel()].tobytes()
 
 
 def row_array(rows, width: int) -> np.ndarray:

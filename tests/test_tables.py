@@ -1,4 +1,4 @@
-"""The CSV table writer: its %.17g kernel writes Python's own bytes, and rows are checked."""
+"""The text kernel writes Python's own %.17g and %.8g bytes; CSV rows are checked."""
 
 import io
 import math
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gcspiral import DomainError, tables
+from gcspiral import DomainError, svg, tables
 from gcspiral.svg import polyline_svg
 from gcspiral.tables import row_array, write_table
 
@@ -21,11 +21,16 @@ def reference_table(header: str, rows) -> str:
     return header + row_template * len(rows) % tuple(chain.from_iterable(rows)) + "\n"
 
 
-def kernel_lines(values) -> list[str]:
-    """The kernel's text of `values`, one value a line."""
+def reference_points(xy: np.ndarray) -> str:
+    """The SVG point list the kernel replaced: one %.8g template over the points."""
+    return " ".join(["%.8g,%.8g"] * len(xy)) % tuple(xy.ravel().tolist())
+
+
+def kernel_lines(values, digits: int = 17) -> list[str]:
+    """The kernel's text of `values` at `digits` digits, one value a line."""
     values = np.asarray(values, dtype=float)
     ends = np.full(len(values), ord("\n"), np.uint8)
-    return tables._format(values, ends).decode("ascii").splitlines()
+    return tables._format(values, ends, tables._LAYOUTS[digits]).decode("ascii").splitlines()
 
 
 def with_neighbours(x: float) -> list[float]:
@@ -33,6 +38,10 @@ def with_neighbours(x: float) -> list[float]:
     near = [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
     return near + [-v for v in near]
 
+
+# Each power of ten whose neighbourhood the kernel decides at 8 digits: below
+# 1e-4 and from 1e8 on Python writes the value, in scientific notation.
+POWERS_OF_TEN_8 = [float(f"1e{e}") for e in range(-5, 10)]
 
 # Each power of ten whose neighbourhood the kernel decides: below, at and above
 # 1e-6 it hands values to Python or keeps them, 1e-5 and 1e-4 switch notation,
@@ -91,12 +100,56 @@ class TestKernel:
         assert kernel_lines(values) == ["%.17g" % v for v in values.tolist()]
 
 
+class TestKernel8:
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(99999999.5)  # rounds to 1e+08, past the kernel's fixed notation
+    @example(math.nextafter(99999999.5, 0.0))
+    @example(9.99999995)  # rounds up to 10, one more integer digit
+    @example(1e-4)
+    @example(0.000099999999995)  # rounds to 0.0001, but |x| < 1e-4
+    @example(12345678.5)  # ties: half to even, down then up
+    @example(12345677.5)
+    @example(1e8)
+    @example(5e-324)
+    @example(-0.0)
+    def test_value_and_neighbours_match_percent_format(self, x):
+        values = with_neighbours(x)
+        assert kernel_lines(values, 8) == ["%.8g" % v for v in values]
+
+    @pytest.mark.parametrize("power", POWERS_OF_TEN_8, ids=lambda p: f"{p:g}")
+    def test_powers_of_ten_and_their_neighbours(self, power):
+        values = with_neighbours(power)
+        assert kernel_lines(values, 8) == ["%.8g" % v for v in values]
+
+    def test_seeded_values_match_percent_format(self):
+        values = special_values(np.random.default_rng(20250), 50_000)
+        assert kernel_lines(values, 8) == ["%.8g" % v for v in values.tolist()]
+
+
+class TestPolylineSvg:
+    @pytest.mark.parametrize("lines", [1, 2, 3])
+    def test_documents_match_the_percent_template(self, lines, monkeypatch):
+        rng = np.random.default_rng(lines)
+        small, block = tables._KERNEL_MIN_VALUES[8] // 2, tables._BLOCK_VALUES // 2
+        for points in (1, small - 1, small, block, block + 1, 2 * block + 3):
+            polylines = [
+                np.nan_to_num(special_values(rng, 2 * points), posinf=1e300, neginf=-1e300).reshape(-1, 2)
+                for _ in range(lines)
+            ]
+            labels = [f"line <{i}>" for i in range(lines)]
+            got = polyline_svg(polylines, labels=labels, title="t & u")
+            with monkeypatch.context() as patch:
+                patch.setattr(svg, "_text", lambda xy, ends, digits: reference_points(xy) + " ")
+                expect = polyline_svg(polylines, labels=labels, title="t & u")
+            assert got == expect, (lines, points)
+
+
 class TestWriteTable:
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
     def test_tables_match_the_template_around_both_sizes(self, width):
         rng = np.random.default_rng(width)
         header = ",".join("abcde"[:width])
-        small, block = tables._KERNEL_MIN_VALUES, tables._BLOCK_VALUES
+        small, block = tables._KERNEL_MIN_VALUES[17], tables._BLOCK_VALUES
         for total in (0, small - 1, small, small + width, block - 1, block, 2 * block + width):
             rows = special_values(rng, total // width * width).reshape(-1, width)
             expect = reference_table(header, rows.tolist())
@@ -104,6 +157,28 @@ class TestWriteTable:
                 buffer = io.StringIO()
                 write_table(buffer, header, given_rows)
                 assert buffer.getvalue() == expect, (width, total)
+
+    def test_no_kernel_call_is_left_with_a_few_values(self, monkeypatch):
+        calls = []
+        kernel = tables._format
+
+        def spy(values, ends, layout):
+            calls.append(len(values))
+            return kernel(values, ends, layout)
+
+        monkeypatch.setattr(tables, "_format", spy)
+        rng = np.random.default_rng(7)
+        for width in (1, 2, 3, 4, 5):
+            header = ",".join("abcde"[:width])
+            for blocks in (1, 2):
+                for extra in range(1, 6):
+                    total = tables._BLOCK_VALUES * blocks + extra
+                    rows = special_values(rng, -(-total // width) * width)
+                    rows = rows.reshape(-1, width)
+                    buffer = io.StringIO()
+                    write_table(buffer, header, rows)
+                    assert buffer.getvalue() == reference_table(header, rows.tolist())
+        assert calls and min(calls) >= tables._KERNEL_MIN_VALUES[17]
 
     def test_ragged_rows_are_rejected_not_reflowed(self):
         for rows in ([(1.0, 2.0, 3.0), (4.0,)], [(1.0, 2.0), (3.0,)], np.ones((2, 3)), np.ones(4)):
