@@ -3,9 +3,10 @@
 Exit codes: 0 on success, 2 for input or domain errors, 3 for quadrature
 failures. Every command prints a one-line JSON summary to standard output;
 data files land in --out (or $GCSPIRAL_OUT, or the working directory).
-A profile is one --<kind> flag per entry of profiles.PROFILE_KINDS (its
+A profile is one --<kind> flag per entry of PROFILE_KINDS (its
 comma-separated keys, with --length for a trailing arc_length) or a
---profile document; either way it is read by profile_from_dict.
+--profile JSON document {"type": <kind>, <key>: <number>, ...}; either way
+profile_from_dict reads it. Documents and file formats belong here alone.
 """
 
 from __future__ import annotations
@@ -42,14 +43,12 @@ from .lcg import (
 )
 from .lddc import comparison_to_csv, lddc_histogram, lddc_to_csv, lddc_vs_lcg
 from .profiles import (
-    PROFILE_KINDS,
     ConstantProfile,
     CurvatureProfile,
     GcsProfile,
     LinearProfile,
+    QuadraticProfile,
     classify_degenerate,
-    profile_from_dict,
-    profile_from_json,
     to_gcs,
 )
 from .svg import bar_chart_svg, polyline_svg
@@ -64,12 +63,48 @@ from .synthesis import (
 from .tables import row_array, write_table, write_text
 
 __all__ = ["main", "entrypoint", "build_parser", "R_SWEEP"]
+__all__ += ["PROFILE_KINDS", "profile_from_dict", "profile_from_json"]
 
 OUT_ENV_VAR = "GCSPIRAL_OUT"
 VALID_FORMATS = ("csv", "json", "svg")
 
 # Shape-factor sweep used by the `figures` command, descending as plotted.
 R_SWEEP = (100.0, 5.0, 2.0, 1.0, 0.0, -0.5, -0.9, -0.99)
+
+
+# -- profile documents ---------------------------------------------------
+
+# Document type -> (class, document keys in constructor order); also the --<kind> flags.
+PROFILE_KINDS = {
+    "gcs": (GcsProfile, ("kappa0", "kappa1", "arc_length", "r")),
+    "constant": (ConstantProfile, ("kappa", "arc_length")),
+    "linear": (LinearProfile, ("kappa0", "kappa1", "arc_length")),
+    "quadratic": (QuadraticProfile, ("a", "kappa0", "kappa1", "arc_length")),
+}
+
+
+def profile_from_dict(data: dict) -> CurvatureProfile:
+    if not isinstance(data, dict):
+        raise DomainError(f"profile document must be a JSON object, got {type(data).__name__}")
+    kind = data.get("type")
+    if not isinstance(kind, str) or kind not in PROFILE_KINDS:
+        raise DomainError(f"unknown profile type {kind!r}")
+    cls, keys = PROFILE_KINDS[kind]
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise DomainError(f"profile document missing field {missing[0]!r}")
+    unknown = [key for key in data if key != "type" and key not in keys]
+    if unknown:
+        raise DomainError(f"profile document has unknown field {unknown[0]!r}")
+    return cls(*(data[key] for key in keys))
+
+
+def profile_from_json(text: str) -> CurvatureProfile:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"invalid profile JSON: {exc}") from None
+    return profile_from_dict(data)
 
 
 # -- argument plumbing ---------------------------------------------------
@@ -189,13 +224,13 @@ def profile_from_args(args) -> CurvatureProfile:
         if args.length is not None:
             raise DomainError("--length does not apply to --profile")
         text = args.profile.strip()
-        if text.startswith("{"):
-            return profile_from_json(text)
-        try:
-            with open(args.profile, "r", encoding="utf-8") as fh:
-                return profile_from_json(fh.read())
-        except OSError as exc:
-            raise DomainError(f"cannot read profile file {args.profile!r}: {exc}") from None
+        if not text.startswith("{"):
+            try:
+                with open(args.profile, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise DomainError(f"cannot read profile file {args.profile!r}: {exc}") from None
+        return profile_from_json(text)
     kind = flag[2:]
     keys = PROFILE_KINDS[kind][1]
     on_flag = _flag_keys(keys)
@@ -375,7 +410,7 @@ def cmd_lddc(args) -> int:
         comparison = lddc_vs_lcg(histogram, gradient_line(gcs), gcs)
     out.write(f"{out.base}.csv", lambda path: lddc_to_csv(histogram, path))
     bars = (histogram.bin_edges.tolist(), histogram.lengths.tolist())
-    chart = _svg_writer(bar_chart_svg, *bars, x_label="log10 rho", y_label="log10 length")
+    chart = _svg_writer(bar_chart_svg, *bars, caption="log10 rho / log10 length")
     out.write(f"{out.base}.svg", chart)
     summary = {
         "bins": histogram.num_bins,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import IO, NamedTuple, Sequence, Union
@@ -237,18 +238,30 @@ def line_residual(profile: GcsProfile, line: LcgLine, num: int = 50) -> float:
     return float(np.max(np.abs(gradient_gcs(profile, grid) - line(grid))))
 
 
+# A closed-form GCS line misses gradient_gcs by rounding alone: each of the 22
+# operations of n1, c, gradient_gcs, gradient_line and A*t + B rounds once, by
+# eps/2 of a term worth at most 2*M of gradient (4*M for r*kappa1 in n1), with
+# M = max(1, |A*t + B| at the domain ends). For r >= 0 that is 43 * eps/2 * M;
+# for r < 0 n1 adds up to 2*eps/(1 + r), which the line does not know.
+_ROUNDING_FIT = 22.0 * sys.float_info.epsilon
+
+
 def classify_aesthetic(line: LcgLine, residual: float, tol_fit: float = 1e-6) -> AestheticClass:
     """Apply the linear-gradient criterion to a fitted gradient line.
 
-    LOG_AESTHETIC: gradient constant (|A| at most 1e-6 per unit of the
-    line's domain span) and linear within tol_fit. GCS: gradient linear
-    within tol_fit but not constant. OTHER: the linear model itself
-    misfits (residual > tol_fit).
+    The line fits when residual <= max(tol_fit, 22*eps*M), where M =
+    max(1, |A*t + B| at the domain ends): tol_fit is absolute, and the
+    rounding of a closed-form GCS line grows with |gradient|.
+    LOG_AESTHETIC: the line fits and is constant (|A| at most 1e-6 per
+    unit of domain span). GCS: it fits and is not constant. OTHER: the
+    linear model misfits.
     """
     tol_fit = real("tol_fit", tol_fit, above=0.0)
-    if real("residual", residual, least=0.0) > tol_fit:
+    lo, hi = line.domain
+    magnitude = max(1.0, abs(line(lo)), abs(line(hi)))
+    if real("residual", residual, least=0.0) > max(tol_fit, _ROUNDING_FIT * magnitude):
         return AestheticClass.OTHER
-    if abs(line.slope_a) <= 1e-6 / (line.domain[1] - line.domain[0]):
+    if abs(line.slope_a) <= 1e-6 / (hi - lo):
         return AestheticClass.LOG_AESTHETIC
     return AestheticClass.GCS
 

@@ -15,16 +15,12 @@ curvature has a pole: s = -S/r for a GCS with r != 0, inf otherwise.
 Each method takes an arc length in [0, S]: a real number (not a bool),
 answered with a float, or a column of numbers (an ndarray, list or tuple),
 answered with an array whose values equal the one-number calls bit for bit.
-
-PROFILE_KINDS maps each document type to its class and its document keys
-in constructor order; profile documents are read and written through it,
-and the CLI builds its profile flags from it.
+Profile documents and their flags belong to the command line (`cli`).
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -44,9 +40,6 @@ __all__ = [
     "classify_degenerate",
     "inflection",
     "to_gcs",
-    "profile_to_dict",
-    "profile_from_dict",
-    "profile_from_json",
 ]
 
 
@@ -414,47 +407,3 @@ def to_gcs(profile: CurvatureProfile) -> GcsProfile | None:
     if isinstance(profile, QuadraticProfile) and profile.a == 0.0:
         return GcsProfile(profile.kappa0, profile.kappa1, profile.arc_length, 0.0)
     return None
-
-
-# -- JSON serialization -------------------------------------------------
-
-# Document name -> (class, document keys in constructor order). The CLI
-# builds its --<kind> flags from this table as well.
-PROFILE_KINDS = {
-    "gcs": (GcsProfile, ("kappa0", "kappa1", "arc_length", "r")),
-    "constant": (ConstantProfile, ("kappa", "arc_length")),
-    "linear": (LinearProfile, ("kappa0", "kappa1", "arc_length")),
-    "quadratic": (QuadraticProfile, ("a", "kappa0", "kappa1", "arc_length")),
-}
-
-
-def profile_to_dict(profile: CurvatureProfile) -> dict:
-    for kind, (cls, keys) in PROFILE_KINDS.items():
-        if isinstance(profile, cls):
-            values = [getattr(profile, f.name) for f in fields(profile) if f.init]
-            return {"type": kind, **dict(zip(keys, values))}
-    raise DomainError(f"not a curvature profile: {profile!r}")
-
-
-def profile_from_dict(data: dict) -> CurvatureProfile:
-    if not isinstance(data, dict):
-        raise DomainError(f"profile document must be a JSON object, got {type(data).__name__}")
-    kind = data.get("type")
-    if not isinstance(kind, str) or kind not in PROFILE_KINDS:
-        raise DomainError(f"unknown profile type {kind!r}")
-    cls, keys = PROFILE_KINDS[kind]
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise DomainError(f"profile document missing field {missing[0]!r}")
-    unknown = [key for key in data if key != "type" and key not in keys]
-    if unknown:
-        raise DomainError(f"profile document has unknown field {unknown[0]!r}")
-    return cls(*(data[key] for key in keys))
-
-
-def profile_from_json(text: str) -> CurvatureProfile:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid profile JSON: {exc}") from None
-    return profile_from_dict(data)

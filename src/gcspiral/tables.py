@@ -73,9 +73,10 @@ def _text(rows: np.ndarray, ends: str, digits: int) -> str:
 
 # Below this many values, by digits, text is formatted by the % template,
 # which is quicker there than the kernel's fixed cost per call. With warm
-# caches they break even near 200 values of 17 digits and 500 of 8, where
-# CPython's dtoa is on its fast path; with cold ones, as in a CLI command
-# that writes one plot, near 650 and 1,500.
+# caches they break even near 200 values of 17 digits and 500 of 8; with a
+# 16 MB array summed between calls, near 450 and 1,500. At 256 samples the
+# CLI writes 17-digit tables of at most 64 values or at least 512, and from
+# 512 the kernel is as quick cold (768 values: 0.46 against 0.65 ms).
 _KERNEL_MIN_VALUES = {17: 256, 8: 1536}
 # Values formatted per kernel pass, about; bounds the scratch arrays to a few MB.
 _BLOCK_VALUES = 4096

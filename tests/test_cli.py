@@ -38,9 +38,8 @@ from gcspiral import (
     synthesize,
 )
 from gcspiral import cli, synthesis
-from gcspiral.cli import OUT_ENV_VAR, R_SWEEP, build_parser, main
+from gcspiral.cli import OUT_ENV_VAR, PROFILE_KINDS, R_SWEEP, build_parser, main
 from gcspiral.errors import InputError
-from gcspiral.profiles import PROFILE_KINDS
 from gcspiral.tables import read_table
 
 PI = repr(math.pi)
@@ -434,6 +433,23 @@ class TestClassifyCommand:
         assert code == 0
         on_disk = json.loads((tmp_path / "classify.json").read_text())
         assert on_disk["class"] == "gcs"
+
+    @pytest.mark.parametrize(
+        "gcs",
+        [
+            "1,1.00000000001,1,1",  # A and B near -1e11, residual 6.1e-5 on 256 points
+            "-2.8539802664230876,-2.853980274899395,4.073060214714459,12.392081689195669",
+        ],
+    )
+    def test_closed_form_rounding_is_a_fit(self, tmp_path, capsys, gcs):
+        # The residual is rounding that grows with |gradient|; both commands call it a fit.
+        classes = []
+        for command in ("classify", "gradient"):
+            code, out, err = run(capsys, command, f"--gcs={gcs}", "--out", str(tmp_path))
+            assert code == 0, err
+            verdict = summary_of(out)
+            classes.append(verdict["class"] if command == "classify" else verdict["line"]["class"])
+        assert classes == ["gcs", "gcs"]
 
     def test_general_quadratic_rejected(self, tmp_path, capsys):
         code, _, err = run(

@@ -3,6 +3,7 @@
 import io
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -34,10 +35,13 @@ from gcspiral import (
     lcg_gradient_numeric,
     lcg_numeric,
     lcg_points_to_csv,
+    lddc_histogram,
     line_residual,
     synthesize,
 )
-from tutil import FIG_SWEEP_R, gcs_profiles, lcg_point, unit_fractions
+from tutil import FIG_SWEEP_R, gcs_profiles, lcg_point, random_gcs, unit_fractions
+
+EPS = sys.float_info.epsilon
 
 # n1 = kappa1 - kappa0 + r*kappa1 = 0: reciprocal-linear curvature.
 LOG_SPIRAL = GcsProfile(3.0, 1.0, 1.0, 2.0)
@@ -417,6 +421,84 @@ class TestClassification:
         for residual in (-1.0, True):
             with pytest.raises(DomainError):
                 classify_aesthetic(line, residual)
+
+    def test_fit_tolerance_grows_with_the_gradient(self):
+        # The line fits within max(tol_fit, 22 eps M), M = max(1, |A t + B| at the domain ends).
+        steep = LcgLine(-1e11, 1e11, (0.0, 2.0))  # A t + B is 1e11 and -1e11 at the ends
+        for line, bound in ((steep, 22.0 * EPS * 1e11), (LcgLine(1.0, 0.0, (0.0, 1.0)), 1e-6)):
+            assert classify_aesthetic(line, bound) is AestheticClass.GCS
+            assert classify_aesthetic(line, math.nextafter(bound, 1.0)) is AestheticClass.OTHER
+
+    def test_closed_form_lines_never_misfit(self):
+        # |kappa1 - kappa0| log-uniform over [3e-12, 1]: near-circular profiles have
+        # gradients up to about 1e12, and their residual is rounding alone.
+        rng = np.random.default_rng(2026)
+        misses, drawn = [], 0
+        while drawn < 20_000:
+            k0 = rng.uniform(-10.0, 10.0)
+            gap = 10.0 ** rng.uniform(math.log10(3e-12), 0.0) * rng.choice((-1.0, 1.0))
+            p = GcsProfile(k0, k0 + gap, rng.uniform(0.05, 20.0), rng.uniform(-0.99, 100.0))
+            if p.circular:
+                continue
+            drawn += 1
+            line = gradient_line(p)
+            classes = {classify_aesthetic(line, line_residual(p, line, num)) for num in (50, 256)}
+            if len(classes) != 1 or AestheticClass.OTHER in classes:
+                misses.append((p, classes))
+        assert misses == []
+
+
+class TestFamilyMaps:
+    """Exact maps within the GCS family, on seeded draws over tutil's ranges.
+
+    Mirror, (-kappa0, -kappa1, S, r), negates n1, n0 and c exactly, so the
+    LCG, the gradient line and the LDDC histogram keep every bit. Reversal,
+    (kappa1, kappa0, S, -r/(1+r)), reads the same curvature from the other
+    end and maps the gradient line A*t + B to -A*t + (A*S + B).
+    """
+
+    DRAWS = 3000
+
+    def test_mirror_keeps_every_bit(self):
+        rng = np.random.default_rng(2604)
+        for _ in range(self.DRAWS):
+            p = random_gcs(rng, min_kappa_gap=1e-9)
+            q = GcsProfile(-p.kappa0, -p.kappa1, p.arc_length, p.r)
+            t = np.linspace(0.0, p.arc_length, 33)
+            assert repr(lcg_gcs_points(q, t)) == repr(lcg_gcs_points(p, t)), p
+            assert repr(gradient_line(q)) == repr(gradient_line(p)), p
+            hp, hq = (lddc_histogram((t, f.kappa(t)), 8) for f in (p, q))
+            assert hq.bin_edges.tobytes() == hp.bin_edges.tobytes(), p
+            assert hq.lengths.tobytes() == hp.lengths.tobytes(), p
+            assert (hq.total_length, hq.excluded_length) == (hp.total_length, hp.excluded_length)
+
+    @staticmethod
+    def reversal_rounding(p, line):
+        """First-order rounding bound on either coefficient of the reversed line.
+
+        With u = eps/2, W = max(1, |A|*S, |B|) and rho = |r|/(1+r): A*S
+        rounds by at most u*(8*W + 4*rho) (n1 cancels, the rest rounds
+        once each) and B by 11*u*W; the reversed profile, whose W is at
+        most 2W and whose rho is |r|, by u*(16*W + 4*|r|) and 17*u*W.
+        -r/(1+r) rounds twice, by 2*u*|q|, which moves the reversed A*S
+        by u*(8 + 6*(1+r))*W and B by 6*u*(1+r)*W. Forming A*S + B adds
+        3*u*W.
+        """
+        W = max(1.0, abs(line.slope_a) * p.arc_length, abs(line.intercept_b))
+        r = abs(p.r)
+        return EPS / 2.0 * ((39.0 + 6.0 * (1.0 + p.r)) * W + 4.0 * r + 4.0 * r / (1.0 + p.r))
+
+    def test_reversal_maps_the_gradient_line(self):
+        rng = np.random.default_rng(2605)
+        for _ in range(self.DRAWS):
+            p = random_gcs(rng, min_kappa_gap=1e-9)
+            line = gradient_line(p)
+            back = gradient_line(GcsProfile(p.kappa1, p.kappa0, p.arc_length, -p.r / (1.0 + p.r)))
+            S = p.arc_length
+            bound = self.reversal_rounding(p, line)
+            assert abs(back.slope_a + line.slope_a) * S <= bound, p
+            assert abs(back.intercept_b - (line.slope_a * S + line.intercept_b)) <= bound, p
+            assert back.domain == line.domain
 
 
 class TestSampledGradient:

@@ -442,7 +442,7 @@ class TestSerialization:
             lddc_from_csv(io.StringIO(text))
 
     def test_bar_chart_caption_is_escaped(self):
-        text = bar_chart_svg([0.0, 1.0, 2.0], [1.0, 2.0], x_label="a<b", y_label="c&d")
+        text = bar_chart_svg([0.0, 1.0, 2.0], [1.0, 2.0], caption="a<b / c&d")
         root = ET.fromstring(text.encode("utf-8"))
         caption = root.find("{http://www.w3.org/2000/svg}text")
         assert caption.text == "a<b / c&d"

@@ -22,7 +22,7 @@ import numpy as np
 import gcspiral as g
 from gcspiral import cli
 from gcspiral.errors import InputError
-from gcspiral.profiles import PROFILE_KINDS
+from tutil import profile_document
 
 SEED = 2024
 DRAWS_PER_KIND = 120
@@ -42,7 +42,7 @@ def _draws() -> list[dict]:
     return [
         {"type": kind, **{key: _draw_value(rng) for key in keys}}
         for _ in range(DRAWS_PER_KIND)
-        for kind, (_cls, keys) in PROFILE_KINDS.items()
+        for kind, (_cls, keys) in cli.PROFILE_KINDS.items()
     ]
 
 
@@ -57,7 +57,7 @@ def _routes(p):
         f = getattr(p, method)
         yield method, lambda f=f: f(grid)
         yield f"{method}(float)", lambda f=f: (f(0.0), f(S / 3.0), f(S))
-    yield "document", lambda: g.profile_from_json(json.dumps(g.profile_to_dict(p)))
+    yield "document", lambda: cli.profile_from_json(json.dumps(profile_document(p)))
     yield "synthesize", lambda: g.synthesize(p, config=g.QuadratureConfig(samples_per_curve=SAMPLES))
     yield "endpoint(simpson)", lambda: g.endpoint(p)
     yield "endpoint(gauss)", lambda: g.endpoint(p, scheme="gauss")
@@ -94,7 +94,7 @@ def test_every_library_route():
         warnings.simplefilter("error", RuntimeWarning)
         for doc in DRAWS:
             try:
-                profile = g.profile_from_dict(doc)
+                profile = cli.profile_from_dict(doc)
             except InputError:
                 continue
             except Exception as exc:  # any other outcome is a finding

@@ -24,19 +24,23 @@ from gcspiral import (
     gradient_gcs,
     inflection,
     lcg_gradient_numeric,
-    profile_from_dict,
-    profile_from_json,
-    profile_to_dict,
     to_gcs,
 )
+from gcspiral.cli import PROFILE_KINDS, profile_from_dict, profile_from_json
 from gcspiral.profiles import (
-    PROFILE_KINDS,
     _clamp_s,
     _log1p_remainder,
     _remainder_series,
     _series_terms,
 )
-from tutil import arc_lengths, gcs_profiles, kappas, shape_factors, unit_fractions
+from tutil import (
+    arc_lengths,
+    gcs_profiles,
+    kappas,
+    profile_document,
+    shape_factors,
+    unit_fractions,
+)
 
 FIG_R_VALUES = [-0.99, -0.9, -0.5, 0.0, 1.0, 2.0, 5.0, 100.0]
 
@@ -681,6 +685,8 @@ class TestConversion:
 
 
 class TestSerialization:
+    """Profile documents, read by the CLI's profile_from_dict and profile_from_json."""
+
     CASES = [
         ConstantProfile(1.25, 2.5),
         LinearProfile(-0.75, 2.0, 1.5),
@@ -690,8 +696,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("profile", CASES, ids=lambda p: type(p).__name__)
     def test_round_trip_exact(self, profile):
-        assert profile_from_json(json.dumps(profile_to_dict(profile))) == profile
-        assert profile_from_dict(profile_to_dict(profile)) == profile
+        assert profile_from_json(json.dumps(profile_document(profile))) == profile
+        assert profile_from_dict(profile_document(profile)) == profile
 
     @pytest.mark.parametrize(
         "profile, doc",
@@ -713,7 +719,7 @@ class TestSerialization:
         ids=["gcs", "constant", "linear", "quadratic"],
     )
     def test_document_shape(self, profile, doc):
-        assert list(profile_to_dict(profile).items()) == list(doc.items())
+        assert list(profile_document(profile).items()) == list(doc.items())
         assert profile_from_dict(doc) == profile
 
     def test_unknown_type_rejected(self):
@@ -739,8 +745,8 @@ class TestSerialization:
         doc = {"type": kind, **{key: data.draw(strategy.get(key, kappas)) for key in keys}}
         profile = profile_from_dict(doc)
         assert type(profile) is cls
-        assert list(profile_to_dict(profile).items()) == list(doc.items())
-        assert profile_from_json(json.dumps(profile_to_dict(profile))) == profile
+        assert list(profile_document(profile).items()) == list(doc.items())
+        assert profile_from_json(json.dumps(doc)) == profile
 
     def test_invalid_json_rejected(self):
         with pytest.raises(DomainError):
@@ -753,14 +759,10 @@ class TestSerialization:
     @given(kappas, kappas, arc_lengths, shape_factors)
     def test_round_trip_property(self, k0, k1, s_total, r):
         p = GcsProfile(k0, k1, s_total, r)
-        again = profile_from_json(json.dumps(profile_to_dict(p)))
+        again = profile_from_json(json.dumps(profile_document(p)))
         assert (again.kappa0, again.kappa1, again.arc_length, again.r) == (
             p.kappa0,
             p.kappa1,
             p.arc_length,
             p.r,
         )
-
-    def test_json_text_is_parseable(self):
-        text = json.dumps(profile_to_dict(GcsProfile(0.0, 2.0, math.pi, 1.0)))
-        assert json.loads(text)["type"] == "gcs"

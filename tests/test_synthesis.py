@@ -571,8 +571,8 @@ class TestSerialization:
         svg = polyline_svg([[(0.0, 0.0), (1.0, 1.0)]], labels=[text], title=text)
         assert svg.count(f"<title>{escaped}</title>") == 2  # the title and the line's label
         assert f">{escaped}</text>" in svg  # the label's legend entry
-        chart = bar_chart_svg([0.0, 1.0], [1.0], x_label=text, y_label=text)
-        assert f">{html.escape(f'{text} / {text}', quote=False)}</text>" in chart
+        chart = bar_chart_svg([0.0, 1.0], [1.0], caption=text)
+        assert f">{escaped}</text>" in chart
 
     def test_row_array_matches_asarray(self):
         points, _ = lcg_gcs_points(GcsProfile(0.1, 2.0, math.pi, 2.0), np.linspace(0.0, math.pi, 9))

@@ -1,11 +1,13 @@
 """Shared hypothesis strategies and small helpers for the test suite."""
 
+import dataclasses
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
 from gcspiral import GcsProfile, SingularPointError, lcg_gcs_points
+from gcspiral.cli import PROFILE_KINDS
 
 kappas = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 arc_lengths = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
@@ -22,6 +24,13 @@ def gcs_profiles(draw, min_kappa_gap: float = 0.0):
     s_total = draw(arc_lengths)
     r = draw(shape_factors)
     return GcsProfile(k0, k1, s_total, r)
+
+
+def profile_document(profile) -> dict:
+    """The CLI's JSON document of a profile, keyed as cli.PROFILE_KINDS lists them."""
+    kind, keys = next((k, keys) for k, (cls, keys) in PROFILE_KINDS.items() if type(profile) is cls)
+    values = [getattr(profile, f.name) for f in dataclasses.fields(profile) if f.init]
+    return {"type": kind, **dict(zip(keys, values))}
 
 
 def menger_curvature(x: np.ndarray, y: np.ndarray) -> np.ndarray:
