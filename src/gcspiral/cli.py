@@ -3,10 +3,13 @@
 Exit codes: 0 on success, 2 for input or domain errors, 3 for quadrature
 failures. Every command prints a one-line JSON summary to standard output;
 data files land in --out (or $GCSPIRAL_OUT, or the working directory).
-A profile is one --<kind> flag per entry of PROFILE_KINDS (its
-comma-separated keys, with --length for a trailing arc_length) or a
---profile JSON document {"type": <kind>, <key>: <number>, ...}; either way
+A profile is one --<kind> flag per entry of PROFILE_KINDS, holding that
+kind's document keys in order as comma-separated numbers, or a --profile
+JSON document {"type": <kind>, <key>: <number>, ...}; either way
 profile_from_dict reads it. Documents and file formats belong here alone.
+gradient (without --sampled) and classify judge one closed-form gradient
+line, fitted and classified the same way; they differ only in the number
+of points its residual is taken over.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .errors import (
     SingularProfileError,
 )
 from .lcg import (
+    AestheticClass,
+    LcgLine,
     classify_aesthetic,
     gradient_from_samples,
     gradient_gcs,
@@ -126,14 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_profile_options(sp):
         for kind, (_cls, keys) in PROFILE_KINDS.items():
-            on_flag = _flag_keys(keys)
-            sp.add_argument(
-                f"--{kind}",
-                type=float if len(on_flag) == 1 else str,
-                help=f"{kind} profile as {','.join(on_flag)}"
-                + ("" if on_flag == keys else " (needs --length)"),
-            )
-        sp.add_argument("--length", type=float, help="arc length for a flag that needs it")
+            sp.add_argument(f"--{kind}", help=f"{kind} profile as {','.join(keys)}")
         sp.add_argument("--profile", help="profile JSON document given inline or as a file path")
 
     def add_output_options(sp, prefix):
@@ -205,13 +203,8 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
         raise DomainError(f"{what} holds a non-numeric field: {text!r}") from None
 
 
-def _flag_keys(keys: tuple[str, ...]) -> tuple[str, ...]:
-    """The document keys a --<kind> flag holds: all of them, or all but a trailing arc_length."""
-    return keys[:-1] if keys[-1] == "arc_length" else keys
-
-
 def profile_from_args(args) -> CurvatureProfile:
-    """The profile of the one given --<kind> flag (with --length when it needs one) or --profile."""
+    """The profile of the one given --<kind> flag or --profile."""
     flags = [f"--{kind}" for kind in PROFILE_KINDS] + ["--profile"]
     given = [flag for flag in flags if getattr(args, flag[2:]) is not None]
     if len(given) != 1:
@@ -221,8 +214,6 @@ def profile_from_args(args) -> CurvatureProfile:
         )
     flag = given[0]
     if flag == "--profile":
-        if args.length is not None:
-            raise DomainError("--length does not apply to --profile")
         text = args.profile.strip()
         if not text.startswith("{"):
             try:
@@ -233,16 +224,24 @@ def profile_from_args(args) -> CurvatureProfile:
         return profile_from_json(text)
     kind = flag[2:]
     keys = PROFILE_KINDS[kind][1]
-    on_flag = _flag_keys(keys)
-    value = getattr(args, kind)
-    numbers = (value,) if len(on_flag) == 1 else _parse_floats(value, len(on_flag), flag)
-    if on_flag != keys:
-        if args.length is None:
-            raise DomainError(f"--length is required with {flag}")
-        numbers += (args.length,)
-    elif args.length is not None:
-        raise DomainError(f"--length does not apply to {flag}")
+    numbers = _parse_floats(getattr(args, kind), len(keys), flag)
     return profile_from_dict({"type": kind, **dict(zip(keys, numbers))})
+
+
+def _rational_linear(profile: CurvatureProfile, what: str) -> GcsProfile:
+    """`profile` as a GcsProfile, or a DomainError saying that `what` needs one."""
+    gcs = to_gcs(profile)
+    if gcs is None:
+        raise DomainError(f"{what} needs a rational-linear profile")
+    return gcs
+
+
+def _closed_form_verdict(gcs: GcsProfile, num: int) -> tuple[LcgLine, AestheticClass]:
+    """The closed-form gradient line of `gcs`, carrying its residual over
+    `num` points, and its aesthetic class."""
+    line = gradient_line(gcs)
+    line = dataclasses.replace(line, residual=line_residual(gcs, line, num=num))
+    return line, classify_aesthetic(line, line.residual, tol_fit=1e-6)
 
 
 def _config_from_args(args) -> QuadratureConfig:
@@ -345,17 +344,9 @@ def cmd_gradient(args) -> int:
         trace, line = gradient_from_samples((grid, profile.kappa(grid)))
         aesthetic = classify_aesthetic(line, line.residual, tol_fit=1e-2)
     else:
-        gcs = to_gcs(profile)
-        if gcs is None:
-            raise DomainError(
-                "closed-form gradients need rational-linear curvature; "
-                "use --sampled for other profiles"
-            )
-        line = gradient_line(gcs)
-        residual = line_residual(gcs, line, num=len(grid))
-        line = dataclasses.replace(line, residual=residual)
+        gcs = _rational_linear(profile, "gradient without --sampled")
+        line, aesthetic = _closed_form_verdict(gcs, len(grid))
         trace = np.column_stack((grid, gradient_gcs(gcs, grid)))
-        aesthetic = classify_aesthetic(line, residual, tol_fit=1e-6)
 
     out.write(f"{out.base}.csv", lambda path: gradient_to_csv(trace, path))
     out.write(f"{out.base}.svg", _svg_writer(polyline_svg, [trace], title=out.base))
@@ -368,30 +359,14 @@ def cmd_gradient(args) -> int:
 def cmd_classify(args) -> int:
     profile = profile_from_args(args)
     out = _Artifacts(args, args.prefix or "classify")
-    gcs = to_gcs(profile)
-    if gcs is None:
-        raise DomainError(
-            "classification is defined for rational-linear curvature profiles; "
-            "constant/linear profiles convert automatically, general quadratics do not"
-        )
-    degenerate = classify_degenerate(gcs)
+    gcs = _rational_linear(profile, "classify")
+    verdict = {"degenerate": classify_degenerate(gcs).value}
     try:
-        line = gradient_line(gcs)
-        residual = line_residual(gcs, line)
-        line = dataclasses.replace(line, residual=residual)
-        aesthetic = classify_aesthetic(line, residual)
-        verdict = {
-            "degenerate": degenerate.value,
-            "lcg_line": {"A": line.slope_a, "B": line.intercept_b},
-            "class": aesthetic.value,
-        }
+        line, aesthetic = _closed_form_verdict(gcs, 50)
+        lcg_line = {"A": line.slope_a, "B": line.intercept_b}
+        verdict.update({"lcg_line": lcg_line, "class": aesthetic.value})
     except SingularProfileError as exc:
-        verdict = {
-            "degenerate": degenerate.value,
-            "lcg_line": None,
-            "class": "lcg_undefined",
-            "reason": str(exc),
-        }
+        verdict.update({"lcg_line": None, "class": "lcg_undefined", "reason": str(exc)})
     out.emit(verdict, json_doc=verdict)
     return 0
 
@@ -404,9 +379,7 @@ def cmd_lddc(args) -> int:
     histogram = lddc_histogram((grid, profile.kappa(grid)), args.bins)
     comparison = None
     if args.compare:  # before any file is written: a rejected profile leaves none behind
-        gcs = to_gcs(profile)
-        if gcs is None:
-            raise DomainError("--compare needs a rational-linear profile")
+        gcs = _rational_linear(profile, "--compare")
         comparison = lddc_vs_lcg(histogram, gradient_line(gcs), gcs)
     out.write(f"{out.base}.csv", lambda path: lddc_to_csv(histogram, path))
     bars = (histogram.bin_edges.tolist(), histogram.lengths.tolist())

@@ -15,12 +15,13 @@ x of decimal exponent E in the kernel's range, x * 10**(digits - 1 - E) is
 exactly hi + lo by Dekker's TwoProduct (10**k is an exact double for
 k <= 22), and rounding hi + lo half to even gives the digits. E comes from
 log10 and is corrected by an exact range check on hi + lo. Each value is
-laid out in one constant row (sign, "0.000", the digits, the point, the
-exponent and the separator); a keep mask looked up by (E, last nonzero
-digit) picks the characters that ``%`` prints, and one boolean compress of
-the flat bytes joins the block. The kernel writes 1e-6 < |x| < 1e17 at 17
-digits and, at 8, the fixed notation of 1e-4 < |x| < 1e8; Python formats
-any other value (0, -0, subnormals, inf, nan, and the rest).
+laid out in one constant row (sign, "0.000", the digits, the point and the
+separator); a keep mask looked up by (E, last nonzero digit) picks the
+characters that ``%`` prints, and one boolean compress of the flat bytes
+joins the block. At both precisions the kernel writes only the values that
+``%g`` writes in fixed notation, 1e-4 < |x| < 10**digits; Python formats
+any other value (0, -0, subnormals, inf, nan, and every value in
+scientific notation).
 """
 
 from __future__ import annotations
@@ -100,25 +101,23 @@ _GROUPS = _GROUPS.astype(np.uint8, order="C").view("<u4").ravel()
 _LAST_NONZERO = np.full(10**4, -64, np.int8)
 for _place, _nonzero in enumerate((_GROUPS.view(np.uint8).reshape(-1, 4) != ord("0")).T):
     _LAST_NONZERO[_nonzero] = _place
-# The exponent word by k = 16 - E; only %.17g writes one, for E = -5 and -6.
-_TAILS = _words([b"e-0" + bytes([ord("0") + k - 16]) for k in range(23)])
 _PAD = 24  # the longest %.17g text, "-2.2250738585072014e-308"
 
 
-def _layout(digits: int, least: int, most: int) -> SimpleNamespace:
-    """The kernel's row of bytes for `digits` digits and the decimal
-    exponents least..most, in 4-byte words.
+def _layout(digits: int) -> SimpleNamespace:
+    """The kernel's row of bytes for `digits` digits, in 4-byte words, for the
+    decimal exponents -4 <= E < digits, which ``%g`` writes in fixed notation.
 
     The digits are cut into 4-digit groups from the right, and the groups
     are written twice, so that a fixed-point number ("ddd.dddd") is kept as
     runs either side of the point, which overwrites the second lead digit:
 
-        17 digits, 52 bytes: "-0.0" "000d" "dddd"*4 "000." "dddd"*4 "e-0E" separator
+        17 digits, 48 bytes: "-0.0" "000d" "dddd"*4 "000." "dddd"*4 separator
         8 digits, 28 bytes:  "-0.0" "00"   "dddd"*2 ".ddd" "dddd"   separator
 
     Bytes 0-5 are the sign and "0.000", the zeros running on into the lead
-    group at 17 digits; the bytes left blank are never kept. Besides the
-    arguments, the layout holds `head`, the words before the groups;
+    group at 17 digits; the bytes left blank are never kept. Besides
+    `digits`, the layout holds `head`, the words before the groups;
     `point`, the byte of the "."; `last`, by group and group value, the
     place of its last nonzero digit; and `keep`, the keep masks by
     k * digits + the place of the last nonzero digit.
@@ -126,31 +125,27 @@ def _layout(digits: int, least: int, most: int) -> SimpleNamespace:
     groups = -(-digits // 4)
     lead = 4 * -(-(digits + 6) // 4) - digits  # the byte of the lead digit
     point = lead + 4 * groups
-    scientific = least < -4
-    separator = point + digits + 4 * scientific
-    exponent = np.arange(most, least - 1, -1)[:, None, None]
+    separator = point + digits
+    exponent = np.arange(digits - 1, -5, -1)[:, None, None]
     last = np.arange(digits)[None, :, None]
     place = np.arange(1, digits)
-    in_scientific = exponent < -4
-    leading_zero = ~in_scientific & (exponent < 0)
-    point_place = np.where(in_scientific, 0, np.where(leading_zero, digits - 1, exponent))
-    keep = np.zeros((most - least + 1, digits, separator + 4), bool)
+    leading_zero = exponent < 0
+    point_place = np.where(leading_zero, digits - 1, exponent)
+    keep = np.zeros((digits + 4, digits, separator + 4), bool)
     keep[..., 1:3] = leading_zero
     keep[..., 3:6] = leading_zero & (np.arange(3) < -exponent - 1)
     keep[..., lead] = True
     keep[..., lead + 1 : lead + digits] = place <= np.where(leading_zero, last, point_place)
     keep[..., point : point + 1] = last > point_place
     keep[..., point + 1 : point + digits] = (place > point_place) & (place <= last)
-    keep[..., point + digits : separator] = in_scientific
     keep[..., separator] = True
     head = _words([b"-0.000\0\0"[: lead + digits - 4 * groups]])
     group_last = digits - 4 * np.arange(groups, 0, -1)[:, None] + _LAST_NONZERO
-    return SimpleNamespace(digits=digits, least=least, most=most, head=head, point=point,
+    return SimpleNamespace(digits=digits, head=head, point=point,
                            last=group_last.astype(np.int8), keep=keep.reshape(-1, separator + 4))
 
 
-# %.17g of 1e-6 < |x| < 1e17; %.8g of 1e-4 < |x| < 1e8, in fixed notation only.
-_LAYOUTS = {17: _layout(17, -6, 16), 8: _layout(8, -4, 7)}
+_LAYOUTS = {17: _layout(17), 8: _layout(8)}
 
 
 def _scaled(x: np.ndarray, x_hi: np.ndarray, x_lo: np.ndarray, k: np.ndarray):
@@ -168,14 +163,14 @@ def _format(values: np.ndarray, ends: np.ndarray, layout: SimpleNamespace) -> by
     """The ASCII `%.<layout.digits>g` text of `values`, each followed by its byte of `ends`."""
     count, digits = len(values), layout.digits
     magnitude = np.abs(values)
-    slow = ~((magnitude > 10.0**layout.least) & (magnitude < 10.0 ** (layout.most + 1)))
+    slow = ~((magnitude > 1e-4) & (magnitude < 10.0**digits))
     magnitude[slow] = 1.0
     x_hi = magnitude * 134217729.0
     x_hi -= x_hi - magnitude
     x_lo = magnitude - x_hi
-    # k = digits - 1 - E scales x into [10**(digits - 1), 10**digits).
+    # k = digits - 1 - E, for E from -4 up, scales x into [10**(digits - 1), 10**digits).
     k = digits - 1 - np.floor(np.log10(magnitude)).astype(np.int64)
-    np.minimum(np.maximum(k, 0, out=k), digits - 1 - layout.least, out=k)
+    np.minimum(np.maximum(k, 0, out=k), digits + 3, out=k)
     hi, lo = _scaled(magnitude, x_hi, x_lo, k)
     # log10 may be one off next to a power of ten. hi - 10**(digits - 1) and
     # hi - 10**digits are exact or far from 0, so these are exact range checks.
@@ -201,8 +196,8 @@ def _format(values: np.ndarray, ends: np.ndarray, layout: SimpleNamespace) -> by
         tie += lo
         number = floor.astype(np.int64)
         number += (tie > 0.0) | ((tie == 0.0) & ((number & 1) == 1))
-        # A rounding up to 10**digits carries into E + 1; past `most`, that
-        # is scientific notation, which Python writes.
+        # A rounding up to 10**digits carries into E + 1; at E = digits,
+        # that is scientific notation, which Python writes.
         carry = number == 10**digits
         if carry.any():
             number[carry] = 10 ** (digits - 1)
@@ -225,8 +220,6 @@ def _format(values: np.ndarray, ends: np.ndarray, layout: SimpleNamespace) -> by
         np.maximum(last, layout.last[j].take(group), out=last)
     rows = words.view(np.uint8)
     rows[:, layout.point] = ord(".")
-    if layout.least < -4:
-        words[:, -2] = _TAILS.take(k)
     words[:, -1] = ends[:count]
     keep = layout.keep.take(k * digits + last, axis=0)
     np.less(values, 0.0, out=keep[:, 0])

@@ -58,7 +58,7 @@ def summary_of(out_text):
 class TestSynth:
     def test_half_circle(self, tmp_path, capsys):
         code, out, _ = run(
-            capsys, "synth", "--constant", "1.0", "--length", PI, "--out", str(tmp_path)
+            capsys, "synth", "--constant", f"1.0,{PI}", "--out", str(tmp_path)
         )
         assert code == 0
         summary = summary_of(out)
@@ -71,7 +71,7 @@ class TestSynth:
     def test_full_circle_closes(self, tmp_path, capsys):
         code, out, _ = run(
             capsys,
-            "synth", "--constant", "1.0", "--length", repr(2.0 * math.pi),
+            "synth", "--constant", f"1.0,{2.0 * math.pi!r}",
             "--out", str(tmp_path), "--formats", "csv",
         )
         assert code == 0
@@ -103,7 +103,7 @@ class TestSynth:
 
     def test_svg_viewbox_has_margin(self, tmp_path, capsys):
         code, _, err = run(
-            capsys, "synth", "--constant", "1.0", "--length", PI, "--formats", "svg",
+            capsys, "synth", "--constant", f"1.0,{PI}", "--formats", "svg",
             "--out", str(tmp_path),
         )
         assert code == 0, err
@@ -121,7 +121,7 @@ class TestSynth:
     def test_json_format_writes_summary_file(self, tmp_path, capsys):
         code, out, _ = run(
             capsys,
-            "synth", "--constant", "1.0", "--length", "1.0",
+            "synth", "--constant", "1.0,1.0",
             "--out", str(tmp_path), "--formats", "json",
         )
         assert code == 0
@@ -140,7 +140,7 @@ class TestSynth:
 
     def test_env_var_output_directory(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path / "from_env"))
-        code, _, _ = run(capsys, "synth", "--constant", "1.0", "--length", "1.0")
+        code, _, _ = run(capsys, "synth", "--constant", "1.0,1.0")
         assert code == 0
         assert (tmp_path / "from_env" / "curve.csv").is_file()
 
@@ -148,7 +148,7 @@ class TestSynth:
         monkeypatch.setenv(OUT_ENV_VAR, str(tmp_path / "ignored"))
         code, _, _ = run(
             capsys,
-            "synth", "--constant", "1.0", "--length", "1.0",
+            "synth", "--constant", "1.0,1.0",
             "--out", str(tmp_path / "explicit"),
         )
         assert code == 0
@@ -180,25 +180,20 @@ class TestProfileInputs:
         assert code == 2
         assert "nope.json" in err
 
-    def test_missing_length_rejected(self, tmp_path, capsys):
-        code, _, err = run(capsys, "synth", "--constant", "1.0", "--out", str(tmp_path))
-        assert code == 2
-        assert "--length" in err
+    def test_flag_missing_a_key_rejected(self, tmp_path, capsys):
+        # A --<kind> flag holds every key of its document, arc_length included.
+        code, out, err = run(capsys, "synth", "--constant", "1", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert "error: --constant expects 2 comma-separated numbers, got '1'" in err
+        assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize(
-        "profile_args",
-        [
-            ["--gcs", "0,1,1,0"],
-            ["--profile", '{"type": "constant", "kappa": 1.0, "arc_length": 2.0}'],
-        ],
-        ids=["gcs", "profile"],
-    )
-    def test_length_without_a_flag_that_needs_it_rejected(self, tmp_path, capsys, profile_args):
+    @pytest.mark.parametrize("command", ["synth", "lcg", "gradient", "classify", "lddc"])
+    def test_length_is_not_an_option(self, tmp_path, capsys, command):
         code, out, err = run(
-            capsys, "synth", *profile_args, "--length", "5", "--out", str(tmp_path)
+            capsys, command, "--constant", "1,2", "--length", "5", "--out", str(tmp_path)
         )
         assert (code, out) == (2, "")
-        assert f"error: --length does not apply to {profile_args[0]}" in err
+        assert "unrecognized arguments: --length 5" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_document_key_rejected(self, tmp_path, capsys):
@@ -218,19 +213,23 @@ class TestProfileInputs:
                 {"type": "gcs", "kappa0": 0.5, "kappa1": 2, "arc_length": 3, "r": 1},
             ),
             (
-                ["--constant", "1.25", "--length", "2.5"],
+                ["--constant", "1.25,2.5"],
                 {"type": "constant", "kappa": 1.25, "arc_length": 2.5},
             ),
             (
-                ["--linear=-0.75,2", "--length", "1.5"],
+                ["--constant=-1,2"],
+                {"type": "constant", "kappa": -1, "arc_length": 2},
+            ),
+            (
+                ["--linear=-0.75,2,1.5"],
                 {"type": "linear", "kappa0": -0.75, "kappa1": 2, "arc_length": 1.5},
             ),
             (
-                ["--quadratic", "0.3,-0.1,1.1", "--length", "4"],
+                ["--quadratic", "0.3,-0.1,1.1,4"],
                 {"type": "quadratic", "a": 0.3, "kappa0": -0.1, "kappa1": 1.1, "arc_length": 4},
             ),
         ],
-        ids=["gcs", "constant", "linear", "quadratic"],
+        ids=["gcs", "constant", "negative-constant", "linear", "quadratic"],
     )
     def test_flag_and_document_write_identical_files(self, tmp_path, capsys, flag_args, doc):
         outputs = []
@@ -253,7 +252,7 @@ class TestProfileInputs:
     def test_conflicting_profiles_rejected(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
-            "synth", "--constant", "1.0", "--linear", "0,1", "--length", "1.0",
+            "synth", "--constant", "1.0", "--linear", "0,1,1.0",
             "--out", str(tmp_path),
         )
         assert code == 2
@@ -272,7 +271,7 @@ class TestProfileInputs:
     def test_malformed_pose_rejected(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
-            "synth", "--constant", "1.0", "--length", "1.0", "--pose", "1,2",
+            "synth", "--constant", "1.0,1.0", "--pose", "1,2",
             "--out", str(tmp_path),
         )
         assert code == 2
@@ -281,7 +280,7 @@ class TestProfileInputs:
     def test_invalid_format_rejected(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
-            "synth", "--constant", "1.0", "--length", "1.0",
+            "synth", "--constant", "1.0,1.0",
             "--formats", "csv,bogus", "--out", str(tmp_path),
         )
         assert code == 2
@@ -303,7 +302,7 @@ class TestLcgCommand:
     def test_generic_profile_uses_numeric_route(self, tmp_path, capsys):
         code, out, _ = run(
             capsys,
-            "lcg", "--quadratic", "1,0.5,2", "--length", "1.0", "--out", str(tmp_path),
+            "lcg", "--quadratic", "1,0.5,2,1.0", "--out", str(tmp_path),
         )
         assert code == 0
         assert summary_of(out)["points"] == 256
@@ -313,7 +312,7 @@ class TestLcgCommand:
         # the LCG is taken from kappa/kappa' without squaring kappa.
         code, out, _ = run(
             capsys,
-            "lcg", "--quadratic=0.5,1e-170,2e-170", "--length", "2", "--out", str(tmp_path),
+            "lcg", "--quadratic=0.5,1e-170,2e-170,2", "--out", str(tmp_path),
         )
         assert code == 0
         summary = summary_of(out)
@@ -321,7 +320,7 @@ class TestLcgCommand:
 
     def test_circle_has_no_graph(self, tmp_path, capsys):
         code, _, err = run(
-            capsys, "lcg", "--constant", "1.0", "--length", "1.0", "--out", str(tmp_path)
+            capsys, "lcg", "--constant", "1.0,1.0", "--out", str(tmp_path)
         )
         assert code == 2
         assert "kappa0" in err
@@ -395,10 +394,10 @@ class TestGradientCommand:
 
     def test_closed_form_requires_rational_linear(self, tmp_path, capsys):
         code, _, err = run(
-            capsys, "gradient", "--quadratic", "1,0,2", "--length", "1", "--out", str(tmp_path)
+            capsys, "gradient", "--quadratic", "1,0,2,1", "--out", str(tmp_path)
         )
         assert code == 2
-        assert "--sampled" in err
+        assert "error: gradient without --sampled needs a rational-linear profile" in err
 
 
 class TestClassifyCommand:
@@ -423,7 +422,9 @@ class TestClassifyCommand:
         assert code == 0
         verdict = summary_of(out)
         assert verdict["lcg_line"] is None
-        assert "kappa" in verdict["reason"]
+        assert verdict["reason"] == (
+            "LCG closed forms divide by kappa0 - kappa1; profile has kappa0 = 1.0, kappa1 = 1.0"
+        )
 
     def test_json_file_written(self, tmp_path, capsys):
         code, _, _ = run(
@@ -453,17 +454,36 @@ class TestClassifyCommand:
 
     def test_general_quadratic_rejected(self, tmp_path, capsys):
         code, _, err = run(
-            capsys, "classify", "--quadratic", "1,0,2", "--length", "1", "--out", str(tmp_path)
+            capsys, "classify", "--quadratic", "1,0,2,1", "--out", str(tmp_path)
         )
         assert code == 2
-        assert "rational-linear" in err
+        assert "error: classify needs a rational-linear profile" in err
+
+    def test_agrees_with_gradient_on_bench_profiles(self, tmp_path, capsys, monkeypatch):
+        # classify and gradient judge one closed-form line, over 50 and 256 points.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import inputs  # bench/inputs.py: the benchmark's seeded profile sets
+        profiles = [
+            p
+            for seed in range(6)
+            for p in inputs.cli_profiles(seed) + inputs.interrogate_profiles(seed)
+        ]
+        for p in profiles:
+            summaries = []
+            for command in ("classify", "gradient"):
+                code, out, err = run(capsys, command, p.cli_arg(), "--out", str(tmp_path))
+                assert code == 0, err
+                summaries.append(summary_of(out))
+            verdict, line = summaries[0], summaries[1]["line"]
+            assert verdict["lcg_line"] == {"A": line["A"], "B": line["B"]}, p
+            assert verdict["class"] == line["class"], p
 
 
 class TestLddcCommand:
     def test_circle_single_bin(self, tmp_path, capsys):
         code, out, _ = run(
             capsys,
-            "lddc", "--constant", "2.0", "--length", PI, "--bins", "5",
+            "lddc", "--constant", f"2.0,{PI}", "--bins", "5",
             "--out", str(tmp_path),
         )
         assert code == 0
@@ -502,14 +522,14 @@ class TestLddcCommand:
     def test_compare_requires_rational_linear(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
-            "lddc", "--quadratic", "1,0.5,2", "--length", "1", "--compare",
+            "lddc", "--quadratic", "1,0.5,2,1", "--compare",
             "--out", str(tmp_path),
         )
         assert code == 2
         assert "--compare" in err
 
     @pytest.mark.parametrize(
-        "profile", [["--gcs", "1e308,1e308,1,0"], ["--constant", "1e308", "--length", "1"]]
+        "profile", [["--gcs", "1e308,1e308,1,0"], ["--constant", "1e308,1"]]
     )
     def test_curvature_near_the_float_limit(self, tmp_path, capsys, profile):
         # Each midpoint curvature is halved before the sum, which stays finite.
@@ -589,7 +609,7 @@ class TestExitPaths:
     def test_tolerance_below_float_floor_is_exit_2(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
-            "synth", "--constant", "0", "--length", "1e6", "--abs-tol", "1e-10",
+            "synth", "--constant", "0,1e6", "--abs-tol", "1e-10",
             "--out", str(tmp_path),
         )
         assert code == 2
@@ -615,9 +635,9 @@ class TestExitPaths:
     @pytest.mark.parametrize(
         "profile",
         [
-            ["--linear=-1e308,1e308", "--length", "1"],
-            ["--quadratic", "1e308,0,0", "--length", "10"],
-            ["--quadratic", "1e308,0,0", "--length", "1"],
+            ["--linear=-1e308,1e308,1"],
+            ["--quadratic", "1e308,0,0,10"],
+            ["--quadratic", "1e308,0,0,1"],
             ["--gcs=1e308,1e307,1,0"],
             ["--gcs=0,1e10,1e300,0"],
         ],
@@ -645,7 +665,7 @@ class TestExitPaths:
     def test_work_ceiling_is_exit_3(self, tmp_path, capsys):
         start = time.perf_counter()
         code, _, err = run(
-            capsys, "synth", "--constant", "1e9", "--length", "1", "--out", str(tmp_path)
+            capsys, "synth", "--constant", "1e9,1", "--out", str(tmp_path)
         )
         assert time.perf_counter() - start < 1.0
         assert code == 3
@@ -658,8 +678,8 @@ class TestExitPaths:
         [
             # Synthesizing the first passes the work ceiling; for the other two
             # the default abs_tol is below the float floor S*eps.
-            ["lddc", "--constant", "1e9", "--length", "1"],
-            ["lddc", "--linear", "1e-6,2e-6", "--length", "1e6"],
+            ["lddc", "--constant", "1e9,1"],
+            ["lddc", "--linear", "1e-6,2e-6,1e6"],
             ["gradient", "--gcs", "0.5,2,1e6,1", "--sampled"],
         ],
     )
@@ -671,13 +691,13 @@ class TestExitPaths:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--quadratic", "1,0.5,2"], "--compare needs a rational-linear profile"),
-            (["--constant", "2"], "LCG closed forms divide by kappa0 - kappa1"),
+            (["--quadratic", "1,0.5,2,1"], "--compare needs a rational-linear profile"),
+            (["--constant", "2,1"], "LCG closed forms divide by kappa0 - kappa1"),
         ],
     )
     def test_rejected_lddc_comparison_writes_nothing(self, tmp_path, capsys, argv, message):
         # As with synth, a rejected input leaves no partial output behind.
-        argv = ["lddc", *argv, "--length", "1", "--compare", "--out", str(tmp_path)]
+        argv = ["lddc", *argv, "--compare", "--out", str(tmp_path)]
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert message in err
@@ -779,7 +799,7 @@ def gradient_rows(profile, grid):
 class TestOptions:
     """Each command takes the options it reads, and only those."""
 
-    PROFILE = ["--gcs", "--constant", "--linear", "--quadratic", "--length", "--profile"]
+    PROFILE = ["--gcs", "--constant", "--linear", "--quadratic", "--profile"]
     OUTPUT = ["--out", "--prefix", "--formats"]
     OPTIONS = {
         "synth": PROFILE + OUTPUT + ["--abs-tol", "--samples", "--pose"],
@@ -862,10 +882,10 @@ class TestCurvatureCommands:
             monkeypatch.setattr(cls, "theta", counting("theta", cls.theta))
         for argv in (
             ["lddc", "--gcs", "0.5,2,3,1", "--samples", "4096", "--compare"],
-            ["lddc", "--quadratic", "1,0.5,2", "--length", "1"],
-            ["lddc", "--constant", "2", "--length", "1"],
+            ["lddc", "--quadratic", "1,0.5,2,1"],
+            ["lddc", "--constant", "2,1"],
             ["gradient", "--gcs", "0.5,2,3,1", "--sampled", "--samples", "2000"],
-            ["gradient", "--linear", "0.5,2", "--length", "3", "--sampled"],
+            ["gradient", "--linear", "0.5,2,3", "--sampled"],
         ):
             code, _, err = run(capsys, *argv, "--out", str(tmp_path))
             assert code == 0, err

@@ -39,6 +39,7 @@ from gcspiral import (
     line_residual,
     synthesize,
 )
+from gcspiral.profiles import REL_TOL
 from tutil import FIG_SWEEP_R, gcs_profiles, lcg_point, random_gcs, unit_fractions
 
 EPS = sys.float_info.epsilon
@@ -196,6 +197,23 @@ class TestClosedForm:
         assert skipped == []
         assert cf.log_rho == pytest.approx(numeric[0].log_rho, rel=1e-10, abs=1e-10)
         assert cf.log_freq == pytest.approx(numeric[0].log_freq, rel=1e-10, abs=1e-10)
+
+    def test_numeric_route_within_rounding(self):
+        # Both routes form nu = n1*t + n0 and den = r*t + S as the same floats.
+        # lcg_numeric logs kappa = nu/den and kappa/kappa' with kappa' =
+        # -c/den/den, lcg_gcs_points den/nu and den*nu/c: the arguments differ
+        # by 2 and 6 roundings of eps/2. NumPy validates float64 log to one
+        # ulp, at most eps*|v| on each side.
+        u = EPS / 2.0
+        rng = np.random.default_rng(2608)
+        for _ in range(3000):
+            p = random_gcs(rng, min_kappa_gap=1e-9)
+            t = grid(p)
+            numeric = {point.t: point for point in lcg_numeric(p, t)[0]}
+            for point in lcg_gcs_points(p, t)[0]:
+                other = numeric[point.t]
+                assert abs(other.log_rho - point.log_rho) <= u * (2.0 + 4.0 * abs(point.log_rho)), p
+                assert abs(other.log_freq - point.log_freq) <= u * (6.0 + 4.0 * abs(point.log_freq))
 
     def test_circular_profile_rejected(self):
         with pytest.raises(SingularProfileError):
@@ -454,7 +472,17 @@ class TestFamilyMaps:
     Mirror, (-kappa0, -kappa1, S, r), negates n1, n0 and c exactly, so the
     LCG, the gradient line and the LDDC histogram keep every bit. Reversal,
     (kappa1, kappa0, S, -r/(1+r)), reads the same curvature from the other
-    end and maps the gradient line A*t + B to -A*t + (A*S + B).
+    end and maps the gradient line A*t + B to -A*t + (A*S + B). Scaling by
+    lam, (kappa0/lam, kappa1/lam, lam*S, r), multiplies rho by lam: both LCG
+    coordinates shift by log(lam), A becomes A/lam and B stays, and the LDDC
+    edges shift by log10(lam) while its lengths scale by lam.
+
+    The scaling bounds are first order in u = eps/2 and carry the condition
+    numbers of what the rounded kappa0/lam and kappa1/lam feed:
+    K = (|kappa0| + |kappa1|)/|kappa0 - kappa1| for kappa0 - kappa1, and
+    (P*t + |n0|)/|nu| for nu = n1*t + n0, with P = |kappa0| + |kappa1| +
+    |r*kappa1|, which is unbounded at an inflection. NumPy validates float64
+    log and log10 to one ulp, at most 2*u*|v| for a result v.
     """
 
     DRAWS = 3000
@@ -499,6 +527,157 @@ class TestFamilyMaps:
             assert abs(back.slope_a + line.slope_a) * S <= bound, p
             assert abs(back.intercept_b - (line.slope_a * S + line.intercept_b)) <= bound, p
             assert back.domain == line.domain
+
+    @staticmethod
+    def scaled(p, lam):
+        return GcsProfile(p.kappa0 / lam, p.kappa1 / lam, lam * p.arc_length, p.r)
+
+    def draws(self, seed):
+        """(p, lam) pairs: tutil's profiles, lam log-uniform over [0.01, 100]."""
+        rng = np.random.default_rng(seed)
+        for _ in range(self.DRAWS):
+            yield random_gcs(rng, min_kappa_gap=1e-9), 10.0 ** rng.uniform(-2.0, 2.0)
+
+    @staticmethod
+    def scaling_rounding(p, line):
+        """Bounds on the scaled line's change in A*S and in B.
+
+        With d = kappa0 - kappa1, A*S = -T1 + T2*sign and B + 1 = X, where
+        T1 = 2|r|/(1+r), T2 = 2*r^2*|kappa1|/((1+r)|d|) and X = 2*r*kappa0/
+        ((1+r)*d). n1 rounds by u*(|d| + |r*kappa1| + |n1|), which moves A*S
+        by u*(T1 + T2 + |A*S|); A's formula rounds 6 times and the test's *S
+        once. B + 1 rounds 5 times and B once more. The scaled profile
+        repeats all of it, and its rounded kappas move kappa1/d and
+        kappa0/d by u*(1 + K).
+        """
+        k0, k1, r = p.kappa0, p.kappa1, p.r
+        d = abs(k0 - k1)
+        K = (abs(k0) + abs(k1)) / d
+        a_s, b = abs(line.slope_a) * p.arc_length, line.intercept_b
+        t1, t2 = 2.0 * abs(r) / (1.0 + r), 2.0 * r * r * abs(k1) / ((1.0 + r) * d)
+        u = EPS / 2.0
+        bound_a_s = u * (16.0 * a_s + 2.0 * t1 + (3.0 + K) * t2)
+        return bound_a_s, u * ((11.0 + K) * abs(b + 1.0) + 2.0 * abs(b))
+
+    def test_scaling_maps_the_gradient_line(self):
+        for p, lam in self.draws(2606):
+            q = self.scaled(p, lam)
+            line, scaled = gradient_line(p), gradient_line(q)
+            bound_a_s, bound_b = self.scaling_rounding(p, line)
+            a_s = line.slope_a * p.arc_length
+            assert abs(scaled.slope_a * q.arc_length - a_s) <= bound_a_s, (p, lam)
+            assert abs(scaled.intercept_b - line.intercept_b) <= bound_b, (p, lam)
+            assert scaled.domain == (0.0, q.arc_length)
+
+    @staticmethod
+    def quotient_rounding(p, t):
+        """Relative bounds, p's and the scaled profile's rounding together, on
+        nu = n1*t + n0 and den = r*t + S at p's grid t.
+
+        linspace puts t within 2u of i*S/(n-1) and the scaled grid within
+        3u of lam times it. n1*t then rounds by u*5*P*t, n0 = kappa0*S by
+        u*|n0| and the sum by u*|nu|; the scaled profile adds u*2*P*t for
+        its rounded kappas and t and u*2*|n0| for its rounded kappa0 and S.
+        den rounds by u*(3|r|t + den) and, scaled, by u*(4|r|t + S + den);
+        den >= S*min(1, 1 + r) never cancels.
+        """
+        k0, k1, r, S = p.kappa0, p.kappa1, p.r, p.arc_length
+        nu, den = p.n1 * t + p.n0, r * t + S
+        magnitude = (abs(k0) + abs(k1) + abs(r * k1)) * t + abs(p.n0)
+        u = EPS / 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel_nu = u * (12.0 * magnitude + 2.0 * np.abs(nu)) / np.abs(nu)
+        return rel_nu, u * (7.0 * abs(r) * t + S + 2.0 * den) / den
+
+    @staticmethod
+    def log_shift(rel):
+        """The largest |log(x/y)| for |x/y - 1| <= rel; inf where rel >= 1/2."""
+        with np.errstate(invalid="ignore"):
+            return np.where(rel < 0.5, -np.log1p(-np.minimum(rel, 0.5)), np.inf)
+
+    def test_scaling_shifts_the_lcg_points(self):
+        u = EPS / 2.0
+        for p, lam in self.draws(2607):
+            q = self.scaled(p, lam)
+            t = np.linspace(0.0, p.arc_length, 33)
+            rel_nu, rel_den = self.quotient_rounding(p, t)
+            rel = rel_nu + rel_den + 2.0 * u  # and den/nu rounds once on each side
+            points = {round(v.t * 32 / p.arc_length): v for v in lcg_gcs_points(p, t)[0]}
+            t_scaled = np.linspace(0.0, q.arc_length, 33)
+            scaled = {round(v.t * 32 / q.arc_length): v for v in lcg_gcs_points(q, t_scaled)[0]}
+            # A point near an inflection is kept on one side only when |nu/den|
+            # is within rounding of the threshold (scale rounds by 2u, scaled).
+            nu_den = np.abs(p.n1 * t + p.n0) / (p.r * t + p.arc_length) / (REL_TOL * p.scale)
+            for i in points.keys() ^ scaled.keys():
+                assert abs(nu_den[i] - 1.0) <= rel[i] + 4.0 * u, (p, lam, i)
+            # den*nu/c rounds twice a side and c = S*(1+r)*d 4 times; the scaled d
+            # moves by u*K and S by u.
+            K = (abs(p.kappa0) + abs(p.kappa1)) / abs(p.kappa0 - p.kappa1)
+            rho_shift, freq_shift = self.log_shift(rel), self.log_shift(rel + u * (11.0 + K))
+            log_lam = math.log(lam)
+            for i in points.keys() & scaled.keys():
+                v, w = points[i], scaled[i]
+                assert abs(w.t - lam * v.t) <= 6.0 * u * lam * p.arc_length
+                # Three logs of one ulp, and the test's subtraction.
+                for a, b, shift in (
+                    (v.log_rho, w.log_rho, rho_shift[i]),
+                    (v.log_freq, w.log_freq, freq_shift[i]),
+                ):
+                    logs = 2.0 * u * (abs(a) + abs(b) + abs(log_lam)) + u * abs(a)
+                    assert abs(b - log_lam - a) <= shift + logs, (p, lam, i)
+
+    def test_scaling_shifts_the_lddc_histogram(self):
+        """Each side bins 255 segments by its own default edges.
+
+        kappa_mid = kappa_i/2 + kappa_(i+1)/2 adds u*|kappa_mid| of rounding a
+        side to half the kappas' own, and a segment whose log10 rho lies
+        within its bound plus the edges' bound of an interior edge may bin
+        either side of it. Segment lengths are exact differences of the grid
+        (Sterbenz), so a bin, which holds at most two runs of segments as
+        |kappa| is monotone either side of an inflection, differs by the grid
+        error at four run ends, 5u*lam*S each, plus bincount's sum, n*u of
+        the bin on each side, plus each segment that moved. With |kappa0 -
+        kappa1| >= 1e-9 and |kappa| <= 10, the log10 rho span exceeds 4e-11,
+        so neither side pads its edges (below a 1e-12 span).
+        """
+        u = EPS / 2.0
+        for p, lam in self.draws(2608):
+            q = self.scaled(p, lam)
+            t = np.linspace(0.0, p.arc_length, 256)
+            kappa = p.kappa(t)
+            hist = lddc_histogram((t, kappa), 16)
+            t_scaled = np.linspace(0.0, q.arc_length, 256)
+            scaled = lddc_histogram((t_scaled, q.kappa(t_scaled)), 16)
+            assert scaled.total_length == lam * hist.total_length
+            rel_nu, rel_den = self.quotient_rounding(p, t)
+            err = (rel_nu + rel_den + 2.0 * u) * np.abs(kappa)
+            mid = 0.5 * kappa[:-1] + 0.5 * kappa[1:]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rel_mid = (0.5 * (err[:-1] + err[1:]) + 2.0 * u * np.abs(mid)) / np.abs(mid)
+            threshold = REL_TOL * max(np.max(np.abs(kappa)), 1.0 / p.arc_length)
+            rel_threshold = np.max(rel_nu + rel_den) + 4.0 * u
+            if np.any(np.abs(np.abs(mid) / threshold - 1.0) <= rel_mid + rel_threshold):
+                continue  # which segments are excluded, and so the edges, is rounding's choice
+            log_rho = -np.log10(np.abs(mid[np.abs(mid) >= threshold]))
+            log_lam = math.log10(lam)
+            reach = self.log_shift(rel_mid[np.abs(mid) >= threshold]) / math.log(10.0)
+            reach += 2.0 * u * (2.0 * np.abs(log_rho) + abs(log_lam))
+            # Each end of the edges is some segment's value; linspace rounds
+            # each edge by u*(2*|hi - lo| + |edge|) a side.
+            edges, span = hist.bin_edges, np.ptp(log_rho)
+            edge_reach = reach.max() + 2.0 * u * (2.0 * span + 2.0 * np.abs(edges) + abs(log_lam))
+            assert np.all(np.abs(scaled.bin_edges - log_lam - edges) <= edge_reach), (p, lam)
+            near = np.abs(log_rho[:, None] - edges[1:-1]) <= reach[:, None] + edge_reach[1:-1]
+            step = p.arc_length / 255
+            counts = np.rint(hist.lengths / step)
+            moved = np.abs(np.rint(scaled.lengths / (lam * step)) - counts)
+            assert moved.sum() <= 2 * np.count_nonzero(near.any(axis=1)), (p, lam)
+            grid_ends = 20.0 * u * lam * p.arc_length
+            bound = (moved * step + 2.0 * u * counts * hist.lengths) * lam
+            bound += grid_ends * (1.0 + moved)
+            assert np.all(np.abs(scaled.lengths - lam * hist.lengths) <= bound), (p, lam)
+            bound = 2.0 * u * 255 * lam * hist.excluded_length + grid_ends
+            assert abs(scaled.excluded_length - lam * hist.excluded_length) <= bound, (p, lam)
 
 
 class TestSampledGradient:

@@ -43,9 +43,9 @@ def with_neighbours(x: float) -> list[float]:
 # 1e-4 and from 1e8 on Python writes the value, in scientific notation.
 POWERS_OF_TEN_8 = [float(f"1e{e}") for e in range(-5, 10)]
 
-# Each power of ten whose neighbourhood the kernel decides: below, at and above
-# 1e-6 it hands values to Python or keeps them, 1e-5 and 1e-4 switch notation,
-# and 1e16 and 1e17 bound the digits of the integer part and the kernel.
+# Each power of ten whose neighbourhood the kernel decides: below 1e-4 and from
+# 1e17 on Python writes the value, in scientific notation, and 1e16 bounds the
+# digits of the integer part.
 POWERS_OF_TEN = [float(f"1e{e}") for e in range(-8, 20)]
 
 
