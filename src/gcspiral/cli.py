@@ -65,7 +65,7 @@ from .synthesis import (
     endpoint,
     synthesize,
 )
-from .tables import row_array, write_table, write_text
+from .tables import row_array, write_tables, write_text
 
 __all__ = ["main", "entrypoint", "build_parser", "R_SWEEP"]
 __all__ += ["PROFILE_KINDS", "profile_from_dict", "profile_from_json"]
@@ -404,46 +404,47 @@ def cmd_figures(args) -> int:
     def tag(r: float) -> str:
         return f"{r:g}"
 
-    demo = LinearProfile(0.0, 2.0, 1.0)
-    demo_curve = synthesize(demo, Pose(), config)
-    out.write("fig1_curve.csv", lambda path: curve_to_csv(demo_curve, path))
-    demo_xy = np.column_stack((demo_curve.x, demo_curve.y))
-    out.write("fig1.svg", _svg_writer(polyline_svg, [demo_xy], title="linear curvature demo curve"))
+    def curve_rows(curve) -> np.ndarray:
+        return np.column_stack((curve.s, curve.x, curve.y, curve.theta, curve.kappa))
 
+    demo_rows = curve_rows(synthesize(LinearProfile(0.0, 2.0, 1.0), Pose(), config))
+    tables = [("fig1_curve.csv", "s,x,y,theta,kappa", demo_rows)]
     profile_lines, curve_lines, lcg_lines, gradient_lines = [], [], [], []
     labels = [f"r={tag(r)}" for r in R_SWEEP]
     for r in R_SWEEP:
         profile = GcsProfile(0.0, 2.0, math.pi, r)
         grid = _sample_grid(profile, config.samples_per_curve)
-
         kappa_trace = np.column_stack((grid, profile.kappa(grid)))
-        out.write(
-            f"fig2_profile_r{tag(r)}.csv", lambda path: write_table(path, "s,kappa", kappa_trace)
-        )
-        profile_lines.append(kappa_trace)
-
         try:
-            curve = synthesize(profile, Pose(), config)
+            curve = curve_rows(synthesize(profile, Pose(), config))
         except QuadratureError as exc:
             raise QuadratureError(f"curve synthesis failed at r={tag(r)}: {exc}") from None
-        out.write(f"fig3_curve_r{tag(r)}.csv", lambda path: curve_to_csv(curve, path))
-        curve_lines.append(np.column_stack((curve.x, curve.y)))
-
-        points, _skipped = lcg_gcs_points(profile, grid)
-        out.write(f"fig4_lcg_r{tag(r)}.csv", lambda path: lcg_points_to_csv(points, path))
-        lcg_lines.append(row_array(points, 3)[:, 1:])
-
+        lcg_rows = row_array(lcg_gcs_points(profile, grid)[0], 3)
         trace = np.column_stack((grid, gradient_gcs(profile, grid)))
-        out.write(f"fig5_gradient_r{tag(r)}.csv", lambda path: gradient_to_csv(trace, path))
+        tables += [
+            (f"fig2_profile_r{tag(r)}.csv", "s,kappa", kappa_trace),
+            (f"fig3_curve_r{tag(r)}.csv", "s,x,y,theta,kappa", curve),
+            (f"fig4_lcg_r{tag(r)}.csv", "t,log_rho,log_freq", lcg_rows),
+            (f"fig5_gradient_r{tag(r)}.csv", "s,gradient", trace),
+        ]
+        profile_lines.append(kappa_trace)
+        curve_lines.append(curve[:, 1:3])
+        lcg_lines.append(lcg_rows[:, 1:])
         gradient_lines.append(trace)
 
-    for name, lines, title in (
-        ("fig2.svg", profile_lines, "curvature profiles over the r sweep"),
-        ("fig3.svg", curve_lines, "curve traces over the r sweep"),
-        ("fig4.svg", lcg_lines, "logarithmic curvature graphs over the r sweep"),
-        ("fig5.svg", gradient_lines, "LCG gradients over the r sweep"),
+    # Files are written only after the whole sweep: a rejected run writes nothing.
+    wanted = []
+    for name, header, rows in tables:
+        out.write(name, lambda path, header=header, rows=rows: wanted.append((path, header, rows)))
+    write_tables(wanted)
+    for name, lines, title, line_labels in (
+        ("fig1.svg", [demo_rows[:, 1:3]], "linear curvature demo curve", None),
+        ("fig2.svg", profile_lines, "curvature profiles over the r sweep", labels),
+        ("fig3.svg", curve_lines, "curve traces over the r sweep", labels),
+        ("fig4.svg", lcg_lines, "logarithmic curvature graphs over the r sweep", labels),
+        ("fig5.svg", gradient_lines, "LCG gradients over the r sweep", labels),
     ):
-        out.write(name, _svg_writer(polyline_svg, lines, labels=labels, title=title))
+        out.write(name, _svg_writer(polyline_svg, lines, labels=line_labels, title=title))
 
     out.emit(
         {

@@ -300,7 +300,7 @@ def gradient_from_samples(curve: Union[PlanarCurve, tuple]) -> tuple[np.ndarray,
         raise DomainError(f"need at least 7 samples to estimate the gradient, got {n}")
     gaps = np.diff(s)
     h = float(gaps[0])
-    if not np.allclose(gaps, h, rtol=1e-9, atol=0.0):
+    if not (np.abs(gaps - h) <= 1e-9 * abs(h)).all():
         raise DomainError("gradient estimation requires uniform arc-length sampling")
 
     dk = np.diff(kappa)

@@ -3,9 +3,9 @@
 Output is plain static markup. The view box is fitted to the data's
 bounding box plus a 5% margin; the vertical axis is flipped so that
 mathematical y grows upward. Every number is written as ``%.8g``: the
-header numbers, short point lists and the bar charts by Python's ``%``,
-and longer point lists by the text kernel in `tables`, which writes the
-same bytes.
+header numbers and the bar charts by Python's ``%``, and a document's
+point lists together, by the text kernel in `tables` (which writes the
+same bytes) once they hold enough numbers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .tables import _text, row_array
+from .tables import _texts, row_array
 
 __all__ = ["polyline_svg", "bar_chart_svg"]
 
@@ -107,7 +107,9 @@ def polyline_svg(
         raise DomainError("cannot plot an empty point set")
     if not np.all(np.isfinite(points)):
         raise DomainError("cannot plot non-finite coordinates")
-    (x_lo, y_lo), (x_hi, y_hi) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+    # By column: an (n, 2) array's axis-0 reduction takes NumPy's slow narrow-axis path.
+    x, y = points.T
+    x_lo, x_hi, y_lo, y_hi = (float(v) for v in (x.min(), x.max(), y.min(), y.max()))
     frame = _Frame(x_lo, x_hi, y_lo, y_hi)
     stroke = 0.004 * frame.size
     parts = frame.open()
@@ -119,10 +121,10 @@ def polyline_svg(
         f'font-size="{_fmt(frame.font)}" fill="#333333">'
         f"x:[{_fmt(x_lo)},{_fmt(x_hi)}] y:[{_fmt(y_lo)},{_fmt(y_hi)}]</text>"
     )
-    for i, line in enumerate(polylines):
+    flipped = [(np.column_stack((line[:, 0], frame.flip(line[:, 1]))), ", ") for line in polylines]
+    for i, pts in enumerate(_texts(flipped, 8)):
+        pts = pts[:-1]  # "x,y x,y ... x,y"
         color = PALETTE[i % len(PALETTE)]
-        xy = np.column_stack((line[:, 0], frame.flip(line[:, 1])))
-        pts = _text(xy, ", ", 8)[:-1]  # "x,y x,y ... x,y"
         label = labels[i] if labels is not None and i < len(labels) else ""
         title_el = f"<title>{label}</title>" if label else ""
         parts.append(

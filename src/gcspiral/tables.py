@@ -8,17 +8,20 @@ text stream. SVG point lists (`svg.polyline_svg`) are written as ``%.8g``.
 
 Both precisions go through one NumPy kernel that writes the bytes of
 Python's own ``%`` (CPython's dtoa leaves its fast path at 17 digits, and
-even at 8 it is slower than the kernel on long lists). Text of all but a
-few hundred values is cut into whole rows split evenly over the fewest
-blocks of about 4096 values, and each block is one kernel call. For a value
-x of decimal exponent E in the kernel's range, x * 10**(digits - 1 - E) is
-exactly hi + lo by Dekker's TwoProduct (10**k is an exact double for
-k <= 22), and rounding hi + lo half to even gives the digits. E comes from
-log10 and is corrected by an exact range check on hi + lo. Each value is
-laid out in one constant row (sign, "0.000", the digits, the point and the
-separator); a keep mask looked up by (E, last nonzero digit) picks the
-characters that ``%`` prints, and one boolean compress of the flat bytes
-joins the block. At both precisions the kernel writes only the values that
+even at 8 it is slower than the kernel on long lists). Numbers are
+formatted in passes: `write_tables` takes all its tables in one pass, and
+`svg.polyline_svg` all of a document's point lists. A pass of all but a
+few hundred values is split evenly over the fewest blocks of about 4096
+values, which may run from one table into the next, and each block is one
+kernel call; the pass's text is then cut where each table or point list
+ends. For a value x of decimal exponent E in the kernel's range,
+x * 10**(digits - 1 - E) is exactly hi + lo by Dekker's TwoProduct (10**k
+is an exact double for k <= 22), and rounding hi + lo half to even gives
+the digits. E comes from log10 and is corrected by an exact range check on
+hi + lo. Each value is laid out in one constant row (sign, "0.000", the
+digits, the point and the separator); a keep mask looked up by (E, last
+nonzero digit) picks the characters that ``%`` prints, and one boolean
+compress of the flat bytes joins the block. At both precisions the kernel writes only the values that
 ``%g`` writes in fixed notation, 1e-4 < |x| < 10**digits; Python formats
 any other value (0, -0, subnormals, inf, nan, and every value in
 scientific notation).
@@ -27,7 +30,7 @@ scientific notation).
 from __future__ import annotations
 
 import struct
-from itertools import chain
+from itertools import accumulate, chain
 from types import SimpleNamespace
 from typing import IO, Union
 
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, numeric
 
-__all__ = ["write_text", "write_table", "read_table", "row_array"]
+__all__ = ["write_text", "write_table", "write_tables", "read_table", "row_array"]
 
 
 def write_text(target: Union[str, IO[str]], text: str) -> None:
@@ -48,38 +51,61 @@ def write_text(target: Union[str, IO[str]], text: str) -> None:
 
 def write_table(target: Union[str, IO[str]], header: str, rows) -> None:
     """Write `header`, then the (n, k) array-like `rows`, k the header's width."""
-    width = len(header.split(","))
-    body = _text(row_array(rows, width), "," * (width - 1) + "\n", 17)
-    write_text(target, header + "\n" + body)
+    write_tables([(target, header, rows)])
 
 
-def _text(rows: np.ndarray, ends: str, digits: int) -> str:
-    """The (n, k) float array `rows` as `%.<digits>g` text (`digits` 17 or 8),
-    value j of each row followed by the character ends[j]."""
-    values = rows.ravel()
-    if len(values) < _KERNEL_MIN_VALUES[digits]:
-        template = "".join(f"%.{digits}g{end}" for end in ends)
-        return template * len(rows) % tuple(values.tolist())
-    # Whole rows, split evenly over the fewest blocks of about _BLOCK_VALUES,
-    # so that no block is left with the kernel's fixed cost for a few values.
-    blocks = -(-len(values) // _BLOCK_VALUES)
-    bounds = [len(rows) * i // blocks for i in range(blocks + 1)]
-    block_ends = np.tile(np.frombuffer(ends.encode("ascii"), np.uint8), -(-len(rows) // blocks))
+def write_tables(tables: list) -> None:
+    """Write each (target, header, rows) of the list `tables` as `write_table`
+    does, their numbers formatted together in one pass."""
+    pieces = []
+    for _target, header, rows in tables:
+        width = len(header.split(","))
+        pieces.append((row_array(rows, width), "," * (width - 1) + "\n"))
+    for (target, header, _rows), body in zip(tables, _texts(pieces, 17)):
+        write_text(target, header + "\n" + body)
+
+
+def _texts(pieces, digits: int) -> list[str]:
+    """The `%.<digits>g` text (`digits` 17 or 8) of each (rows, ends) piece,
+    rows an (n, k) float array, value j of each row followed by ends[j].
+    Every piece's rows end in one character ends[-1], held by no other end
+    and no number text. The pass's total count of values picks the template
+    or the kernel for all of it."""
+    total = sum(rows.size for rows, _ends in pieces)
+    if total < _KERNEL_MIN_VALUES[digits]:
+        return [
+            "".join(f"%.{digits}g{end}" for end in ends) * len(rows) % tuple(rows.ravel().tolist())
+            for rows, ends in pieces
+        ]
+    values = np.concatenate([rows.ravel() for rows, _ends in pieces])
+    value_ends = np.concatenate(
+        [np.tile(np.frombuffer(ends.encode("ascii"), np.uint8), len(rows)) for rows, ends in pieces]
+    )
+    # The fewest blocks of about _BLOCK_VALUES, split evenly, so that no block
+    # is left with the kernel's fixed cost for a few values.
+    blocks = -(-total // _BLOCK_VALUES)
+    bounds = [total * i // blocks for i in range(blocks + 1)]
     layout = _LAYOUTS[digits]
-    text = (_format(rows[a:b].ravel(), block_ends, layout) for a, b in zip(bounds, bounds[1:]))
-    return b"".join(text).decode("ascii")
+    text = (_format(values[a:b], value_ends[a:b], layout) for a, b in zip(bounds, bounds[1:]))
+    text = b"".join(text)
+    cuts = [0, len(text)]
+    if len(pieces) > 1:
+        # Piece i ends with the terminator of its last row, counted over pieces 0..i.
+        stops = np.flatnonzero(np.frombuffer(text, np.uint8) == ord(pieces[0][1][-1])) + 1
+        cuts = np.append(0, stops)[[0, *accumulate(len(rows) for rows, _ends in pieces)]].tolist()
+    return [text[a:b].decode("ascii") for a, b in zip(cuts, cuts[1:])]
 
 
 # -- the %.17g and %.8g kernel --------------------------------------------
 
-# Below this many values, by digits, text is formatted by the % template,
-# which is quicker there than the kernel's fixed cost per call. With warm
+# Below this many values in a pass, by digits, text is formatted by the %
+# template, which is quicker there than the kernel's fixed cost per call. With warm
 # caches they break even near 200 values of 17 digits and 500 of 8; with a
 # 16 MB array summed between calls, near 450 and 1,500. At 256 samples the
-# CLI writes 17-digit tables of at most 64 values or at least 512, and from
+# CLI writes 17-digit passes of at most 64 values or at least 512, and from
 # 512 the kernel is as quick cold (768 values: 0.46 against 0.65 ms).
 _KERNEL_MIN_VALUES = {17: 256, 8: 1536}
-# Values formatted per kernel pass, about; bounds the scratch arrays to a few MB.
+# Values formatted per kernel call, about; bounds the scratch arrays to a few MB.
 _BLOCK_VALUES = 4096
 
 # 10**k for k = 0..22, each an exact double, and its Veltkamp split.

@@ -37,9 +37,9 @@ from gcspiral import (
     lddc_vs_lcg,
     synthesize,
 )
-from gcspiral import cli, synthesis
+from gcspiral import cli, synthesis, tables
 from gcspiral.cli import OUT_ENV_VAR, PROFILE_KINDS, R_SWEEP, build_parser, main
-from gcspiral.errors import InputError
+from gcspiral.errors import InputError, QuadratureError
 from gcspiral.tables import read_table
 
 PI = repr(math.pi)
@@ -577,6 +577,48 @@ class TestFiguresCommand:
         on_disk = json.loads((tmp_path / "j" / "figures.json").read_text())
         assert on_disk == {"csv_count": 0, "files": [], "r_values": list(R_SWEEP)}
         assert summary_of(out)["files"] == [str(tmp_path / "j" / "figures.json")]
+
+    def test_numbers_are_formatted_in_few_kernel_calls(self, tmp_path, capsys, monkeypatch):
+        calls = collections.Counter()
+        kernel = tables._format
+
+        def spy(values, ends, layout):
+            calls[layout.digits] += 1
+            return kernel(values, ends, layout)
+
+        monkeypatch.setattr(tables, "_format", spy)
+        code, _, err = run(capsys, "figures", "--out", str(tmp_path))
+        assert code == 0, err
+        assert calls[17] <= 7 and calls[8] <= 4, calls
+
+    def test_svg_only_formats_no_table(self, tmp_path, capsys, monkeypatch):
+        passes = []
+        texts = tables._texts
+
+        def spy(pieces, digits):
+            passes.append(pieces)
+            return texts(pieces, digits)
+
+        monkeypatch.setattr(tables, "_texts", spy)
+        code, _, err = run(
+            capsys, "figures", "--samples", "32", "--formats", "svg", "--out", str(tmp_path)
+        )
+        assert code == 0, err
+        assert passes == [[]]
+
+    def test_failed_sweep_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def failing(profile, *rest):
+            if isinstance(profile, GcsProfile) and profile.r == 0.0:
+                raise QuadratureError("work ceiling")
+            return synthesize(profile, *rest)
+
+        monkeypatch.setattr(cli, "synthesize", failing)
+        code, out, err = run(
+            capsys, "figures", "--formats", "csv,svg,json", "--out", str(tmp_path / "g")
+        )
+        assert code == 3
+        assert "r=0" in err and out == ""
+        assert not (tmp_path / "g").exists()
 
     def test_prefix_rejected(self, tmp_path, capsys):
         code, _, err = run(capsys, "figures", "--prefix", "zz", "--out", str(tmp_path))

@@ -746,6 +746,23 @@ class TestSampledGradient:
         with pytest.raises(DomainError):
             gradient_from_samples(curve)
 
+    @pytest.mark.parametrize("step", [1.0, 1e-3, 7.5])
+    def test_uniform_step_bound_is_a_relative_1e9(self, step):
+        # The last gap is off by 0.5e-9 (kept) or 2e-9 (rejected) of the first.
+        s = step * np.arange(8.0)
+        for offset, uniform in ((0.5e-9, True), (-0.5e-9, True), (2e-9, False), (-2e-9, False)):
+            given = s.copy()
+            given[-1] += offset * step
+            gaps = np.diff(given)
+            assert (abs(gaps[-1] - gaps[0]) <= 1e-9 * gaps[0]) == uniform
+            curve = (given, 1.0 + given)
+            if uniform:
+                trace, _line = gradient_from_samples(curve)
+                assert len(trace) == 8
+            else:
+                with pytest.raises(DomainError, match="uniform arc-length sampling"):
+                    gradient_from_samples(curve)
+
 
 class TestSerialization:
     def test_points_csv_round_trip(self):

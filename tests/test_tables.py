@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gcspiral import DomainError, svg, tables
 from gcspiral.svg import polyline_svg
-from gcspiral.tables import row_array, write_table
+from gcspiral.tables import row_array, write_table, write_tables
 
 
 def reference_table(header: str, rows) -> str:
@@ -139,9 +139,79 @@ class TestPolylineSvg:
             labels = [f"line <{i}>" for i in range(lines)]
             got = polyline_svg(polylines, labels=labels, title="t & u")
             with monkeypatch.context() as patch:
-                patch.setattr(svg, "_text", lambda xy, ends, digits: reference_points(xy) + " ")
+                patch.setattr(
+                    svg, "_texts", lambda pieces, digits: [reference_points(xy) + " " for xy, _ in pieces]
+                )
                 expect = polyline_svg(polylines, labels=labels, title="t & u")
             assert got == expect, (lines, points)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 9, 16, 17, 33, 64, 1000, 4096])
+    def test_signed_zero_bounds_match_the_axis_reduction(self, length):
+        # The frame writes x_lo and the other bounds as text, so the bound
+        # that min and max pick among 0.0 and -0.0 shows in the bytes.
+        rng = np.random.default_rng(length)
+        columns = [np.zeros(length), -np.zeros(length)]
+        for _ in range(8):
+            columns.append(rng.choice([0.0, -0.0], length))
+        columns += [np.where(np.arange(length) % 2, 0.0, -0.0), np.where(np.arange(length) % 2, -0.0, 0.0)]
+        for x in columns:
+            for y in (x[::-1].copy(), -x, np.linspace(-1.0, 1.0, length)):
+                for points in (np.column_stack((x, y)), np.column_stack((y, x))):
+                    (x_lo, y_lo), (x_hi, y_hi) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+                    label = f"x:[{x_lo:.8g},{x_hi:.8g}] y:[{y_lo:.8g},{y_hi:.8g}]"
+                    assert label in polyline_svg([points]), (length, points[:4].tolist())
+
+
+def reference_piece(rows: np.ndarray, ends: str, digits: int) -> str:
+    """One piece of a pass as the % template writes it."""
+    template = "".join(f"%.{digits}g{end}" for end in ends)
+    return template * len(rows) % tuple(rows.ravel().tolist())
+
+
+def random_pass(rng: np.random.Generator, total: int, count: int, digits: int) -> list:
+    """`count` pieces of 1-5 columns holding `total` values in all, each row
+    ending in the pass's one terminator; the last piece is one column wide."""
+    terminator = "\n" if digits == 17 else " "
+    widths = rng.integers(1, 6, count - 1).tolist() + [1]
+    rows = [int(rng.integers(0, total // (width * count) + 2)) for width in widths[:-1]]
+    rows = rows if sum(w * n for w, n in zip(widths, rows)) <= total else [0] * (count - 1)
+    rows.append(total - sum(w * n for w, n in zip(widths, rows)))
+    return [
+        (special_values(rng, n * width).reshape(n, width), "," * (width - 1) + terminator)
+        for width, n in zip(widths, rows)
+    ]
+
+
+class TestTexts:
+    @pytest.mark.parametrize("digits", [17, 8])
+    def test_passes_match_the_template_around_both_sizes(self, digits):
+        rng = np.random.default_rng(digits)
+        small, block = tables._KERNEL_MIN_VALUES[digits], tables._BLOCK_VALUES
+        for total in (0, 1, small - 1, small, block - 1, block, block + 1, 2 * block + 3):
+            for count in (1, 2, 3, 4, 5):
+                pieces = random_pass(rng, total, count, digits)
+                assert sum(rows.size for rows, _ in pieces) == total
+                expect = [reference_piece(rows, ends, digits) for rows, ends in pieces]
+                assert tables._texts(pieces, digits) == expect, (digits, total, count)
+
+    @pytest.mark.parametrize("digits", [17, 8])
+    def test_pieces_straddling_a_block_boundary(self, digits):
+        rng = np.random.default_rng(100 + digits)
+        terminator = "\n" if digits == 17 else " "
+        block = tables._BLOCK_VALUES
+        for shape in ([(block // 3 + 1, 3), (block // 5, 5), (2, 2)], [(1, 4), (block // 2 + 1, 2)],
+                      [(block - 1, 1), (3, 3), (block // 4, 4)]):
+            pieces = [
+                (special_values(rng, n * width).reshape(n, width), "," * (width - 1) + terminator)
+                for n, width in shape
+            ]
+            total = sum(rows.size for rows, _ in pieces)
+            blocks = -(-total // block)
+            starts = np.cumsum([0] + [rows.size for rows, _ in pieces]).tolist()
+            bounds = {total * i // blocks for i in range(1, blocks)}
+            assert bounds and not bounds & set(starts)  # every block boundary falls inside a piece
+            expect = [reference_piece(rows, ends, digits) for rows, ends in pieces]
+            assert tables._texts(pieces, digits) == expect, shape
 
 
 class TestWriteTable:
@@ -179,6 +249,34 @@ class TestWriteTable:
                     write_table(buffer, header, rows)
                     assert buffer.getvalue() == reference_table(header, rows.tolist())
         assert calls and min(calls) >= tables._KERNEL_MIN_VALUES[17]
+
+    def test_write_tables_matches_write_table(self, tmp_path):
+        rng = np.random.default_rng(11)
+        tables_given = []
+        for i, (n, width) in enumerate([(40, 2), (0, 3), (300, 5), (7, 1), (900, 4)]):
+            header = ",".join("abcde"[:width])
+            tables_given.append((f"t{i}.csv", header, special_values(rng, n * width).reshape(n, width)))
+        one_by_one, together = tmp_path / "a", tmp_path / "b"
+        one_by_one.mkdir()
+        together.mkdir()
+        streams = []
+        for name, header, rows in tables_given:
+            write_table(str(one_by_one / name), header, rows)
+            streams.append(io.StringIO())
+            write_table(streams[-1], header, rows.tolist())
+        write_tables([(str(together / name), header, rows) for name, header, rows in tables_given])
+        buffers = [io.StringIO() for _ in tables_given]
+        pairs = zip(buffers, tables_given)
+        write_tables([(buffer, header, rows.tolist()) for buffer, (_, header, rows) in pairs])
+        for (name, _, _), stream, buffer in zip(tables_given, streams, buffers):
+            assert (together / name).read_bytes() == (one_by_one / name).read_bytes(), name
+            assert buffer.getvalue() == stream.getvalue() == (one_by_one / name).read_text(), name
+
+    def test_write_tables_of_no_table_writes_nothing(self, monkeypatch):
+        written = []
+        monkeypatch.setattr(tables, "write_text", lambda target, text: written.append(target))
+        write_tables([])
+        assert written == []
 
     def test_ragged_rows_are_rejected_not_reflowed(self):
         for rows in ([(1.0, 2.0, 3.0), (4.0,)], [(1.0, 2.0), (3.0,)], np.ones((2, 3)), np.ones(4)):
