@@ -2,11 +2,15 @@
 
 Exit codes: 0 on success, 2 for input or domain errors, 3 for quadrature
 failures. Every command prints a one-line JSON summary to standard output;
-data files land in --out (or $GCSPIRAL_OUT, or the working directory).
+data files land in --out (or $GCSPIRAL_OUT, or the working directory) once
+the command has computed all of them, so a rejected run writes none.
 A profile is one --<kind> flag per entry of PROFILE_KINDS, holding that
 kind's document keys in order as comma-separated numbers, or a --profile
 JSON document {"type": <kind>, <key>: <number>, ...}; either way
-profile_from_dict reads it. Documents and file formats belong here alone.
+profile_from_dict reads it. Profile documents, SVG and JSON files and the
+figures' s,kappa table belong here; every other CSV table's layout belongs
+to its result's module: the curve to synthesis, LCG points and gradient
+traces to lcg, histograms and comparisons to lddc.
 gradient (without --sampled) and classify judge one closed-form gradient
 line, fitted and classified the same way; they differ only in the number
 of points its residual is taken over.
@@ -35,18 +39,18 @@ from .errors import (
 from .lcg import (
     AestheticClass,
     LcgLine,
+    _gradient_table,
+    _lcg_table,
     classify_aesthetic,
     gradient_from_samples,
     gradient_gcs,
     gradient_line,
-    gradient_to_csv,
     lcg_gcs_points,
     lcg_gradient_numeric,
     lcg_numeric,
-    lcg_points_to_csv,
     line_residual,
 )
-from .lddc import comparison_to_csv, lddc_histogram, lddc_to_csv, lddc_vs_lcg
+from .lddc import _comparison_table, _lddc_table, lddc_histogram, lddc_vs_lcg
 from .profiles import (
     ConstantProfile,
     CurvatureProfile,
@@ -57,14 +61,7 @@ from .profiles import (
     to_gcs,
 )
 from .svg import bar_chart_svg, polyline_svg
-from .synthesis import (
-    Pose,
-    QuadratureConfig,
-    _sample_grid,
-    curve_to_csv,
-    endpoint,
-    synthesize,
-)
+from .synthesis import Pose, QuadratureConfig, _curve_table, _sample_grid, endpoint, synthesize
 from .tables import row_array, write_tables, write_text
 
 __all__ = ["main", "entrypoint", "build_parser", "R_SWEEP"]
@@ -251,8 +248,9 @@ def _config_from_args(args) -> QuadratureConfig:
 class _Artifacts:
     """The files one command writes: --out, --formats and the JSON summary.
 
-    `base` names the JSON file (`<base>.json`); `files` lists every path
-    written so far.
+    A command registers its tables and SVG documents of the wanted formats
+    as it computes them, and `emit` writes them all. `base` names the JSON
+    file (`<base>.json`).
     """
 
     def __init__(self, args, base: str):
@@ -264,37 +262,40 @@ class _Artifacts:
             )
         self.out = args.out or os.environ.get(OUT_ENV_VAR) or "."
         self.base = base
-        self.files: list[str] = []
+        self.tables: list[tuple[str, str, object]] = []
+        self.svgs: list[tuple[str, Callable[..., str], tuple, dict]] = []
 
-    def write(self, name: str, writer: Callable[[str], None]) -> None:
-        """Call writer(path) for out/name if its extension is a wanted format; makes --out."""
-        if name.rpartition(".")[2] not in self.formats:
-            return
-        os.makedirs(self.out, exist_ok=True)
-        path = os.path.join(self.out, name)
-        writer(path)
-        self.files.append(path)
+    def table(self, name: str, header: str, rows) -> None:
+        """Register the CSV table out/name, if csv is wanted."""
+        if "csv" in self.formats:
+            self.tables.append((name, header, rows))
+
+    def svg(self, name: str, render: Callable[..., str], *args, **options) -> None:
+        """Register out/name as render(*args, **options), drawn only if svg is wanted."""
+        if "svg" in self.formats:
+            self.svgs.append((name, render, args, options))
 
     def emit(self, summary: dict, json_doc: Optional[dict] = None) -> None:
-        """Write `json_doc` as <base>.json if wanted, then print the summary line.
-
-        The default document is the summary listing the files written before
-        it. The printed summary lists every file written, when there is one.
-        """
-        if json_doc is None:
-            json_doc = dict(summary, files=sorted(self.files))
-        self.write(
-            f"{self.base}.json",
-            lambda path: write_text(path, json.dumps(json_doc, sort_keys=True, indent=2) + "\n"),
-        )
-        if self.files:
-            summary = dict(summary, files=sorted(self.files))
+        """Write the tables in one write_tables pass, then the SVGs, then
+        `json_doc` (by default the summary listing those) as <base>.json if
+        wanted, making --out if a file is written; then print the summary,
+        listing every file written when there is one."""
+        path = functools.partial(os.path.join, self.out)
+        files = [path(name) for name, *_rest in self.tables + self.svgs]
+        if "json" in self.formats:
+            if json_doc is None:
+                json_doc = dict(summary, files=sorted(files))
+            files.append(path(f"{self.base}.json"))
+        if files:
+            os.makedirs(self.out, exist_ok=True)
+            summary = dict(summary, files=sorted(files))
+        write_tables([(path(name), header, rows) for name, header, rows in self.tables])
+        for name, render, args, options in self.svgs:
+            write_text(path(name), render(*args, **options))
+        if "json" in self.formats:
+            text = json.dumps(json_doc, sort_keys=True, indent=2) + "\n"
+            write_text(path(f"{self.base}.json"), text)
         print(json.dumps(summary, sort_keys=True))
-
-
-def _svg_writer(render: Callable[..., str], *args, **options) -> Callable[[str], None]:
-    """A writer of the SVG render(*args, **options), drawn only when the file is written."""
-    return lambda path: write_text(path, render(*args, **options))
 
 
 # -- commands ------------------------------------------------------------
@@ -306,9 +307,9 @@ def cmd_synth(args) -> int:
     out = _Artifacts(args, args.prefix or "curve")
 
     curve = synthesize(profile, pose, config)
-    out.write(f"{out.base}.csv", lambda path: curve_to_csv(curve, path))
+    out.table(f"{out.base}.csv", *_curve_table(curve))
     xy = np.column_stack((curve.x, curve.y))
-    out.write(f"{out.base}.svg", _svg_writer(polyline_svg, [xy], title=out.base))
+    out.svg(f"{out.base}.svg", polyline_svg, [xy], title=out.base)
     end = {"x": float(curve.x[-1]), "y": float(curve.y[-1]), "theta": float(curve.theta[-1])}
     out.emit({"endpoint": end, "arc_length": curve.total_length, "samples": len(curve)})
     return 0
@@ -327,9 +328,9 @@ def cmd_lcg(args) -> int:
     if not points:
         raise DegenerateDataError("the LCG is undefined at every grid value for this profile")
 
-    out.write(f"{out.base}.csv", lambda path: lcg_points_to_csv(points, path))
-    xy = row_array(points, 3)[:, 1:]
-    out.write(f"{out.base}.svg", _svg_writer(polyline_svg, [xy], title=out.base))
+    header, rows = _lcg_table(points)
+    out.table(f"{out.base}.csv", header, rows)
+    out.svg(f"{out.base}.svg", polyline_svg, [rows[:, 1:]], title=out.base)
     skipped_doc = [{"t": sp.t, "reason": sp.reason} for sp in skipped]
     out.emit({"points": len(points), "skipped": skipped_doc})
     return 0
@@ -348,8 +349,8 @@ def cmd_gradient(args) -> int:
         line, aesthetic = _closed_form_verdict(gcs, len(grid))
         trace = np.column_stack((grid, gradient_gcs(gcs, grid)))
 
-    out.write(f"{out.base}.csv", lambda path: gradient_to_csv(trace, path))
-    out.write(f"{out.base}.svg", _svg_writer(polyline_svg, [trace], title=out.base))
+    out.table(f"{out.base}.csv", *_gradient_table(trace))
+    out.svg(f"{out.base}.svg", polyline_svg, [trace], title=out.base)
     values = (line.slope_a, line.intercept_b, list(line.domain), line.residual, aesthetic.value)
     line_doc = dict(zip(("A", "B", "domain", "residual", "class"), values))
     out.emit({"line": line_doc}, json_doc=line_doc)
@@ -377,21 +378,18 @@ def cmd_lddc(args) -> int:
     out = _Artifacts(args, args.prefix or "lddc")
 
     histogram = lddc_histogram((grid, profile.kappa(grid)), args.bins)
-    comparison = None
-    if args.compare:  # before any file is written: a rejected profile leaves none behind
-        gcs = _rational_linear(profile, "--compare")
-        comparison = lddc_vs_lcg(histogram, gradient_line(gcs), gcs)
-    out.write(f"{out.base}.csv", lambda path: lddc_to_csv(histogram, path))
+    out.table(f"{out.base}.csv", *_lddc_table(histogram))
     bars = (histogram.bin_edges.tolist(), histogram.lengths.tolist())
-    chart = _svg_writer(bar_chart_svg, *bars, caption="log10 rho / log10 length")
-    out.write(f"{out.base}.svg", chart)
+    out.svg(f"{out.base}.svg", bar_chart_svg, *bars, caption="log10 rho / log10 length")
     summary = {
         "bins": histogram.num_bins,
         "total_length": histogram.total_length,
         "excluded_length": histogram.excluded_length,
     }
-    if comparison is not None:
-        out.write(f"{out.base}_compare.csv", lambda path: comparison_to_csv(comparison, path))
+    if args.compare:
+        gcs = _rational_linear(profile, "--compare")
+        comparison = lddc_vs_lcg(histogram, gradient_line(gcs), gcs)
+        out.table(f"{out.base}_compare.csv", *_comparison_table(comparison))
         summary["max_abs_deviation"] = comparison.max_abs_deviation
     out.emit(summary)
     return 0
@@ -401,57 +399,38 @@ def cmd_figures(args) -> int:
     config = _config_from_args(args)
     out = _Artifacts(args, "figures")
 
-    def tag(r: float) -> str:
-        return f"{r:g}"
-
-    def curve_rows(curve) -> np.ndarray:
-        return np.column_stack((curve.s, curve.x, curve.y, curve.theta, curve.kappa))
-
-    demo_rows = curve_rows(synthesize(LinearProfile(0.0, 2.0, 1.0), Pose(), config))
-    tables = [("fig1_curve.csv", "s,x,y,theta,kappa", demo_rows)]
+    demo = _curve_table(synthesize(LinearProfile(0.0, 2.0, 1.0), Pose(), config))
+    out.table("fig1_curve.csv", *demo)
     profile_lines, curve_lines, lcg_lines, gradient_lines = [], [], [], []
-    labels = [f"r={tag(r)}" for r in R_SWEEP]
+    labels = [f"r={r:g}" for r in R_SWEEP]
     for r in R_SWEEP:
         profile = GcsProfile(0.0, 2.0, math.pi, r)
         grid = _sample_grid(profile, config.samples_per_curve)
         kappa_trace = np.column_stack((grid, profile.kappa(grid)))
         try:
-            curve = curve_rows(synthesize(profile, Pose(), config))
+            curve = _curve_table(synthesize(profile, Pose(), config))
         except QuadratureError as exc:
-            raise QuadratureError(f"curve synthesis failed at r={tag(r)}: {exc}") from None
-        lcg_rows = row_array(lcg_gcs_points(profile, grid)[0], 3)
-        trace = np.column_stack((grid, gradient_gcs(profile, grid)))
-        tables += [
-            (f"fig2_profile_r{tag(r)}.csv", "s,kappa", kappa_trace),
-            (f"fig3_curve_r{tag(r)}.csv", "s,x,y,theta,kappa", curve),
-            (f"fig4_lcg_r{tag(r)}.csv", "t,log_rho,log_freq", lcg_rows),
-            (f"fig5_gradient_r{tag(r)}.csv", "s,gradient", trace),
-        ]
+            raise QuadratureError(f"curve synthesis failed at r={r:g}: {exc}") from None
+        lcg = _lcg_table(lcg_gcs_points(profile, grid)[0])
+        gradient = _gradient_table(np.column_stack((grid, gradient_gcs(profile, grid))))
+        out.table(f"fig2_profile_r{r:g}.csv", "s,kappa", kappa_trace)
+        out.table(f"fig3_curve_r{r:g}.csv", *curve)
+        out.table(f"fig4_lcg_r{r:g}.csv", *lcg)
+        out.table(f"fig5_gradient_r{r:g}.csv", *gradient)
         profile_lines.append(kappa_trace)
-        curve_lines.append(curve[:, 1:3])
-        lcg_lines.append(lcg_rows[:, 1:])
-        gradient_lines.append(trace)
+        curve_lines.append(curve[1][:, 1:3])
+        lcg_lines.append(lcg[1][:, 1:])
+        gradient_lines.append(gradient[1])
 
-    # Files are written only after the whole sweep: a rejected run writes nothing.
-    wanted = []
-    for name, header, rows in tables:
-        out.write(name, lambda path, header=header, rows=rows: wanted.append((path, header, rows)))
-    write_tables(wanted)
     for name, lines, title, line_labels in (
-        ("fig1.svg", [demo_rows[:, 1:3]], "linear curvature demo curve", None),
+        ("fig1.svg", [demo[1][:, 1:3]], "linear curvature demo curve", None),
         ("fig2.svg", profile_lines, "curvature profiles over the r sweep", labels),
         ("fig3.svg", curve_lines, "curve traces over the r sweep", labels),
         ("fig4.svg", lcg_lines, "logarithmic curvature graphs over the r sweep", labels),
         ("fig5.svg", gradient_lines, "LCG gradients over the r sweep", labels),
     ):
-        out.write(name, _svg_writer(polyline_svg, lines, labels=line_labels, title=title))
-
-    out.emit(
-        {
-            "csv_count": sum(1 for f in out.files if f.endswith(".csv")),
-            "r_values": list(R_SWEEP),
-        }
-    )
+        out.svg(name, polyline_svg, lines, labels=line_labels, title=title)
+    out.emit({"csv_count": len(out.tables), "r_values": list(R_SWEEP)})
     return 0
 
 

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .profiles import REL_TOL, CurvatureProfile, GcsProfile, _clamp_s
 from .synthesis import PlanarCurve, _curvature_samples
-from .tables import write_table
+from .tables import row_array, write_table
 
 __all__ = [
     "LcgPoint",
@@ -344,11 +344,20 @@ def gradient_from_samples(curve: Union[PlanarCurve, tuple]) -> tuple[np.ndarray,
 
 # -- serialization -------------------------------------------------------
 
+def _lcg_table(points: Sequence[LcgPoint]) -> tuple[str, np.ndarray]:
+    """The LCG table's header and rows, one (t, log_rho, log_freq) row per point."""
+    return "t,log_rho,log_freq", row_array(points, 3)
+
+
+def _gradient_table(samples) -> tuple:
+    """The gradient-trace table's header and rows, an (n, 2) array-like of (s, gradient)."""
+    return "s,gradient", samples
+
+
 def lcg_points_to_csv(points: Sequence[LcgPoint], target: Union[str, IO[str]]) -> None:
-    write_table(target, "t,log_rho,log_freq", points)
+    write_table(target, *_lcg_table(points))
 
 
 def gradient_to_csv(samples, target: Union[str, IO[str]]) -> None:
-    """Write an (n, 2) array-like of (s, gradient) rows."""
-    write_table(target, "s,gradient", samples)
+    write_table(target, *_gradient_table(samples))
 

@@ -184,9 +184,14 @@ def lddc_vs_lcg(
 _LDDC_HEADER = "bin_lo_log10rho,bin_hi_log10rho,length"
 
 
-def lddc_to_csv(histogram: LddcHistogram, target: Union[str, IO[str]]) -> None:
+def _lddc_table(histogram: LddcHistogram) -> tuple[str, np.ndarray]:
+    """The histogram table's header and rows: each bin's two edges and its length."""
     edges = histogram.bin_edges
-    write_table(target, _LDDC_HEADER, np.column_stack((edges[:-1], edges[1:], histogram.lengths)))
+    return _LDDC_HEADER, np.column_stack((edges[:-1], edges[1:], histogram.lengths))
+
+
+def lddc_to_csv(histogram: LddcHistogram, target: Union[str, IO[str]]) -> None:
+    write_table(target, *_lddc_table(histogram))
 
 
 def lddc_from_csv(source: Union[str, IO[str]]) -> LddcHistogram:
@@ -206,10 +211,13 @@ def lddc_from_csv(source: Union[str, IO[str]]) -> LddcHistogram:
     return LddcHistogram(np.append(lo_edges, hi_edges[-1]), lengths, total)
 
 
-def comparison_to_csv(comparison: LddcComparison, target: Union[str, IO[str]]) -> None:
+def _comparison_table(comparison: LddcComparison) -> tuple[str, np.ndarray]:
+    """The comparison table's header and rows: each bin's two edges, measured and predicted."""
     edges = comparison.bin_edges
-    write_table(
-        target,
-        "bin_lo_log10rho,bin_hi_log10rho,measured_length,predicted_length",
-        np.column_stack((edges[:-1], edges[1:], comparison.measured, comparison.predicted)),
-    )
+    header = "bin_lo_log10rho,bin_hi_log10rho,measured_length,predicted_length"
+    columns = (edges[:-1], edges[1:], comparison.measured, comparison.predicted)
+    return header, np.column_stack(columns)
+
+
+def comparison_to_csv(comparison: LddcComparison, target: Union[str, IO[str]]) -> None:
+    write_table(target, *_comparison_table(comparison))

@@ -288,12 +288,17 @@ class GcsProfile(_RealFields):
         k0, k1, S, r = self.kappa0, self.kappa1, self.arc_length, self.r
         if not r > -1.0:
             raise DomainError(f"shape factor r must be > -1, got {r!r}")
+        # kappa's denominator r*s + S is linear in s and S > 0 at s = 0: its value at S decides.
+        den = r * S + S
+        if not den > 0.0:
+            raise DomainError(f"r = {r!r} puts kappa's pole on the curve: r*S + S rounds to 0")
         n1 = k1 - k0 + r * k1
         n0 = k0 * S
         c = S * (1.0 + r) * (k0 - k1)
-        # 2*n1*(r*s + S) at s = 0 and s = S, as lcg.gradient_gcs forms it, and
-        # s*s at s = S, as theta forms it
-        self._finite_coefficients(n1, n0, c, 2.0 * n1 * S, 2.0 * n1 * (r * S + S), S * S)
+        # 2*n1*(r*s + S) at s = 0 and s = S, as lcg.gradient_gcs forms it, s*s at
+        # s = S, as theta forms it, and kappa(S), as kappa forms it
+        kappa_end = (n1 * S + n0) / den
+        self._finite_coefficients(n1, n0, c, 2.0 * n1 * S, 2.0 * n1 * den, S * S, kappa_end)
         scale = max(abs(k0), abs(k1), 1.0 / S)
         for name, value in (
             ("n1", n1),

@@ -224,10 +224,14 @@ def endpoint(
 _CURVE_HEADER = "s,x,y,theta,kappa"
 
 
+def _curve_table(curve: PlanarCurve) -> tuple[str, np.ndarray]:
+    """The curve table's header and rows: s, x, y, theta and kappa per sample."""
+    return _CURVE_HEADER, np.column_stack((curve.s, curve.x, curve.y, curve.theta, curve.kappa))
+
+
 def curve_to_csv(curve: PlanarCurve, target: Union[str, IO[str]]) -> None:
-    """Write `s,x,y,theta,kappa` rows with round-trip-exact formatting."""
-    columns = (curve.s, curve.x, curve.y, curve.theta, curve.kappa)
-    write_table(target, _CURVE_HEADER, np.column_stack(columns))
+    """Write the curve table with round-trip-exact formatting."""
+    write_table(target, *_curve_table(curve))
 
 
 def curve_from_csv(source: Union[str, IO[str]]) -> PlanarCurve:

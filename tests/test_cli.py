@@ -960,6 +960,34 @@ class TestLazySvg:
         assert not list(tmp_path.glob("*.svg"))
 
 
+class TestOneTablePass:
+    """Each command formats all its tables in one 17-digit pass of the text kernel."""
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["synth", "--gcs", "0.5,2,3,1"], 1),
+            (["lcg", "--gcs", "0.5,2,3,1"], 1),
+            (["gradient", "--gcs", "0.5,2,3,1"], 1),
+            (["lddc", "--gcs", "0.5,2,3,1", "--compare"], 2),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else str(value),
+    )
+    def test_tables_are_formatted_in_one_pass(self, tmp_path, capsys, monkeypatch, argv, count):
+        passes = []
+        texts = tables._texts
+
+        def spy(pieces, digits):
+            passes.append((digits, len(pieces)))
+            return texts(pieces, digits)
+
+        monkeypatch.setattr(tables, "_texts", spy)
+        code, _, err = run(capsys, *argv, "--formats", "csv,svg,json", "--out", str(tmp_path))
+        assert code == 0, err
+        assert [p for p in passes if p[0] == 17] == [(17, count)]
+        assert len(list(tmp_path.glob("*.csv"))) == count
+
+
 class TestParserReuse:
     SESSION = (
         ("classify", "--gcs", "-1,2,3,1"),  # a usage error

@@ -5,7 +5,8 @@ A fixed, seeded draw of profile parameters of all four kinds, each either
 every library route and every CLI command with RuntimeWarning raised as an
 error. The only outcomes allowed are success and the package's own errors:
 InputError or QuadratureError from the library, exit 0, 2 or 3 from the CLI.
-No draw is left out, rejected ones included.
+No draw is left out, rejected ones included. A few fixed profiles the draw
+cannot reach ride along.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gcspiral as g
 from gcspiral import cli
@@ -46,7 +48,20 @@ def _draws() -> list[dict]:
     ]
 
 
-DRAWS = _draws()
+# Profiles with r closer to -1 than any draw comes, whose constructor must reject
+# them: the first four put the curvature pole on the curve (r*S + S rounds to 0
+# at S), and the last has kappa(S), as kappa forms it, overflow.
+NEAR_POLE = [
+    {"type": "gcs", "kappa0": k0, "kappa1": k1, "arc_length": S, "r": r}
+    for k0, k1, S, r in (
+        (1.0, 2.0, 2.2250738585072014e-308, float(np.nextafter(-1.0, 0.0))),
+        (-0.999999, 1e300, 5e-324, -0.999999),
+        (5e-324, -0.9999999999, 1e-320, -0.999999),
+        (2.2e-308, 1e-154, 1e-320, -0.999999),
+        (1e300, 1.7e308, 1.03392538465531e-295, -0.9999999999999998),
+    )
+]
+DRAWS = _draws() + NEAR_POLE
 
 
 def _routes(p):
@@ -139,6 +154,13 @@ def test_every_cli_command(tmp_path):
                 if code not in (0, 2, 3):
                     failures.append((command, doc, code))
     assert failures == []
+
+
+def test_near_pole_profiles_are_rejected():
+    messages = ["pole on the curve"] * 4 + ["overflow the curvature coefficients"]
+    for doc, message in zip(NEAR_POLE, messages):
+        with pytest.raises(g.DomainError, match=message):
+            cli.profile_from_dict(doc)
 
 
 def test_mended_theta_overflow(tmp_path):
