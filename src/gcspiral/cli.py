@@ -62,7 +62,7 @@ from .profiles import (
 )
 from .svg import bar_chart_svg, polyline_svg
 from .synthesis import Pose, QuadratureConfig, _curve_table, _sample_grid, endpoint, synthesize
-from .tables import row_array, write_tables, write_text
+from .tables import write_tables, write_text
 
 __all__ = ["main", "entrypoint", "build_parser", "R_SWEEP"]
 __all__ += ["PROFILE_KINDS", "profile_from_dict", "profile_from_json"]
@@ -125,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the built-in numerical self-checks and exit nonzero on failure",
     )
     sub = parser.add_subparsers(dest="command")
+    defaults = QuadratureConfig()
 
     def add_profile_options(sp):
         for kind, (_cls, keys) in PROFILE_KINDS.items():
@@ -141,34 +142,39 @@ def build_parser() -> argparse.ArgumentParser:
             help="comma-separated subset of csv,json,svg (default csv,svg)",
         )
 
-    def add_command(name, help_text, profile=True, samples=True, quadrature=False):
+    def add_command(name, run, help_text, profile=True, samples=True, quadrature=False):
         # Commands that take a profile name their files by --prefix; the
         # gallery's names are fixed. Only the commands that integrate
         # positions (synth, figures) read the quadrature tolerance.
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(run=run)
         if profile:
             add_profile_options(sp)
         add_output_options(sp, prefix=profile)
         if quadrature:
-            sp.add_argument(
-                "--abs-tol", type=float, default=1e-10, help="absolute error bound on x and y"
-            )
+            sp.add_argument("--abs-tol", type=float, default=defaults.abs_tol,
+                            help="absolute error bound on x and y")
         if samples:
-            sp.add_argument("--samples", type=int, default=256, help="output samples per curve")
+            sp.add_argument("--samples", type=int, default=defaults.samples_per_curve,
+                            help="output samples per curve")
         return sp
 
-    p_synth = add_command("synth", "synthesize a curve from a curvature profile", quadrature=True)
+    p_synth = add_command(
+        "synth", cmd_synth, "synthesize a curve from a curvature profile", quadrature=True
+    )
     p_synth.add_argument("--pose", default="0,0,0", help="start state as x0,y0,theta0")
-    add_command("lcg", "logarithmic curvature graph of a profile")
-    p_grad = add_command("gradient", "LCG gradient trace and fitted line")
+    add_command("lcg", cmd_lcg, "logarithmic curvature graph of a profile")
+    p_grad = add_command("gradient", cmd_gradient, "LCG gradient trace and fitted line")
     p_grad.add_argument(
         "--sampled",
         action="store_true",
         help="estimate by finite differences of the profile's curvature on the sample grid "
         "instead of closed form",
     )
-    add_command("classify", "degenerate subfamily and aesthetic class", samples=False)
-    p_lddc = add_command("lddc", "radius-of-curvature histogram over the sample grid")
+    add_command(
+        "classify", cmd_classify, "degenerate subfamily and aesthetic class", samples=False
+    )
+    p_lddc = add_command("lddc", cmd_lddc, "radius-of-curvature histogram over the sample grid")
     p_lddc.add_argument("--bins", type=int, default=16, help="number of histogram bins")
     p_lddc.add_argument(
         "--compare",
@@ -177,6 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_command(
         "figures",
+        cmd_figures,
         "emit the standard gallery: demo curve plus profile/curve/LCG/gradient sweeps over r",
         profile=False,
         quadrature=True,
@@ -238,7 +245,7 @@ def _closed_form_verdict(gcs: GcsProfile, num: int) -> tuple[LcgLine, AestheticC
     `num` points, and its aesthetic class."""
     line = gradient_line(gcs)
     line = dataclasses.replace(line, residual=line_residual(gcs, line, num=num))
-    return line, classify_aesthetic(line, line.residual, tol_fit=1e-6)
+    return line, classify_aesthetic(line, line.residual)
 
 
 def _config_from_args(args) -> QuadratureConfig:
@@ -405,20 +412,19 @@ def cmd_figures(args) -> int:
     labels = [f"r={r:g}" for r in R_SWEEP]
     for r in R_SWEEP:
         profile = GcsProfile(0.0, 2.0, math.pi, r)
-        grid = _sample_grid(profile, config.samples_per_curve)
-        kappa_trace = np.column_stack((grid, profile.kappa(grid)))
         try:
-            curve = _curve_table(synthesize(profile, Pose(), config))
+            curve = synthesize(profile, Pose(), config)
         except QuadratureError as exc:
             raise QuadratureError(f"curve synthesis failed at r={r:g}: {exc}") from None
-        lcg = _lcg_table(lcg_gcs_points(profile, grid)[0])
-        gradient = _gradient_table(np.column_stack((grid, gradient_gcs(profile, grid))))
+        kappa_trace = np.column_stack((curve.s, curve.kappa))
+        lcg = _lcg_table(lcg_gcs_points(profile, curve.s)[0])
+        gradient = _gradient_table(np.column_stack((curve.s, gradient_gcs(profile, curve.s))))
         out.table(f"fig2_profile_r{r:g}.csv", "s,kappa", kappa_trace)
-        out.table(f"fig3_curve_r{r:g}.csv", *curve)
+        out.table(f"fig3_curve_r{r:g}.csv", *_curve_table(curve))
         out.table(f"fig4_lcg_r{r:g}.csv", *lcg)
         out.table(f"fig5_gradient_r{r:g}.csv", *gradient)
         profile_lines.append(kappa_trace)
-        curve_lines.append(curve[1][:, 1:3])
+        curve_lines.append(np.column_stack((curve.x, curve.y)))
         lcg_lines.append(lcg[1][:, 1:])
         gradient_lines.append(gradient[1])
 
@@ -460,8 +466,8 @@ def run_seed_check() -> int:
     profile = GcsProfile(0.1, 2.0, math.pi, 2.0)
     h = 1e-5 * profile.arc_length
     t = np.linspace(0.2, profile.arc_length - 0.2, 9)
-    lo = row_array(lcg_gcs_points(profile, t - h)[0], 3)
-    hi = row_array(lcg_gcs_points(profile, t + h)[0], 3)
+    lo = _lcg_table(lcg_gcs_points(profile, t - h)[0])[1]
+    hi = _lcg_table(lcg_gcs_points(profile, t + h)[0])[1]
     fd = (hi[:, 2] - lo[:, 2]) / (hi[:, 1] - lo[:, 1])
     exact = lcg_gradient_numeric(profile, t)
     checks["finite_difference_gradient"] = bool(np.all(np.abs(fd - exact) <= 1e-6))
@@ -472,16 +478,6 @@ def run_seed_check() -> int:
 
 
 # -- entry ---------------------------------------------------------------
-
-_DISPATCH = {
-    "synth": cmd_synth,
-    "lcg": cmd_lcg,
-    "gradient": cmd_gradient,
-    "classify": cmd_classify,
-    "lddc": cmd_lddc,
-    "figures": cmd_figures,
-}
-
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
@@ -496,7 +492,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.print_usage(sys.stderr)
             print("error: a command is required (or --seed-check)", file=sys.stderr)
             return 2
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

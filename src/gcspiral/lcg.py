@@ -39,7 +39,7 @@ from .errors import (
 )
 from .profiles import REL_TOL, CurvatureProfile, GcsProfile, _clamp_s
 from .synthesis import PlanarCurve, _curvature_samples
-from .tables import row_array, write_table
+from .tables import row_array, write_tables
 
 __all__ = [
     "LcgPoint",
@@ -303,7 +303,8 @@ def gradient_from_samples(curve: Union[PlanarCurve, tuple]) -> tuple[np.ndarray,
     if not (np.abs(gaps - h) <= 1e-9 * abs(h)).all():
         raise DomainError("gradient estimation requires uniform arc-length sampling")
 
-    dk = np.diff(kappa)
+    with np.errstate(over="ignore"):  # an overflowed difference is +-inf, of the right sign
+        dk = np.diff(kappa)
     if np.all(np.abs(dk) <= REL_TOL * scale):
         raise DegenerateDataError("curvature is constant (circular arc): LCG gradient undefined")
     if np.any(dk >= 0.0) and np.any(dk <= 0.0):
@@ -355,9 +356,9 @@ def _gradient_table(samples) -> tuple:
 
 
 def lcg_points_to_csv(points: Sequence[LcgPoint], target: Union[str, IO[str]]) -> None:
-    write_table(target, *_lcg_table(points))
+    write_tables([(target, *_lcg_table(points))])
 
 
 def gradient_to_csv(samples, target: Union[str, IO[str]]) -> None:
-    write_table(target, *_gradient_table(samples))
+    write_tables([(target, *_gradient_table(samples))])
 

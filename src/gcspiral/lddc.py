@@ -29,7 +29,7 @@ from .errors import (
 from .lcg import LcgLine
 from .profiles import REL_TOL, GcsProfile
 from .synthesis import PlanarCurve, _curvature_samples
-from .tables import read_table, write_table
+from .tables import read_table, write_tables
 
 __all__ = [
     "LddcHistogram",
@@ -191,7 +191,7 @@ def _lddc_table(histogram: LddcHistogram) -> tuple[str, np.ndarray]:
 
 
 def lddc_to_csv(histogram: LddcHistogram, target: Union[str, IO[str]]) -> None:
-    write_table(target, *_lddc_table(histogram))
+    write_tables([(target, *_lddc_table(histogram))])
 
 
 def lddc_from_csv(source: Union[str, IO[str]]) -> LddcHistogram:
@@ -220,4 +220,4 @@ def _comparison_table(comparison: LddcComparison) -> tuple[str, np.ndarray]:
 
 
 def comparison_to_csv(comparison: LddcComparison, target: Union[str, IO[str]]) -> None:
-    write_table(target, *_comparison_table(comparison))
+    write_tables([(target, *_comparison_table(comparison))])

@@ -211,8 +211,8 @@ def _simpson_sums(h, ends, inner, mids):
 def tangent_integrals(
     theta: Callable,
     edges,
-    abs_tol: float = 1e-10,
-    scheme: str = "gauss",
+    abs_tol: float,
+    scheme: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate (cos(theta(t)), sin(theta(t))) over each gap of `edges`.
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, count, increasing, numeric, real
 from .profiles import CurvatureProfile
 from .quadrature import tangent_integrals
-from .tables import read_table, write_table
+from .tables import read_table, write_tables
 
 __all__ = [
     "Pose",
@@ -165,7 +165,7 @@ def _integrate(profile: CurvatureProfile, pose: Pose, edges, abs_tol: float, sch
     def angle(t):
         return pose.theta0 + profile.theta(t)
 
-    dx, dy, theta = tangent_integrals(angle, edges, abs_tol, scheme=scheme)
+    dx, dy, theta = tangent_integrals(angle, edges, abs_tol, scheme)
     xs = np.concatenate(([pose.x0], dx)).cumsum()
     ys = np.concatenate(([pose.y0], dy)).cumsum()
     return xs, ys, theta
@@ -231,7 +231,7 @@ def _curve_table(curve: PlanarCurve) -> tuple[str, np.ndarray]:
 
 def curve_to_csv(curve: PlanarCurve, target: Union[str, IO[str]]) -> None:
     """Write the curve table with round-trip-exact formatting."""
-    write_table(target, *_curve_table(curve))
+    write_tables([(target, *_curve_table(curve))])
 
 
 def curve_from_csv(source: Union[str, IO[str]]) -> PlanarCurve:

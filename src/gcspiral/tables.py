@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, numeric
 
-__all__ = ["write_text", "write_table", "write_tables", "read_table", "row_array"]
+__all__ = ["write_text", "write_tables", "read_table", "row_array"]
 
 
 def write_text(target: Union[str, IO[str]], text: str) -> None:
@@ -49,14 +49,10 @@ def write_text(target: Union[str, IO[str]], text: str) -> None:
             fh.write(text)
 
 
-def write_table(target: Union[str, IO[str]], header: str, rows) -> None:
-    """Write `header`, then the (n, k) array-like `rows`, k the header's width."""
-    write_tables([(target, header, rows)])
-
-
 def write_tables(tables: list) -> None:
-    """Write each (target, header, rows) of the list `tables` as `write_table`
-    does, their numbers formatted together in one pass."""
+    """Write each (target, header, rows) of the list `tables`: the header line,
+    then the (n, k) array-like `rows`, k the header's width, their numbers
+    formatted together in one pass."""
     pieces = []
     for _target, header, rows in tables:
         width = len(header.split(","))

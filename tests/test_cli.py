@@ -187,6 +187,12 @@ class TestProfileInputs:
         assert "error: --constant expects 2 comma-separated numbers, got '1'" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_flag_with_a_non_numeric_field_rejected(self, tmp_path, capsys):
+        code, out, err = run(capsys, "synth", "--gcs=a,b,c,d", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "error: --gcs holds a non-numeric field: 'a,b,c,d'\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["synth", "lcg", "gradient", "classify", "lddc"])
     def test_length_is_not_an_option(self, tmp_path, capsys, command):
         code, out, err = run(
@@ -324,6 +330,16 @@ class TestLcgCommand:
         )
         assert code == 2
         assert "kappa0" in err
+
+    def test_graph_undefined_at_every_grid_value(self, tmp_path, capsys):
+        # A GCS with r = 0 and kappa0 = -kappa1 = -6e-13 on [0, 1]: every sample's
+        # curvature is below REL_TOL * scale, so the LCG skips them all.
+        code, out, err = run(
+            capsys, "lcg", "--gcs=-6e-13,6e-13,1,0", "--samples", "8", "--out", str(tmp_path)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the LCG is undefined at every grid value for this profile\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGradientCommand:
@@ -870,9 +886,10 @@ class TestOptions:
         assert listed == set(self.OPTIONS[command])
         argv = [command, "--out", str(tmp_path), "--formats", "csv"]
         argv += [] if command == "figures" else ["--gcs", "0.5,2,3,1"]
-        args = self.Recorder(build_parser().parse_args(argv))
+        parsed = build_parser().parse_args(argv)
+        args = self.Recorder(parsed)
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli._DISPATCH[command](args) == 0
+            assert parsed.run(args) == 0
         assert {"--" + name.replace("_", "-") for name in args.read} == listed
 
     @pytest.mark.parametrize(

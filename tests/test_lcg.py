@@ -472,7 +472,9 @@ class TestFamilyMaps:
     Mirror, (-kappa0, -kappa1, S, r), negates n1, n0 and c exactly, so the
     LCG, the gradient line and the LDDC histogram keep every bit. Reversal,
     (kappa1, kappa0, S, -r/(1+r)), reads the same curvature from the other
-    end and maps the gradient line A*t + B to -A*t + (A*S + B). Scaling by
+    end and maps the gradient line A*t + B to -A*t + (A*S + B); read on
+    S - t, its LCG points are p's in reverse order and its LDDC histogram
+    is p's. Scaling by
     lam, (kappa0/lam, kappa1/lam, lam*S, r), multiplies rho by lam: both LCG
     coordinates shift by log(lam), A becomes A/lam and B stays, and the LDDC
     edges shift by log10(lam) while its lengths scale by lam.
@@ -627,8 +629,24 @@ class TestFamilyMaps:
                     assert abs(b - log_lam - a) <= shift + logs, (p, lam, i)
 
     def test_scaling_shifts_the_lddc_histogram(self):
-        """Each side bins 255 segments by its own default edges.
+        for p, lam in self.draws(2608):
+            q = self.scaled(p, lam)
+            t = np.linspace(0.0, p.arc_length, 256)
+            kappa = p.kappa(t)
+            hist = lddc_histogram((t, kappa), 16)
+            t_scaled = np.linspace(0.0, q.arc_length, 256)
+            scaled = lddc_histogram((t_scaled, q.kappa(t_scaled)), 16)
+            assert scaled.total_length == lam * hist.total_length
+            self.assert_histogram_maps(p, lam, kappa, hist, scaled, *self.quotient_rounding(p, t))
 
+    def assert_histogram_maps(self, p, lam, kappa, hist, mapped, rel_nu, rel_den):
+        """`mapped`, the 16-bin histogram of a map of p on its own 256-point
+        grid, holds the bins of `hist`, p's over its grid t with curvatures
+        `kappa`, with edges shifted by log10(lam) and lengths times lam.
+        rel_nu and rel_den bound both sides' rounding of nu and den at t, and
+        a grid point is within 5u*lam*S of its place on both grids together.
+
+        Each side bins 255 segments by its own default edges.
         kappa_mid = kappa_i/2 + kappa_(i+1)/2 adds u*|kappa_mid| of rounding a
         side to half the kappas' own, and a segment whose log10 rho lies
         within its bound plus the edges' bound of an interior edge may bin
@@ -641,43 +659,116 @@ class TestFamilyMaps:
         so neither side pads its edges (below a 1e-12 span).
         """
         u = EPS / 2.0
-        for p, lam in self.draws(2608):
-            q = self.scaled(p, lam)
-            t = np.linspace(0.0, p.arc_length, 256)
+        err = (rel_nu + rel_den + 2.0 * u) * np.abs(kappa)
+        mid = 0.5 * kappa[:-1] + 0.5 * kappa[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel_mid = (0.5 * (err[:-1] + err[1:]) + 2.0 * u * np.abs(mid)) / np.abs(mid)
+        threshold = REL_TOL * max(np.max(np.abs(kappa)), 1.0 / p.arc_length)
+        rel_threshold = np.max(rel_nu + rel_den) + 4.0 * u
+        if np.any(np.abs(np.abs(mid) / threshold - 1.0) <= rel_mid + rel_threshold):
+            return  # which segments are excluded, and so the edges, is rounding's choice
+        log_rho = -np.log10(np.abs(mid[np.abs(mid) >= threshold]))
+        log_lam = math.log10(lam)
+        reach = self.log_shift(rel_mid[np.abs(mid) >= threshold]) / math.log(10.0)
+        reach += 2.0 * u * (2.0 * np.abs(log_rho) + abs(log_lam))
+        # Each end of the edges is some segment's value; linspace rounds
+        # each edge by u*(2*|hi - lo| + |edge|) a side.
+        edges, span = hist.bin_edges, np.ptp(log_rho)
+        edge_reach = reach.max() + 2.0 * u * (2.0 * span + 2.0 * np.abs(edges) + abs(log_lam))
+        assert np.all(np.abs(mapped.bin_edges - log_lam - edges) <= edge_reach), (p, lam)
+        near = np.abs(log_rho[:, None] - edges[1:-1]) <= reach[:, None] + edge_reach[1:-1]
+        step = p.arc_length / 255
+        counts = np.rint(hist.lengths / step)
+        moved = np.abs(np.rint(mapped.lengths / (lam * step)) - counts)
+        assert moved.sum() <= 2 * np.count_nonzero(near.any(axis=1)), (p, lam)
+        grid_ends = 20.0 * u * lam * p.arc_length
+        bound = (moved * step + 2.0 * u * counts * hist.lengths) * lam
+        bound += grid_ends * (1.0 + moved)
+        assert np.all(np.abs(mapped.lengths - lam * hist.lengths) <= bound), (p, lam)
+        bound = 2.0 * u * 255 * lam * hist.excluded_length + grid_ends
+        assert abs(mapped.excluded_length - lam * hist.excluded_length) <= bound, (p, lam)
+
+    @staticmethod
+    def reversed_profile(p):
+        return GcsProfile(p.kappa1, p.kappa0, p.arc_length, -p.r / (1.0 + p.r))
+
+    @staticmethod
+    def reversal_quotient_rounding(p, t):
+        """Relative bounds, p's rounding at its grid t and the reversed
+        profile's at fl(S - t) together, on nu = n1*t + n0 and den = r*t + S.
+
+        The reversed profile q, with r' = -r/(1+r), has nu' = nu/(1+r) and
+        den' = den/(1+r) at S - t, so the same quotient. p's n1 rounds by
+        u*(|kappa1 - kappa0| + |r*kappa1| + |n1|) <= 2u*P, with P = |kappa0| +
+        |kappa1| + |r*kappa1|; n1*t rounds by u*P*t, n0 by u*|n0| and the sum
+        by u*|nu|. den rounds by u*(|r|*t + den). q's n1' = -n1/(1+r) rounds
+        by 2u*P' with P' = |kappa0| + |kappa1| + |r'*kappa0|, its product by
+        u*P'*t', n0' = kappa1*S by u*|n0'| and the sum by u*|nu'|, at t' =
+        fl(S - t), within u*t' of S - t, which moves nu' by u*P'*t' more and
+        den' by u*|r'|*t'. r' rounds twice, by 2u*|r'|: that moves nu' by
+        2u*|r'*kappa0|*t' and den' by 2u*|r'|*t', which r'*t' and the sum
+        round by u*|r'|*t' and u*den' more.
+        """
+        k0, k1, r, S = p.kappa0, p.kappa1, p.r, p.arc_length
+        r_back = -r / (1.0 + r)
+        nu, den, t_back = p.n1 * t + p.n0, r * t + S, S - t
+        nu_back, den_back = nu / (1.0 + r), den / (1.0 + r)
+        magnitude = 3.0 * (abs(k0) + abs(k1) + abs(r * k1)) * t + abs(p.n0)
+        magnitude_back = 4.0 * (abs(k0) + abs(k1) + abs(r_back * k0)) * t_back + abs(k1 * S)
+        magnitude_back += 2.0 * abs(r_back * k0) * t_back
+        u = EPS / 2.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel_nu = u * ((magnitude + np.abs(nu)) / np.abs(nu)
+                          + (magnitude_back + np.abs(nu_back)) / np.abs(nu_back))
+        rel_den = u * ((abs(r) * t + den) / den + (4.0 * abs(r_back) * t_back + den_back) / den_back)
+        return rel_nu, rel_den
+
+    def test_reversal_reverses_the_lcg_points(self):
+        u = EPS / 2.0
+        rng = np.random.default_rng(2609)
+        for _ in range(self.DRAWS):
+            p = random_gcs(rng, min_kappa_gap=1e-9)
+            q, S = self.reversed_profile(p), p.arc_length
+            t = np.linspace(0.0, S, 33)
+            rel_nu, rel_den = self.reversal_quotient_rounding(p, t)
+            rel = rel_nu + rel_den + 2.0 * u  # and den/nu rounds once on each side
+            points = {round(v.t * 32 / S): v for v in lcg_gcs_points(p, t)[0]}
+            # q's points, in q's order, keyed by the index of p's grid point they read.
+            back = {32 - round(v.t * 32 / S): v for v in lcg_gcs_points(q, S - t[::-1])[0]}
+            assert list(back) == sorted(back, reverse=True)
+            # A point near an inflection is kept on one side only when |nu/den|
+            # is within rounding of the threshold, which both sides share.
+            nu_den = np.abs(p.n1 * t + p.n0) / (p.r * t + S) / (REL_TOL * p.scale)
+            for i in points.keys() ^ back.keys():
+                assert abs(nu_den[i] - 1.0) <= rel[i] + 4.0 * u, (p, i)
+            # den*nu/c rounds twice a side. c = S*(1+r)*(kappa0 - kappa1) rounds 4
+            # times a side, and q's 1 + r' = 1/(1+r) carries r' to it as 2u*|r|.
+            rho_shift = self.log_shift(rel)
+            freq_shift = self.log_shift(rel + u * (12.0 + 2.0 * abs(p.r)))
+            for i in points.keys() & back.keys():
+                v, w = points[i], back[i]
+                assert abs((S - w.t) - v.t) <= 2.0 * u * S
+                # Two logs of one ulp, and the test's subtraction.
+                for a, b, shift in (
+                    (v.log_rho, w.log_rho, rho_shift[i]),
+                    (v.log_freq, w.log_freq, freq_shift[i]),
+                ):
+                    assert abs(b - a) <= shift + 2.0 * u * (abs(a) + abs(b)) + u * abs(a), (p, i)
+
+    def test_reversal_keeps_the_lddc_histogram(self):
+        # fl(S - t) adds u*S to the grid error of a reversed run end: 5u*S, as scaling's.
+        rng = np.random.default_rng(2610)
+        for _ in range(self.DRAWS):
+            p = random_gcs(rng, min_kappa_gap=1e-9)
+            q, S = self.reversed_profile(p), p.arc_length
+            t = np.linspace(0.0, S, 256)
             kappa = p.kappa(t)
             hist = lddc_histogram((t, kappa), 16)
-            t_scaled = np.linspace(0.0, q.arc_length, 256)
-            scaled = lddc_histogram((t_scaled, q.kappa(t_scaled)), 16)
-            assert scaled.total_length == lam * hist.total_length
-            rel_nu, rel_den = self.quotient_rounding(p, t)
-            err = (rel_nu + rel_den + 2.0 * u) * np.abs(kappa)
-            mid = 0.5 * kappa[:-1] + 0.5 * kappa[1:]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rel_mid = (0.5 * (err[:-1] + err[1:]) + 2.0 * u * np.abs(mid)) / np.abs(mid)
-            threshold = REL_TOL * max(np.max(np.abs(kappa)), 1.0 / p.arc_length)
-            rel_threshold = np.max(rel_nu + rel_den) + 4.0 * u
-            if np.any(np.abs(np.abs(mid) / threshold - 1.0) <= rel_mid + rel_threshold):
-                continue  # which segments are excluded, and so the edges, is rounding's choice
-            log_rho = -np.log10(np.abs(mid[np.abs(mid) >= threshold]))
-            log_lam = math.log10(lam)
-            reach = self.log_shift(rel_mid[np.abs(mid) >= threshold]) / math.log(10.0)
-            reach += 2.0 * u * (2.0 * np.abs(log_rho) + abs(log_lam))
-            # Each end of the edges is some segment's value; linspace rounds
-            # each edge by u*(2*|hi - lo| + |edge|) a side.
-            edges, span = hist.bin_edges, np.ptp(log_rho)
-            edge_reach = reach.max() + 2.0 * u * (2.0 * span + 2.0 * np.abs(edges) + abs(log_lam))
-            assert np.all(np.abs(scaled.bin_edges - log_lam - edges) <= edge_reach), (p, lam)
-            near = np.abs(log_rho[:, None] - edges[1:-1]) <= reach[:, None] + edge_reach[1:-1]
-            step = p.arc_length / 255
-            counts = np.rint(hist.lengths / step)
-            moved = np.abs(np.rint(scaled.lengths / (lam * step)) - counts)
-            assert moved.sum() <= 2 * np.count_nonzero(near.any(axis=1)), (p, lam)
-            grid_ends = 20.0 * u * lam * p.arc_length
-            bound = (moved * step + 2.0 * u * counts * hist.lengths) * lam
-            bound += grid_ends * (1.0 + moved)
-            assert np.all(np.abs(scaled.lengths - lam * hist.lengths) <= bound), (p, lam)
-            bound = 2.0 * u * 255 * lam * hist.excluded_length + grid_ends
-            assert abs(scaled.excluded_length - lam * hist.excluded_length) <= bound, (p, lam)
+            t_back = S - t[::-1]
+            back = lddc_histogram((t_back, q.kappa(t_back)), 16)
+            assert back.total_length == hist.total_length
+            rounding = self.reversal_quotient_rounding(p, t)
+            self.assert_histogram_maps(p, 1.0, kappa, hist, back, *rounding)
 
 
 class TestSampledGradient:
@@ -738,6 +829,12 @@ class TestSampledGradient:
         curve = PlanarCurve(s, s, [0.0] * 5, [0.0] * 5, [1.0, 1.1, 1.2, 1.3, 1.4])
         with pytest.raises(DomainError):
             gradient_from_samples(curve)
+
+    def test_too_few_interior_samples_rejected(self):
+        # Three usable samples, but the near-zero run leaves one of them interior.
+        kappa = [-1.0, -0.5, -3e-13, -2e-13, -1e-13, 1e-13, 1.0]
+        with pytest.raises(DegenerateDataError, match="too few interior samples"):
+            gradient_from_samples((np.arange(7.0), kappa))
 
     def test_non_uniform_sampling_rejected(self):
         s = [0.0, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]

@@ -441,6 +441,19 @@ class TestSerialization:
         with pytest.raises(DomainError):
             lddc_from_csv(io.StringIO(text))
 
+    def test_csv_without_arc_length_rejected(self):
+        text = "bin_lo_log10rho,bin_hi_log10rho,length\n0,1,0\n1,2,0\n"
+        with pytest.raises(DomainError, match="carries no arc length"):
+            lddc_from_csv(io.StringIO(text))
+
+    def test_bar_chart_needs_one_more_edge_than_values(self):
+        with pytest.raises(DomainError, match="one more bin edge than values"):
+            bar_chart_svg([0.0, 1.0], [1.0, 2.0])
+
+    def test_bar_chart_of_all_zero_values_rejected(self):
+        with pytest.raises(DomainError, match="all-zero histogram"):
+            bar_chart_svg([0.0, 1.0, 2.0], [0.0, 0.0])
+
     def test_bar_chart_caption_is_escaped(self):
         text = bar_chart_svg([0.0, 1.0, 2.0], [1.0, 2.0], caption="a<b / c&d")
         root = ET.fromstring(text.encode("utf-8"))

@@ -61,7 +61,14 @@ NEAR_POLE = [
         (1e300, 1.7e308, 1.03392538465531e-295, -0.9999999999999998),
     )
 ]
-DRAWS = _draws() + NEAR_POLE
+# Accepted profiles with r next to -1 that once raised a warning: the curvature
+# samples of this one differ by more than the largest float, so np.diff overflowed
+# in gradient_from_samples.
+NEAR_MINUS_ONE = [
+    {"type": "gcs", "kappa0": -6.124378457644288e307, "kappa1": 1.1775611453585143e308,
+     "arc_length": 1.9834257926793924e-273, "r": -0.9999999999999998},
+]
+DRAWS = _draws() + NEAR_POLE + NEAR_MINUS_ONE
 
 
 def _routes(p):
@@ -161,6 +168,22 @@ def test_near_pole_profiles_are_rejected():
     for doc, message in zip(NEAR_POLE, messages):
         with pytest.raises(g.DomainError, match=message):
             cli.profile_from_dict(doc)
+
+
+def test_mended_sampled_gradient_overflow(capsys):
+    # kappa runs from -6.1e307 to 1.2e308, so a difference of two samples is +inf:
+    # the monotonicity check reads its sign, with no overflow warning.
+    profile = cli.profile_from_dict(NEAR_MINUS_ONE[0])
+    grid = np.linspace(0.0, profile.arc_length, SAMPLES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(g.DegenerateDataError, match="not strictly monotone"):
+            g.gradient_from_samples((grid, profile.kappa(grid)))
+        argv = ["gradient", "--profile", json.dumps(NEAR_MINUS_ONE[0]), "--sampled"]
+        assert cli.main([*argv, "--samples", str(SAMPLES)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: curvature is not strictly monotone (interior extremum or flat run)\n"
 
 
 def test_mended_theta_overflow(tmp_path):

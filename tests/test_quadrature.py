@@ -95,12 +95,12 @@ class TestAdaptiveSimpson:
     def test_invalid_bounds_rejected(self):
         for edges in ([1.0, 0.0], [0.0, math.inf], [0.0, math.nan], [0.0], [[0.0, 1.0]]):
             with pytest.raises(DomainError):
-                tangent_integrals(lambda t: t, edges, 1e-10)
+                tangent_integrals(lambda t: t, edges, 1e-10, "gauss")
 
     def test_invalid_tolerance_rejected(self):
         for tol in (0.0, -1e-10, math.inf, math.nan, True):
             with pytest.raises(DomainError):
-                tangent_integrals(lambda t: t, [0.0, 1.0], tol)
+                tangent_integrals(lambda t: t, [0.0, 1.0], tol, "gauss")
 
     @RULES
     def test_float_floor_rejected_before_theta(self, scheme):
@@ -493,7 +493,7 @@ class TestLegendreTail:
             calls.append(np.size(t))
             return profile.theta(t)
 
-        tangent_integrals(theta, np.linspace(0.0, 2.0, n), 1e-10 / (n - 1))
+        tangent_integrals(theta, np.linspace(0.0, 2.0, n), 1e-10 / (n - 1), "gauss")
         assert sum(calls) == 32 * (n - 1) + n
 
     def test_missed_gap_doubles_from_its_fine_pass(self):

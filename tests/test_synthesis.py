@@ -34,7 +34,7 @@ from gcspiral import (
 from gcspiral import quadrature, synthesis
 from gcspiral.errors import InputError
 from gcspiral.svg import bar_chart_svg, polyline_svg
-from gcspiral.tables import row_array, write_table
+from gcspiral.tables import row_array, write_tables
 from tutil import (
     arc_lengths,
     fig_sweep_profiles,
@@ -589,7 +589,7 @@ class TestSerialization:
         written = []
         for table in (rows, np.array(rows), [], np.empty((0, 2))):
             buffer = io.StringIO()
-            write_table(buffer, "a,b", table)
+            write_tables([(buffer, "a,b", table)])
             written.append(buffer.getvalue())
         assert written[0] == written[1] == "a,b\n0.5,-1\n1,0.33333333333333331\n"
         assert written[2] == written[3] == "a,b\n"

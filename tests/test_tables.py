@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gcspiral import DomainError, svg, tables
 from gcspiral.svg import polyline_svg
-from gcspiral.tables import row_array, write_table, write_tables
+from gcspiral.tables import row_array, write_tables
 
 
 def reference_table(header: str, rows) -> str:
@@ -225,7 +225,7 @@ class TestWriteTable:
             expect = reference_table(header, rows.tolist())
             for given_rows in (rows, rows.tolist(), [tuple(row) for row in rows.tolist()]):
                 buffer = io.StringIO()
-                write_table(buffer, header, given_rows)
+                write_tables([(buffer, header, given_rows)])
                 assert buffer.getvalue() == expect, (width, total)
 
     def test_no_kernel_call_is_left_with_a_few_values(self, monkeypatch):
@@ -246,7 +246,7 @@ class TestWriteTable:
                     rows = special_values(rng, -(-total // width) * width)
                     rows = rows.reshape(-1, width)
                     buffer = io.StringIO()
-                    write_table(buffer, header, rows)
+                    write_tables([(buffer, header, rows)])
                     assert buffer.getvalue() == reference_table(header, rows.tolist())
         assert calls and min(calls) >= tables._KERNEL_MIN_VALUES[17]
 
@@ -261,9 +261,9 @@ class TestWriteTable:
         together.mkdir()
         streams = []
         for name, header, rows in tables_given:
-            write_table(str(one_by_one / name), header, rows)
+            write_tables([(str(one_by_one / name), header, rows)])
             streams.append(io.StringIO())
-            write_table(streams[-1], header, rows.tolist())
+            write_tables([(streams[-1], header, rows.tolist())])
         write_tables([(str(together / name), header, rows) for name, header, rows in tables_given])
         buffers = [io.StringIO() for _ in tables_given]
         pairs = zip(buffers, tables_given)
@@ -281,12 +281,12 @@ class TestWriteTable:
     def test_ragged_rows_are_rejected_not_reflowed(self):
         for rows in ([(1.0, 2.0, 3.0), (4.0,)], [(1.0, 2.0), (3.0,)], np.ones((2, 3)), np.ones(4)):
             with pytest.raises(DomainError, match="every row must hold 2 values"):
-                write_table(io.StringIO(), "a,b", rows)
+                write_tables([(io.StringIO(), "a,b", rows)])
 
     def test_text_is_not_a_number(self):
         for rows in ([("1.5", "2")], [(1.0, b"2")], np.array([["1.5", "2"]])):
             with pytest.raises(DomainError, match="rows must hold only numbers"):
-                write_table(io.StringIO(), "a,b", rows)
+                write_tables([(io.StringIO(), "a,b", rows)])
 
 
 class TestRowArray:
