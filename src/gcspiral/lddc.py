@@ -29,7 +29,7 @@ from .errors import (
 from .lcg import LcgLine
 from .profiles import REL_TOL, GcsProfile
 from .synthesis import PlanarCurve, _curvature_samples
-from .tables import read_table, write_tables
+from .tables import write_tables
 
 __all__ = [
     "LddcHistogram",
@@ -37,7 +37,6 @@ __all__ = [
     "lddc_histogram",
     "lddc_vs_lcg",
     "lddc_to_csv",
-    "lddc_from_csv",
     "comparison_to_csv",
 ]
 
@@ -181,34 +180,15 @@ def lddc_vs_lcg(
 
 # -- serialization -------------------------------------------------------
 
-_LDDC_HEADER = "bin_lo_log10rho,bin_hi_log10rho,length"
-
-
 def _lddc_table(histogram: LddcHistogram) -> tuple[str, np.ndarray]:
     """The histogram table's header and rows: each bin's two edges and its length."""
     edges = histogram.bin_edges
-    return _LDDC_HEADER, np.column_stack((edges[:-1], edges[1:], histogram.lengths))
+    header = "bin_lo_log10rho,bin_hi_log10rho,length"
+    return header, np.column_stack((edges[:-1], edges[1:], histogram.lengths))
 
 
 def lddc_to_csv(histogram: LddcHistogram, target: Union[str, IO[str]]) -> None:
     write_tables([(target, *_lddc_table(histogram))])
-
-
-def lddc_from_csv(source: Union[str, IO[str]]) -> LddcHistogram:
-    """Rebuild a histogram from its CSV form.
-
-    The CSV does not carry the excluded length, so the rebuilt total equals
-    the sum of the stored bins.
-    """
-    lo_edges, hi_edges, lengths = read_table(source, _LDDC_HEADER, "LDDC CSV").T
-    if not len(lengths):
-        raise DomainError("LDDC CSV holds no bins")
-    if np.any(lo_edges[1:] != hi_edges[:-1]):
-        raise DomainError("LDDC CSV bins must be contiguous")
-    total = sum(lengths.tolist())
-    if total <= 0.0:
-        raise DomainError("LDDC CSV carries no arc length")
-    return LddcHistogram(np.append(lo_edges, hi_edges[-1]), lengths, total)
 
 
 def _comparison_table(comparison: LddcComparison) -> tuple[str, np.ndarray]:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, count, increasing, numeric, real
 from .profiles import CurvatureProfile
 from .quadrature import tangent_integrals
-from .tables import read_table, write_tables
+from .tables import write_tables
 
 __all__ = [
     "Pose",
@@ -28,7 +28,6 @@ __all__ = [
     "synthesize",
     "endpoint",
     "curve_to_csv",
-    "curve_from_csv",
 ]
 
 
@@ -92,11 +91,6 @@ class PlanarCurve:
     @property
     def total_length(self) -> float:
         return float(self.s[-1] - self.s[0])
-
-    @property
-    def scale(self) -> float:
-        """Curvature scale max(max|kappa|, 1/L) that relative zero thresholds are taken against."""
-        return _curvature_samples(self)[2]
 
 
 def _sample_columns(s, **columns) -> list[np.ndarray]:
@@ -221,19 +215,13 @@ def endpoint(
 
 # -- serialization -------------------------------------------------------
 
-_CURVE_HEADER = "s,x,y,theta,kappa"
-
-
 def _curve_table(curve: PlanarCurve) -> tuple[str, np.ndarray]:
     """The curve table's header and rows: s, x, y, theta and kappa per sample."""
-    return _CURVE_HEADER, np.column_stack((curve.s, curve.x, curve.y, curve.theta, curve.kappa))
+    columns = (curve.s, curve.x, curve.y, curve.theta, curve.kappa)
+    return "s,x,y,theta,kappa", np.column_stack(columns)
 
 
 def curve_to_csv(curve: PlanarCurve, target: Union[str, IO[str]]) -> None:
     """Write the curve table with round-trip-exact formatting."""
     write_tables([(target, *_curve_table(curve))])
-
-
-def curve_from_csv(source: Union[str, IO[str]]) -> PlanarCurve:
-    return PlanarCurve(*read_table(source, _CURVE_HEADER, "curve CSV").T)
 

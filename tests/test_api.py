@@ -12,7 +12,7 @@ REEXPORTED = (errors, lcg, lddc, profiles, synthesis)
 
 def test_package_all_is_the_layer_lists():
     assert gcspiral.__all__ == ["__version__", *(n for m in REEXPORTED for n in m.__all__)]
-    assert len(set(gcspiral.__all__)) == len(gcspiral.__all__) == 45
+    assert len(set(gcspiral.__all__)) == len(gcspiral.__all__) == 43
     for module in REEXPORTED:
         for name in module.__all__:
             assert getattr(gcspiral, name) is getattr(module, name)

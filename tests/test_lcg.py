@@ -31,6 +31,7 @@ from gcspiral import (
     gradient_line,
     gradient_to_csv,
     inflection,
+    lcg,
     lcg_gcs_points,
     lcg_gradient_numeric,
     lcg_numeric,
@@ -769,6 +770,89 @@ class TestFamilyMaps:
             assert back.total_length == hist.total_length
             rounding = self.reversal_quotient_rounding(p, t)
             self.assert_histogram_maps(p, 1.0, kappa, hist, back, *rounding)
+
+    @staticmethod
+    def reversal_stencil_rounding(f, rel, h):
+        """First-order bound, both sides' rounding together, on |g' - g| per
+        sample, where g is the gradient gradient_from_samples takes from the
+        stencil input f (kappa, or rho = 1/kappa) on p's grid of step h, g'
+        the one it takes from the reversed profile's input, which differs
+        from f by at most rel*|f| per sample, and the two sides read in
+        opposite orders.
+
+        Each stencil of _stencil_derivatives is its own mirror image: f'
+        changes sign, f'' does not, and h cancels from f*f''/f'**2. So the
+        stencils' truncation maps with the samples, and in exact arithmetic
+        the two sides' gradients agree. With u = eps/2, d = rel*|f| and
+        F = |f| + d, which bounds both sides' |f|: D1 = 2*h*f' moves by its
+        inputs' d times the stencil weights and rounds by u*(|a| + |b|) a
+        side in the interior, 3u*(3|a| + 4|b| + |c|) at an end;
+        D2 = h*h*f'' by 2u*(|a| + 2|b| + |c|) and 4u*(2|a| + 5|b| + 4|c| +
+        |d|). f*f''/f'**2 then rounds 7 times a side (the /h*h, the /2h
+        squared, the product, the square and the quotient), its f moves by
+        rel, its D1 counts twice, and g = +-(Q - 1) rounds once more.
+        """
+        u = EPS / 2.0
+        d = rel * np.abs(f)
+        F = np.abs(f) + d
+        d_1 = np.empty(len(f))
+        d_2 = np.empty(len(f))
+        d_1[1:-1] = d[2:] + d[:-2] + 2.0 * u * (F[2:] + F[:-2])
+        d_2[1:-1] = d[2:] + 2.0 * d[1:-1] + d[:-2] + 4.0 * u * (F[2:] + 2.0 * F[1:-1] + F[:-2])
+        for end, run in ((0, slice(0, 4)), (-1, slice(-1, -5, -1))):
+            (a, b, c, e), (fa, fb, fc, fe) = d[run], F[run]
+            d_1[end] = 3.0 * a + 4.0 * b + c + 6.0 * u * (3.0 * fa + 4.0 * fb + fc)
+            d_2[end] = 2.0 * a + 5.0 * b + 4.0 * c + e
+            d_2[end] += 8.0 * u * (2.0 * fa + 5.0 * fb + 4.0 * fc + fe)
+        f_p, f_pp = lcg._stencil_derivatives(f, h)
+        q = np.abs(f * f_pp / (f_p * f_p))
+        bound = q * (14.0 * u + rel + d_1 / (h * np.abs(f_p))) + F * d_2 / (h * h * f_p * f_p)
+        return bound + 2.0 * u * (q + 1.0)
+
+    def test_reversal_maps_the_sampled_gradient(self):
+        """Read on S - s, the reversed profile's sampled gradient trace is p's
+        in reverse order, and its fitted line is (-A, A*S + B).
+
+        The fit is linear in the interior trace: with weights w_i = (s_i -
+        mean s)/sum((s_j - mean s)**2), A moves by at most sum |w_i|*e_i for
+        trace bounds e_i, and the line's value at S by mean(e) + (S - mean
+        s) times that. e_i adds to the stencils' bound |A| times the
+        reversed grid's 2u*S, and both sides' least-squares solve, m*u*16 of
+        max|g| each over m samples: a backward-stable solve of the
+        column-scaled [s, 1], whose condition number is below 4 on a uniform
+        grid. A*S + B rounds in the test.
+        """
+        u = EPS / 2.0
+        n = 2001
+        rng = np.random.default_rng(2611)
+        for _ in range(self.DRAWS):
+            p = random_gcs(rng, min_kappa_gap=1e-9)
+            q, S = self.reversed_profile(p), p.arc_length
+            t = np.linspace(0.0, S, n)
+            kappa = p.kappa(t)
+            trace, line = gradient_from_samples((t, kappa))
+            t_back = S - t[::-1]
+            back_trace, back = gradient_from_samples((t_back, q.kappa(t_back)))
+            # No draw puts a sample within REL_TOL*scale of an inflection, so
+            # both sides keep every sample.
+            assert len(trace) == len(back_trace) == n, p
+            rel_nu, rel_den = self.reversal_quotient_rounding(p, t)
+            rel = rel_nu + rel_den + 2.0 * u  # and nu/den rounds once on each side
+            if kappa.min() < 0.0 < kappa.max():
+                bound = self.reversal_stencil_rounding(kappa, rel, t[1] - t[0])
+            else:  # rho = 1/kappa rounds once more on each side
+                bound = self.reversal_stencil_rounding(1.0 / kappa, rel + 2.0 * u, t[1] - t[0])
+            assert np.all(np.abs((S - back_trace[::-1, 0]) - t) <= 2.0 * u * S), p
+            assert np.all(np.abs(back_trace[::-1, 1] - trace[:, 1]) <= bound), p
+            A, B = line.slope_a, line.intercept_b
+            s, g = t[1:-1], trace[1:-1, 1]
+            e = bound[1:-1] + 2.0 * u * S * abs(A) + 32.0 * len(s) * u * np.max(np.abs(g))
+            w = (s - s.mean()) / np.sum((s - s.mean()) ** 2)
+            bound_a = float(np.sum(np.abs(w) * e))
+            assert abs(back.slope_a + A) <= bound_a, p
+            bound_b = e.mean() + bound_a * (S - s.mean()) + u * (abs(A) * S + abs(A * S + B))
+            assert abs(back.intercept_b - (A * S + B)) <= bound_b, p
+            assert back.domain == line.domain
 
 
 class TestSampledGradient:

@@ -21,9 +21,7 @@ from gcspiral import (
     QuadratureConfig,
     comparison_to_csv,
     gradient_line,
-    lddc_from_csv,
     lddc_histogram,
-    lddc_to_csv,
     lddc_vs_lcg,
     synthesize,
 )
@@ -408,44 +406,6 @@ class TestProperties:
 
 
 class TestSerialization:
-    def test_csv_round_trip(self):
-        hist = lddc_histogram(dense(RAMP, n=512), 8)
-        buffer = io.StringIO()
-        lddc_to_csv(hist, buffer)
-        again = lddc_from_csv(io.StringIO(buffer.getvalue()))
-        assert np.array_equal(hist.bin_edges, again.bin_edges)
-        assert np.array_equal(hist.lengths, again.lengths)
-        assert again.total_length == pytest.approx(float(np.sum(hist.lengths)), abs=0.0)
-
-    def test_csv_header_validated(self):
-        with pytest.raises(DomainError):
-            lddc_from_csv(io.StringIO("lo,hi,len\n0,1,1\n"))
-
-    def test_csv_row_width_validated(self):
-        text = "bin_lo_log10rho,bin_hi_log10rho,length\n0,1\n"
-        with pytest.raises(DomainError):
-            lddc_from_csv(io.StringIO(text))
-
-    def test_csv_numeric_validated(self):
-        text = "bin_lo_log10rho,bin_hi_log10rho,length\n0,one,1\n"
-        with pytest.raises(DomainError):
-            lddc_from_csv(io.StringIO(text))
-
-    def test_csv_contiguity_validated(self):
-        text = "bin_lo_log10rho,bin_hi_log10rho,length\n0,1,1\n2,3,1\n"
-        with pytest.raises(DomainError):
-            lddc_from_csv(io.StringIO(text))
-
-    def test_csv_empty_rejected(self):
-        text = "bin_lo_log10rho,bin_hi_log10rho,length\n"
-        with pytest.raises(DomainError):
-            lddc_from_csv(io.StringIO(text))
-
-    def test_csv_without_arc_length_rejected(self):
-        text = "bin_lo_log10rho,bin_hi_log10rho,length\n0,1,0\n1,2,0\n"
-        with pytest.raises(DomainError, match="carries no arc length"):
-            lddc_from_csv(io.StringIO(text))
-
     def test_bar_chart_needs_one_more_edge_than_values(self):
         with pytest.raises(DomainError, match="one more bin edge than values"):
             bar_chart_svg([0.0, 1.0], [1.0, 2.0])

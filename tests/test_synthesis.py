@@ -23,8 +23,6 @@ from gcspiral import (
     QuadraticProfile,
     QuadratureConfig,
     QuadratureError,
-    curve_from_csv,
-    curve_to_csv,
     endpoint,
     gradient_from_samples,
     lcg_gcs_points,
@@ -524,30 +522,9 @@ class TestCurvatureSamples:
         expected = [self.bits(analysis, curve) for analysis in self.ANALYSES]
         monkeypatch.setattr(synthesis, "_sample_columns", None)  # a call would raise TypeError
         assert [self.bits(analysis, curve) for analysis in self.ANALYSES] == expected
-        assert curve.scale == 2.0
 
 
 class TestSerialization:
-    def test_csv_round_trip_exact(self):
-        curve = synthesize(GcsProfile(0.1, 2.0, math.pi, 2.0), Pose(0.5, -0.25, 0.1))
-        buffer = io.StringIO()
-        curve_to_csv(curve, buffer)
-        again = curve_from_csv(io.StringIO(buffer.getvalue()))
-        for name in ("s", "x", "y", "theta", "kappa"):
-            assert np.array_equal(getattr(curve, name), getattr(again, name))
-
-    def test_csv_header_validated(self):
-        with pytest.raises(DomainError):
-            curve_from_csv(io.StringIO("a,b,c\n1,2,3\n"))
-
-    def test_csv_row_width_validated(self):
-        with pytest.raises(DomainError):
-            curve_from_csv(io.StringIO("s,x,y,theta,kappa\n0,0,0,0\n1,1,1,1,1\n"))
-
-    def test_csv_numeric_validated(self):
-        with pytest.raises(DomainError):
-            curve_from_csv(io.StringIO("s,x,y,theta,kappa\n0,0,zero,0,0\n1,1,1,1,1\n"))
-
     def test_polyline_svg_takes_arrays_or_tuples(self):
         curve = synthesize(GcsProfile(0.1, 2.0, math.pi, 2.0), Pose(0.5, -0.25, 0.1))
         xy = np.column_stack((curve.x, curve.y))

@@ -1,4 +1,5 @@
-"""The text kernel writes Python's own %.17g and %.8g bytes; CSV rows are checked."""
+"""The text kernel writes Python's own %.17g and %.8g bytes; CSV rows are checked,
+and read_table, the one table reader, reads every written table back bit for bit."""
 
 import io
 import math
@@ -10,9 +11,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gcspiral import DomainError, svg, tables
+from gcspiral import (
+    DomainError,
+    GcsProfile,
+    PlanarCurve,
+    Pose,
+    curve_to_csv,
+    lddc,
+    lddc_histogram,
+    lddc_to_csv,
+    svg,
+    synthesis,
+    synthesize,
+    tables,
+)
 from gcspiral.svg import polyline_svg
-from gcspiral.tables import row_array, write_tables
+from gcspiral.tables import read_table, row_array, write_tables
 
 
 def reference_table(header: str, rows) -> str:
@@ -316,3 +330,68 @@ class TestRowArray:
         assert got.dtype == np.float64
         assert got.tolist() == [[1.0, 2.5], [0.25, -3.0], [1.0, 7.0]]
         assert row_array(np.arange(4, dtype=np.int32).reshape(2, 2), 2).tolist() == [[0, 1], [2, 3]]
+
+
+class TestReadTable:
+    # (header, the name the table is read as, a valid row) of the curve and LDDC tables.
+    TABLES = {
+        "curve": ("s,x,y,theta,kappa", "curve CSV", "0,0.5,-0.25,0.1,2"),
+        "lddc": ("bin_lo_log10rho,bin_hi_log10rho,length", "LDDC CSV", "-1,0.5,3"),
+    }
+    # Each fault, as text around the header and a valid row, and the check that rejects it.
+    FAULTS = {
+        "wrong header": ("a,b,c\n{row}\n", "must start with header '{header}'"),
+        "no text": ("", "must start with header '{header}'"),
+        "short row": ("{header}\n{row}\n0,1\n", "row has 2 fields, expected {width}: '0,1'"),
+        "long row": ("{header}\n{row},7\n", "row has {more} fields, expected {width}"),
+        "non-numeric field": ("{header}\n{row}\n{row}x\n", "row is not numeric: '{row}x'"),
+    }
+
+    @pytest.mark.parametrize("table", list(TABLES))
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_faults_raise_naming_the_table(self, table, fault):
+        header, what, row = self.TABLES[table]
+        width = len(header.split(","))
+        fields = {"header": header, "row": row, "width": width, "more": width + 1}
+        text, message = (part.format(**fields) for part in self.FAULTS[fault])
+        with pytest.raises(DomainError) as rejected:
+            read_table(io.StringIO(text), header, what)
+        assert str(rejected.value).startswith(f"{what} ")
+        assert message in str(rejected.value)
+
+    @pytest.mark.parametrize("table", list(TABLES))
+    def test_blank_lines_are_skipped(self, table):
+        header, what, row = self.TABLES[table]
+        dense = read_table(io.StringIO(f"{header}\n{row}\n{row}\n"), header, what)
+        spaced = f"\n{header}\n\n{row}\n  \n\t\n{row}\n\n"
+        assert read_table(io.StringIO(spaced), header, what).tobytes() == dense.tobytes()
+        assert dense.shape == (2, len(header.split(",")))
+
+    def test_header_alone_is_a_table_of_no_rows(self):
+        for header, what, _row in self.TABLES.values():
+            rows = read_table(io.StringIO(header + "\n"), header, what)
+            assert rows.shape == (0, len(header.split(",")))
+
+    def test_curve_round_trips_bit_for_bit(self, tmp_path):
+        curve = synthesize(GcsProfile(0.1, 2.0, math.pi, 2.0), Pose(0.5, -0.25, 0.1))
+        buffer, path = io.StringIO(), tmp_path / "curve.csv"
+        write_tables([(buffer, *synthesis._curve_table(curve))])
+        curve_to_csv(curve, str(path))
+        assert path.read_text() == buffer.getvalue()
+        again = PlanarCurve(*read_table(str(path), "s,x,y,theta,kappa", "curve CSV").T)
+        for name in ("s", "x", "y", "theta", "kappa"):
+            assert getattr(again, name).tobytes() == getattr(curve, name).tobytes(), name
+
+    def test_lddc_histogram_round_trips_bit_for_bit(self):
+        p = GcsProfile(0.5, 2.0, math.pi, 0.0)
+        s = np.linspace(0.0, p.arc_length, 512)
+        hist = lddc_histogram((s, p.kappa(s)), 8)
+        buffer, again = io.StringIO(), io.StringIO()
+        write_tables([(buffer, *lddc._lddc_table(hist))])
+        lddc_to_csv(hist, again)
+        assert again.getvalue() == buffer.getvalue()
+        again.seek(0)
+        lo, hi, lengths = read_table(again, "bin_lo_log10rho,bin_hi_log10rho,length", "LDDC CSV").T
+        assert lo[1:].tobytes() == hi[:-1].tobytes()
+        assert np.append(lo, hi[-1]).tobytes() == hist.bin_edges.tobytes()
+        assert lengths.tobytes() == hist.lengths.tobytes()
