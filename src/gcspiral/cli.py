@@ -270,7 +270,7 @@ class _Artifacts:
         self.out = args.out or os.environ.get(OUT_ENV_VAR) or "."
         self.base = base
         self.tables: list[tuple[str, str, object]] = []
-        self.svgs: list[tuple[str, Callable[..., str], tuple, dict]] = []
+        self.svgs: list[tuple[str, str]] = []
 
     def table(self, name: str, header: str, rows) -> None:
         """Register the CSV table out/name, if csv is wanted."""
@@ -278,9 +278,9 @@ class _Artifacts:
             self.tables.append((name, header, rows))
 
     def svg(self, name: str, render: Callable[..., str], *args, **options) -> None:
-        """Register out/name as render(*args, **options), drawn only if svg is wanted."""
+        """Register out/name as render(*args, **options), drawn now if svg is wanted."""
         if "svg" in self.formats:
-            self.svgs.append((name, render, args, options))
+            self.svgs.append((name, render(*args, **options)))
 
     def emit(self, summary: dict, json_doc: Optional[dict] = None) -> None:
         """Write the tables in one write_tables pass, then the SVGs, then
@@ -297,8 +297,8 @@ class _Artifacts:
             os.makedirs(self.out, exist_ok=True)
             summary = dict(summary, files=sorted(files))
         write_tables([(path(name), header, rows) for name, header, rows in self.tables])
-        for name, render, args, options in self.svgs:
-            write_text(path(name), render(*args, **options))
+        for name, text in self.svgs:
+            write_text(path(name), text)
         if "json" in self.formats:
             text = json.dumps(json_doc, sort_keys=True, indent=2) + "\n"
             write_text(path(f"{self.base}.json"), text)
@@ -386,8 +386,7 @@ def cmd_lddc(args) -> int:
 
     histogram = lddc_histogram((grid, profile.kappa(grid)), args.bins)
     out.table(f"{out.base}.csv", *_lddc_table(histogram))
-    bars = (histogram.bin_edges.tolist(), histogram.lengths.tolist())
-    out.svg(f"{out.base}.svg", bar_chart_svg, *bars, caption="log10 rho / log10 length")
+    out.svg(f"{out.base}.svg", bar_chart_svg, histogram, caption="log10 rho / log10 length")
     summary = {
         "bins": histogram.num_bins,
         "total_length": histogram.total_length,

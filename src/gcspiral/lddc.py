@@ -26,7 +26,7 @@ from .errors import (
     numeric,
     real,
 )
-from .lcg import LcgLine
+from .lcg import LcgLine, _circular_error
 from .profiles import REL_TOL, GcsProfile
 from .synthesis import PlanarCurve, _curvature_samples
 from .tables import write_tables
@@ -150,7 +150,8 @@ def lddc_vs_lcg(
     is infinite) and S at kappa1, and each of its steps is monotone in
     floating point, so no bin is predicted a negative length. That length
     is taken once at k = 10**-edge for every bin edge; each bin's prediction
-    is the difference at its two edges.
+    is the difference at its two edges. A circular profile raises the
+    SingularProfileError of the LCG closed forms.
     """
     S = profile.arc_length
     if abs(histogram.total_length - S) > 1e-9 * max(1.0, S):
@@ -162,9 +163,7 @@ def lddc_vs_lcg(
             f"gradient line domain {line.domain!r} does not match the profile's [0, {S}]"
         )
     if profile.circular:
-        raise MismatchedInputsError(
-            "profile has constant curvature: the radius range is a point and not invertible"
-        )
+        raise _circular_error(profile)
 
     edges = histogram.bin_edges
     k0, k1 = profile.kappa0, profile.kappa1

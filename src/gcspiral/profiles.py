@@ -70,11 +70,8 @@ def _clamp_s(s, arc_length: float):
         s = real("arc length s", s)
     if 0.0 <= s <= arc_length:
         return s
-    # Outside [0, S]; the comparison is False for nan and +-inf as well.
-    slack = 1e-12 * max(1.0, arc_length)
-    if not -slack <= s <= arc_length + slack:
-        raise DomainError(f"arc length s={s!r} outside [0, {arc_length}]")
-    return 0.0 if s < 0.0 else arc_length
+    # Outside [0, S], or nan: the array rule checks the slack and clamps.
+    return float(_clamp_s(np.array([s]), arc_length)[0])
 
 
 def _like(s, value: float):

@@ -58,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, real
+from .errors import DomainError, QuadratureError, increasing, real
 
 __all__ = ["MAX_PANELS", "tangent_integrals"]
 
@@ -216,21 +216,22 @@ def tangent_integrals(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate (cos(theta(t)), sin(theta(t))) over each gap of `edges`.
 
-    `theta` maps an array of t to an array of angles; `edges` is a
-    nondecreasing grid of finite values; `scheme` is "gauss" or "simpson".
-    Returns (dx, dy, phase): dx and dy hold one entry per gap, and phase is
-    theta(edges), the call that sizes the first pass. abs_tol is the
-    absolute budget of each coordinate over the span edges[-1] - edges[0],
-    so each entry is within its gap's share abs_tol * width / span by the
-    scheme's error estimate: for "gauss" the first pass's Legendre tail,
-    then doubling; for "simpson" p against 2p panels, both from one theta
-    call, then doubling, and the smaller of |fine - coarse|/15 and, from the
-    second comparison on, Romberg's |R_2p - R_p|/63. Raises DomainError
-    before theta is called for an unknown scheme and for an abs_tol below
-    the float floor span * eps; for a non-finite theta at an edge before any
-    pass; and for a theta that is not finite inside a gap, naming the first
-    such gap, after the pass that evaluates it there; an infinite theta also
-    makes NumPy warn of an invalid value in cos and sin first. Raises
+    `theta` maps an array of t to an array of angles; `edges` is a grid of 2
+    or more finite, strictly increasing numbers (`errors.increasing`);
+    `scheme` is "gauss" or "simpson". Returns (dx, dy, phase): dx and dy
+    hold one entry per gap, and phase is theta(edges), the call that sizes
+    the first pass. abs_tol is the absolute budget of each coordinate over
+    the span edges[-1] - edges[0], so each entry is within its gap's share
+    abs_tol * width / span by the scheme's error estimate: for "gauss" the
+    first pass's Legendre tail, then doubling; for "simpson" p against 2p
+    panels, both from one theta call, then doubling, and the smaller of
+    |fine - coarse|/15 and, from the second comparison on, Romberg's
+    |R_2p - R_p|/63. Raises DomainError before theta is called for an unknown
+    scheme, for edges that are not a grid and for an abs_tol below the float
+    floor span * eps; for a non-finite theta at an edge before any pass; and
+    for a theta that is not finite inside a gap, naming the first such gap,
+    after the pass that evaluates it there; an infinite theta also makes
+    NumPy warn of an invalid value in cos and sin first. Raises
     QuadratureError before a pass is evaluated when it would take the call,
     all its gaps together, above MAX_PANELS panels, naming the worst failing
     gap, by that estimate, once a pass has been evaluated.
@@ -238,12 +239,8 @@ def tangent_integrals(
     if not (isinstance(scheme, str) and scheme in ("gauss", "simpson")):
         raise DomainError(f"unknown quadrature scheme {scheme!r}")
     simpson = scheme == "simpson"
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2 or not np.isfinite(edges).all():
-        raise DomainError(f"integration bounds must be finite, got {edges!r}")
+    edges = increasing("integration edges", edges, least=2)
     width = edges[1:] - edges[:-1]
-    if (width < 0.0).any():
-        raise DomainError(f"integration bounds out of order: {edges!r}")
     abs_tol = real("abs_tol", abs_tol, above=0.0)
     span = float(edges[-1] - edges[0])
     floor = span * sys.float_info.epsilon
@@ -251,8 +248,7 @@ def tangent_integrals(
         raise DomainError(f"abs_tol {abs_tol!r} is below the float floor span*eps = {floor:.3g}")
 
     lo = edges[:-1]
-    # Each gap's share of abs_tol, by width; a zero span has only empty gaps.
-    tol = abs_tol * (width / span) if span > 0.0 else np.full(len(lo), abs_tol)
+    tol = abs_tol * (width / span)  # each gap's share of abs_tol, by width
     phase = theta(edges)
     finite = np.isfinite(phase)
     if not finite.all():

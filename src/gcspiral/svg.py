@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .lddc import LddcHistogram
 from .tables import _texts, row_array
 
 __all__ = ["polyline_svg", "bar_chart_svg"]
@@ -41,6 +42,13 @@ _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 def _fmt(v: float) -> str:
     return f"{v:.8g}"
+
+
+def _escaped(name: str, text) -> str:
+    """`text` escaped as XML text, if it is a str."""
+    if not isinstance(text, str):
+        raise DomainError(f"{name} must be a str, got {text!r}")
+    return text.translate(_XML_TEXT)
 
 
 class _Frame:
@@ -97,11 +105,11 @@ def polyline_svg(
 
     Coordinates are emitted with the y axis flipped about the frame, along
     with left/bottom axis lines and corner range labels. The title and
-    labels are escaped as XML text.
+    labels, each a str, are escaped as XML text.
     """
     polylines = [row_array(line, 2) for line in polylines]
-    title = title.translate(_XML_TEXT)
-    labels = None if labels is None else [text.translate(_XML_TEXT) for text in labels]
+    title = _escaped("title", title)
+    labels = None if labels is None else [_escaped("label", text) for text in labels]
     points = np.concatenate([np.empty((0, 2))] + polylines)
     if not len(points):
         raise DomainError("cannot plot an empty point set")
@@ -137,35 +145,34 @@ def polyline_svg(
     return "\n".join(parts) + "\n"
 
 
-def bar_chart_svg(bin_edges: Sequence[float], values: Sequence[float], caption: str = "") -> str:
-    """Render a histogram whose bars carry log10-scaled heights.
+def bar_chart_svg(histogram: LddcHistogram, caption: str = "") -> str:
+    """Render a histogram's bin lengths as bars with log10-scaled heights.
 
-    Bars span [edge_i, edge_i+1] horizontally; zero-valued bins draw no bar.
-    The baseline sits 0.3 decades below the smallest nonzero value so every
-    bar has visible height. A nonempty caption, escaped as XML text, is
-    written in the top left corner.
+    Bars span [edge_i, edge_i+1] horizontally; zero-length bins draw no bar.
+    The baseline sits 0.3 decades below the smallest nonzero length so every
+    bar has visible height. A nonempty caption, a str escaped as XML text,
+    is written in the top left corner.
     """
-    if len(bin_edges) != len(values) + 1:
-        raise DomainError("need exactly one more bin edge than values")
-    positive = [v for v in values if v > 0.0]
-    if not positive:
+    if not isinstance(histogram, LddcHistogram):
+        raise DomainError(f"bar_chart_svg draws an LddcHistogram, got {type(histogram).__name__}")
+    caption = _escaped("caption", caption)
+    edges, lengths = histogram.bin_edges.tolist(), histogram.lengths.tolist()
+    logs = [math.log10(v) for v in lengths if v > 0.0]
+    if not logs:
         raise DomainError("cannot chart an all-zero histogram")
-    base = min(math.log10(v) for v in positive) - 0.3
-    top = max(math.log10(v) for v in positive)
-    frame = _Frame(float(bin_edges[0]), float(bin_edges[-1]), base, top)
+    base = min(logs) - 0.3
+    frame = _Frame(edges[0], edges[-1], base, max(logs))
     parts = frame.open()
-    for i, v in enumerate(values):
+    for lo, hi, v in zip(edges, edges[1:], lengths):
         if v > 0.0:
             lv = math.log10(v)
-            bx = float(bin_edges[i])
-            bw = float(bin_edges[i + 1]) - bx
             parts.append(
-                f'<rect x="{_fmt(bx)}" y="{_fmt(frame.flip(lv))}" width="{_fmt(bw)}" '
+                f'<rect x="{_fmt(lo)}" y="{_fmt(frame.flip(lv))}" width="{_fmt(hi - lo)}" '
                 f'height="{_fmt(lv - base)}" fill="{PALETTE[0]}" stroke="#ffffff" '
                 f'stroke-width="{_fmt(0.002 * frame.width)}"/>'
             )
     parts.append(frame.axis(0.002 * frame.size))
     if caption:
-        parts.append(frame.legend(0, "#333333", caption.translate(_XML_TEXT)))
+        parts.append(frame.legend(0, "#333333", caption))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -19,6 +19,7 @@ from gcspiral import (
     LddcHistogram,
     MismatchedInputsError,
     QuadratureConfig,
+    SingularProfileError,
     comparison_to_csv,
     gradient_line,
     lddc_histogram,
@@ -256,6 +257,11 @@ class TestHistogramModel:
         with pytest.raises(DomainError):
             LddcHistogram([0.0, 1.0, 2.0], [1.0], 1.0)
 
+    def test_rejects_one_length_too_many(self):
+        for lengths in ([1.0, 1.0, 1.0], [[1.0, 1.0]]):
+            with pytest.raises(DomainError, match="one length per bin"):
+                LddcHistogram([0.0, 1.0, 2.0], lengths, 3.0)
+
     def test_rejects_negative_length(self):
         with pytest.raises(DomainError):
             LddcHistogram([0.0, 1.0], [-1.0], 1.0)
@@ -318,8 +324,18 @@ class TestAnalyticCrossCheck:
         circle = GcsProfile(2.0, 2.0, math.pi, 0.0)
         hist = lddc_histogram(dense(ConstantProfile(2.0, math.pi), n=256), 4)
         line = LcgLine(0.0, 0.0, (0.0, math.pi))
-        with pytest.raises(MismatchedInputsError):
+        with pytest.raises(SingularProfileError):
             lddc_vs_lcg(hist, line, circle)
+
+    def test_circular_gcs_raises_the_closed_forms_error(self):
+        # The error of the LCG closed forms, text included, as gradient_line raises it.
+        circle = GcsProfile(1.5, 1.5, 2.0, 3.0)
+        hist = lddc_histogram((np.linspace(0.0, 2.0, 64), np.full(64, 1.5)), 4)
+        with pytest.raises(SingularProfileError) as expected:
+            gradient_line(circle)
+        with pytest.raises(SingularProfileError) as got:
+            lddc_vs_lcg(hist, LcgLine(0.0, -1.0, (0.0, 2.0)), circle)
+        assert str(got.value) == str(expected.value)
 
 
     @pytest.mark.parametrize("kind", REFERENCE_KINDS)
@@ -406,16 +422,22 @@ class TestProperties:
 
 
 class TestSerialization:
-    def test_bar_chart_needs_one_more_edge_than_values(self):
-        with pytest.raises(DomainError, match="one more bin edge than values"):
-            bar_chart_svg([0.0, 1.0], [1.0, 2.0])
+    def test_bar_chart_draws_only_a_histogram(self):
+        hist = LddcHistogram([0.0, 1.0, 2.0], [1.0, 2.0], 3.0)
+        for bars in (([0.0, 1.0, 2.0], [1.0, 2.0]), None, hist.lengths):
+            with pytest.raises(DomainError, match="draws an LddcHistogram"):
+                bar_chart_svg(bars)
+        for caption in (5, None, b"bytes", ["text"]):
+            with pytest.raises(DomainError, match="caption must be a str"):
+                bar_chart_svg(hist, caption=caption)
 
     def test_bar_chart_of_all_zero_values_rejected(self):
         with pytest.raises(DomainError, match="all-zero histogram"):
-            bar_chart_svg([0.0, 1.0, 2.0], [0.0, 0.0])
+            bar_chart_svg(LddcHistogram([0.0, 1.0, 2.0], [0.0, 0.0], 1.0))
 
     def test_bar_chart_caption_is_escaped(self):
-        text = bar_chart_svg([0.0, 1.0, 2.0], [1.0, 2.0], caption="a<b / c&d")
+        hist = LddcHistogram([0.0, 1.0, 2.0], [1.0, 2.0], 3.0)
+        text = bar_chart_svg(hist, caption="a<b / c&d")
         root = ET.fromstring(text.encode("utf-8"))
         caption = root.find("{http://www.w3.org/2000/svg}text")
         assert caption.text == "a<b / c&d"

@@ -548,8 +548,16 @@ class TestSerialization:
         svg = polyline_svg([[(0.0, 0.0), (1.0, 1.0)]], labels=[text], title=text)
         assert svg.count(f"<title>{escaped}</title>") == 2  # the title and the line's label
         assert f">{escaped}</text>" in svg  # the label's legend entry
-        chart = bar_chart_svg([0.0, 1.0], [1.0], caption=text)
+        chart = bar_chart_svg(LddcHistogram([0.0, 1.0], [1.0], 1.0), caption=text)
         assert f">{escaped}</text>" in chart
+
+    def test_svg_text_that_is_not_a_str_rejected(self):
+        line = [(0.0, 0.0), (1.0, 1.0)]
+        for text in (5, None, b"t", ["t"]):
+            with pytest.raises(DomainError, match="title must be a str"):
+                polyline_svg([line], title=text)
+            with pytest.raises(DomainError, match="label must be a str"):
+                polyline_svg([line], labels=["a", text])
 
     def test_row_array_matches_asarray(self):
         points, _ = lcg_gcs_points(GcsProfile(0.1, 2.0, math.pi, 2.0), np.linspace(0.0, math.pi, 9))
