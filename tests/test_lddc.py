@@ -337,7 +337,6 @@ class TestAnalyticCrossCheck:
             lddc_vs_lcg(hist, LcgLine(0.0, -1.0, (0.0, 2.0)), circle)
         assert str(got.value) == str(expected.value)
 
-
     @pytest.mark.parametrize("kind", REFERENCE_KINDS)
     def test_matches_per_piece_reference(self, kind):
         rng = np.random.default_rng(sum(map(ord, kind)))
