@@ -11,9 +11,9 @@ profile_from_dict reads it. Profile documents, SVG and JSON files and the
 figures' s,kappa table belong here; every other CSV table's layout belongs
 to its result's module: the curve to synthesis, LCG points and gradient
 traces to lcg, histograms and comparisons to lddc.
-gradient (without --sampled) and classify judge one closed-form gradient
-line, fitted and classified the same way; they differ only in the number
-of points its residual is taken over.
+gradient (without --sampled) and classify judge the closed-form gradient
+line as exact, with a residual of 0; gradient's reported residual is the
+rounding of evaluating that line on its grid and does not enter the verdict.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .errors import (
     SingularProfileError,
 )
 from .lcg import (
-    AestheticClass,
-    LcgLine,
     _gradient_table,
     _lcg_table,
     classify_aesthetic,
@@ -240,14 +238,6 @@ def _rational_linear(profile: CurvatureProfile, what: str) -> GcsProfile:
     return gcs
 
 
-def _closed_form_verdict(gcs: GcsProfile, num: int) -> tuple[LcgLine, AestheticClass]:
-    """The closed-form gradient line of `gcs`, carrying its residual over
-    `num` points, and its aesthetic class."""
-    line = gradient_line(gcs)
-    line = dataclasses.replace(line, residual=line_residual(gcs, line, num=num))
-    return line, classify_aesthetic(line, line.residual)
-
-
 def _config_from_args(args) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=args.abs_tol, samples_per_curve=args.samples)
 
@@ -353,7 +343,9 @@ def cmd_gradient(args) -> int:
         aesthetic = classify_aesthetic(line, line.residual, tol_fit=1e-2)
     else:
         gcs = _rational_linear(profile, "gradient without --sampled")
-        line, aesthetic = _closed_form_verdict(gcs, len(grid))
+        line = gradient_line(gcs)
+        aesthetic = classify_aesthetic(line, line.residual)
+        line = dataclasses.replace(line, residual=line_residual(gcs, line, num=len(grid)))
         trace = np.column_stack((grid, gradient_gcs(gcs, grid)))
 
     out.table(f"{out.base}.csv", *_gradient_table(trace))
@@ -370,7 +362,8 @@ def cmd_classify(args) -> int:
     gcs = _rational_linear(profile, "classify")
     verdict = {"degenerate": classify_degenerate(gcs).value}
     try:
-        line, aesthetic = _closed_form_verdict(gcs, 50)
+        line = gradient_line(gcs)
+        aesthetic = classify_aesthetic(line, line.residual)
         lcg_line = {"A": line.slope_a, "B": line.intercept_b}
         verdict.update({"lcg_line": lcg_line, "class": aesthetic.value})
     except SingularProfileError as exc:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import IO, NamedTuple, Sequence, Union
@@ -114,11 +113,12 @@ def lcg_numeric(
     """Evaluate the LCG of any profile on a grid from its kappa and kappa'.
 
     log|rho| = -log|kappa| and log|rho/rho'| = log|kappa/kappa'|; kappa and
-    kappa' are each evaluated once on the whole grid. Grid values where
-    either coordinate fails to be finite are skipped and reported with the
-    first cause that applies rather than raising.
+    kappa' are each evaluated once on the whole grid, clamped to [0, S] as
+    in lcg_gcs_points. Grid values where either coordinate fails to be
+    finite are skipped and reported with the first cause that applies
+    rather than raising.
     """
-    grid = increasing("t_grid", t_grid, least=1)
+    grid = _clamp_s(increasing("t_grid", t_grid, least=1), profile.arc_length)
     k = profile.kappa(grid)
     kp = profile.kappa_prime(grid)
     with np.errstate(all="ignore"):
@@ -233,34 +233,28 @@ def gradient_line(profile: GcsProfile) -> LcgLine:
 
 
 def line_residual(profile: GcsProfile, line: LcgLine, num: int = 50) -> float:
-    """Max deviation of the exact gradient from the line over a uniform grid."""
+    """Max deviation of gradient_gcs from the line over a uniform grid.
+
+    Both are the same exact gradient, so this is the rounding of evaluating
+    the closed forms on the grid, not a fit residual to classify.
+    """
     grid = np.linspace(0.0, profile.arc_length, count("num", num, least=2))
     return float(np.max(np.abs(gradient_gcs(profile, grid) - line(grid))))
-
-
-# A closed-form GCS line misses gradient_gcs by rounding alone: each of the 22
-# operations of n1, c, gradient_gcs, gradient_line and A*t + B rounds once, by
-# eps/2 of a term worth at most 2*M of gradient (4*M for r*kappa1 in n1), with
-# M = max(1, |A*t + B| at the domain ends). For r >= 0 that is 43 * eps/2 * M;
-# for r < 0 n1 adds up to 2*eps/(1 + r), which the line does not know.
-_ROUNDING_FIT = 22.0 * sys.float_info.epsilon
 
 
 def classify_aesthetic(line: LcgLine, residual: float, tol_fit: float = 1e-6) -> AestheticClass:
     """Apply the linear-gradient criterion to a fitted gradient line.
 
-    The line fits when residual <= max(tol_fit, 22*eps*M), where M =
-    max(1, |A*t + B| at the domain ends): tol_fit is absolute, and the
-    rounding of a closed-form GCS line grows with |gradient|.
+    The line fits when residual <= tol_fit. A closed-form GCS line is exact,
+    so its own residual, 0.0, always fits.
     LOG_AESTHETIC: the line fits and is constant (|A| at most 1e-6 per
     unit of domain span). GCS: it fits and is not constant. OTHER: the
     linear model misfits.
     """
     tol_fit = real("tol_fit", tol_fit, above=0.0)
-    lo, hi = line.domain
-    magnitude = max(1.0, abs(line(lo)), abs(line(hi)))
-    if real("residual", residual, least=0.0) > max(tol_fit, _ROUNDING_FIT * magnitude):
+    if real("residual", residual, least=0.0) > tol_fit:
         return AestheticClass.OTHER
+    lo, hi = line.domain
     if abs(line.slope_a) <= 1e-6 / (hi - lo):
         return AestheticClass.LOG_AESTHETIC
     return AestheticClass.GCS

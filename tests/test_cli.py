@@ -456,10 +456,13 @@ class TestClassifyCommand:
         [
             "1,1.00000000001,1,1",  # A and B near -1e11, residual 6.1e-5 on 256 points
             "-2.8539802664230876,-2.853980274899395,4.073060214714459,12.392081689195669",
+            # r near -1: n1's rounding, up to 2*eps/(1 + r), is not in the line
+            "1.5247325607913807e-12,-5.930895186477008,0.5023679157726169,-0.9999999999767342",
         ],
     )
     def test_closed_form_rounding_is_a_fit(self, tmp_path, capsys, gcs):
-        # The residual is rounding that grows with |gradient|; both commands call it a fit.
+        # A closed-form line is exact, so both commands call it a fit by construction,
+        # whatever rounding gradient's reported residual shows.
         classes = []
         for command in ("classify", "gradient"):
             code, out, err = run(capsys, command, f"--gcs={gcs}", "--out", str(tmp_path))
@@ -476,7 +479,7 @@ class TestClassifyCommand:
         assert "error: classify needs a rational-linear profile" in err
 
     def test_agrees_with_gradient_on_bench_profiles(self, tmp_path, capsys, monkeypatch):
-        # classify and gradient judge one closed-form line, over 50 and 256 points.
+        # classify and gradient judge one closed-form line, each with a residual of 0.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         import inputs  # bench/inputs.py: the benchmark's seeded profile sets
         profiles = [
