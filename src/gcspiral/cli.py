@@ -12,14 +12,14 @@ figures' s,kappa table belong here; every other CSV table's layout belongs
 to its result's module: the curve to synthesis, LCG points and gradient
 traces to lcg, histograms and comparisons to lddc.
 gradient (without --sampled) and classify judge the closed-form gradient
-line as exact, with a residual of 0; gradient's reported residual is the
-rounding of evaluating that line on its grid and does not enter the verdict.
+line as exact, with a residual of 0; gradient reports as its residual the max
+gap between its closed-form trace and that line on the grid, which is rounding
+alone and does not enter the verdict.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -29,14 +29,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateDataError,
-    DomainError,
-    InputError,
-    QuadratureError,
-    SingularProfileError,
-)
+from .errors import DomainError, QuadratureError
 from .lcg import (
+    _circular_error,
     _gradient_table,
     _lcg_table,
     classify_aesthetic,
@@ -46,7 +41,6 @@ from .lcg import (
     lcg_gcs_points,
     lcg_gradient_numeric,
     lcg_numeric,
-    line_residual,
 )
 from .lddc import _comparison_table, _lddc_table, lddc_histogram, lddc_vs_lcg
 from .profiles import (
@@ -323,7 +317,7 @@ def cmd_lcg(args) -> int:
     else:
         points, skipped = lcg_numeric(profile, grid)
     if not points:
-        raise DegenerateDataError("the LCG is undefined at every grid value for this profile")
+        raise DomainError("the LCG is undefined at every grid value for this profile")
 
     header, rows = _lcg_table(points)
     out.table(f"{out.base}.csv", header, rows)
@@ -340,17 +334,18 @@ def cmd_gradient(args) -> int:
 
     if args.sampled:
         trace, line = gradient_from_samples((grid, profile.kappa(grid)))
-        aesthetic = classify_aesthetic(line, line.residual, tol_fit=1e-2)
+        residual = line.residual
+        aesthetic = classify_aesthetic(line, residual, tol_fit=1e-2)
     else:
         gcs = _rational_linear(profile, "gradient without --sampled")
         line = gradient_line(gcs)
         aesthetic = classify_aesthetic(line, line.residual)
-        line = dataclasses.replace(line, residual=line_residual(gcs, line, num=len(grid)))
         trace = np.column_stack((grid, gradient_gcs(gcs, grid)))
+        residual = float(np.max(np.abs(trace[:, 1] - line(grid))))
 
     out.table(f"{out.base}.csv", *_gradient_table(trace))
     out.svg(f"{out.base}.svg", polyline_svg, [trace], title=out.base)
-    values = (line.slope_a, line.intercept_b, list(line.domain), line.residual, aesthetic.value)
+    values = (line.slope_a, line.intercept_b, list(line.domain), residual, aesthetic.value)
     line_doc = dict(zip(("A", "B", "domain", "residual", "class"), values))
     out.emit({"line": line_doc}, json_doc=line_doc)
     return 0
@@ -361,13 +356,14 @@ def cmd_classify(args) -> int:
     out = _Artifacts(args, args.prefix or "classify")
     gcs = _rational_linear(profile, "classify")
     verdict = {"degenerate": classify_degenerate(gcs).value}
-    try:
+    if gcs.circular:
+        reason = str(_circular_error(gcs))
+        verdict.update({"lcg_line": None, "class": "lcg_undefined", "reason": reason})
+    else:
         line = gradient_line(gcs)
         aesthetic = classify_aesthetic(line, line.residual)
         lcg_line = {"A": line.slope_a, "B": line.intercept_b}
         verdict.update({"lcg_line": lcg_line, "class": aesthetic.value})
-    except SingularProfileError as exc:
-        verdict.update({"lcg_line": None, "class": "lcg_undefined", "reason": str(exc)})
     out.emit(verdict, json_doc=verdict)
     return 0
 
@@ -485,7 +481,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("error: a command is required (or --seed-check)", file=sys.stderr)
             return 2
         return args.run(args)
-    except (InputError, OSError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:

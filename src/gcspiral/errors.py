@@ -4,7 +4,7 @@ One policy holds at every boundary: a real number is any `numbers.Real`
 but a bool (NumPy scalars count), a count is any integer but a bool, a
 column of numbers has an integer or float dtype (no strings, bools or
 ragged rows), and a grid is a one-dimensional, finite, strictly
-increasing column. Every rejected input raises a subclass of InputError.
+increasing column. Every rejected input raises DomainError.
 """
 
 from __future__ import annotations
@@ -14,42 +14,20 @@ import numbers
 
 import numpy as np
 
-__all__ = [
-    "DomainError",
-    "QuadratureError",
-    "SingularProfileError",
-    "SingularPointError",
-    "DegenerateDataError",
-    "MismatchedInputsError",
-]
+__all__ = ["DomainError", "QuadratureError"]
 
 
-class InputError(ValueError):
-    """An input that an operation rejects."""
+class DomainError(ValueError):
+    """An input that an operation rejects.
 
-
-class DomainError(InputError):
-    """Input outside the mathematical domain of an operation."""
+    The input is outside the operation's mathematical domain, carries no
+    usable curvature information, or disagrees with another input that
+    must describe the same curve.
+    """
 
 
 class QuadratureError(RuntimeError):
     """Adaptive integration could not meet the requested tolerance."""
-
-
-class SingularProfileError(InputError):
-    """Profile parameters make the requested quantity undefined everywhere."""
-
-
-class SingularPointError(InputError):
-    """Requested quantity is undefined at this parameter value."""
-
-
-class DegenerateDataError(InputError):
-    """Input data carries no usable curvature information."""
-
-
-class MismatchedInputsError(InputError):
-    """Inputs that must describe the same curve disagree."""
 
 
 def real(name: str, value, above: float | None = None, least: float | None = None) -> float:

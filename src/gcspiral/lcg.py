@@ -26,16 +26,7 @@ from typing import IO, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DegenerateDataError,
-    DomainError,
-    SingularPointError,
-    SingularProfileError,
-    count,
-    increasing,
-    numeric,
-    real,
-)
+from .errors import DomainError, count, increasing, numeric, real
 from .profiles import REL_TOL, CurvatureProfile, GcsProfile, _clamp_s
 from .synthesis import PlanarCurve, _curvature_samples
 from .tables import row_array, write_tables
@@ -139,7 +130,7 @@ def lcg_numeric(
 def lcg_gradient_numeric(profile: CurvatureProfile, t):
     """Gradient kappa*kappa''/kappa'^2 - 1 of any profile's LCG at t (a real or a column).
 
-    Finite through an inflection. Raises SingularPointError naming the
+    Finite through an inflection. Raises DomainError naming the
     first t where kappa' = 0 or the gradient is otherwise not finite.
     """
     t = numeric("t", t)
@@ -151,16 +142,14 @@ def lcg_gradient_numeric(profile: CurvatureProfile, t):
     if len(bad):
         at = s[bad[0]].item()
         if kp[bad[0]] == 0.0:
-            raise SingularPointError(
-                f"kappa'({at!r}) = 0: LCG gradient undefined at curvature extremum"
-            )
-        raise SingularPointError(f"LCG gradient at t={at!r} is not finite")
+            raise DomainError(f"kappa'({at!r}) = 0: LCG gradient undefined at curvature extremum")
+        raise DomainError(f"LCG gradient at t={at!r} is not finite")
     return gradient.reshape(t.shape) if t.ndim else float(gradient[0])
 
 
-def _circular_error(profile: GcsProfile) -> SingularProfileError:
+def _circular_error(profile: GcsProfile) -> DomainError:
     """The error every closed form raises on a `profile.circular` profile."""
-    return SingularProfileError(
+    return DomainError(
         "LCG closed forms divide by kappa0 - kappa1; "
         f"profile has kappa0 = {profile.kappa0!r}, kappa1 = {profile.kappa1!r}"
     )
@@ -300,11 +289,9 @@ def gradient_from_samples(curve: Union[PlanarCurve, tuple]) -> tuple[np.ndarray,
     with np.errstate(over="ignore"):  # an overflowed difference is +-inf, of the right sign
         dk = np.diff(kappa)
     if np.all(np.abs(dk) <= REL_TOL * scale):
-        raise DegenerateDataError("curvature is constant (circular arc): LCG gradient undefined")
+        raise DomainError("curvature is constant (circular arc): LCG gradient undefined")
     if np.any(dk >= 0.0) and np.any(dk <= 0.0):
-        raise DegenerateDataError(
-            "curvature is not strictly monotone (interior extremum or flat run)"
-        )
+        raise DomainError("curvature is not strictly monotone (interior extremum or flat run)")
 
     keep = np.abs(kappa) >= REL_TOL * scale
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -317,7 +304,7 @@ def gradient_from_samples(curve: Union[PlanarCurve, tuple]) -> tuple[np.ndarray,
             grad = 1.0 - rho * rho_pp / (rho_p * rho_p)
     keep &= np.isfinite(grad)
     if int(np.count_nonzero(keep)) < 3:
-        raise DegenerateDataError("too few usable samples after excluding inflections")
+        raise DomainError("too few usable samples after excluding inflections")
 
     trace = np.column_stack((s[keep], grad[keep]))
 
@@ -326,7 +313,7 @@ def gradient_from_samples(curve: Union[PlanarCurve, tuple]) -> tuple[np.ndarray,
     s_fit = s[interior]
     g_fit = grad[interior]
     if len(s_fit) < 2:
-        raise DegenerateDataError("too few interior samples to fit a gradient line")
+        raise DomainError("too few interior samples to fit a gradient line")
     # polyfit squares s; scaled by a power of two to below 1 it cannot overflow,
     # and polyfit's own column scaling leaves every bit of the fit as unscaled.
     unit = math.ldexp(1.0, -math.frexp(s[-1])[1])

@@ -17,15 +17,7 @@ from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    DegenerateDataError,
-    DomainError,
-    MismatchedInputsError,
-    count,
-    increasing,
-    numeric,
-    real,
-)
+from .errors import DomainError, count, increasing, numeric, real
 from .lcg import LcgLine, _circular_error
 from .profiles import REL_TOL, GcsProfile
 from .synthesis import PlanarCurve, _curvature_samples
@@ -93,9 +85,7 @@ def lddc_histogram(
     include = np.abs(kappa_mid) >= REL_TOL * scale
     excluded = float(np.sum(seg_len[~include]))
     if not np.any(include):
-        raise DegenerateDataError(
-            "every segment is effectively straight; radius of curvature is undefined"
-        )
+        raise DomainError("every segment is effectively straight; radius of curvature is undefined")
 
     log_rho = -np.log10(np.abs(kappa_mid[include]))
     weights = seg_len[include]
@@ -151,15 +141,15 @@ def lddc_vs_lcg(
     floating point, so no bin is predicted a negative length. That length
     is taken once at k = 10**-edge for every bin edge; each bin's prediction
     is the difference at its two edges. A circular profile raises the
-    SingularProfileError of the LCG closed forms.
+    DomainError of the LCG closed forms.
     """
     S = profile.arc_length
     if abs(histogram.total_length - S) > 1e-9 * max(1.0, S):
-        raise MismatchedInputsError(
+        raise DomainError(
             f"histogram covers length {histogram.total_length!r} but the profile has {S!r}"
         )
     if abs(line.domain[0]) > 1e-9 * max(1.0, S) or abs(line.domain[1] - S) > 1e-9 * max(1.0, S):
-        raise MismatchedInputsError(
+        raise DomainError(
             f"gradient line domain {line.domain!r} does not match the profile's [0, {S}]"
         )
     if profile.circular:

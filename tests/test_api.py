@@ -12,7 +12,7 @@ REEXPORTED = (errors, lcg, lddc, profiles, synthesis)
 
 def test_package_all_is_the_layer_lists():
     assert gcspiral.__all__ == ["__version__", *(n for m in REEXPORTED for n in m.__all__)]
-    assert len(set(gcspiral.__all__)) == len(gcspiral.__all__) == 43
+    assert len(set(gcspiral.__all__)) == len(gcspiral.__all__) == 39
     for module in REEXPORTED:
         for name in module.__all__:
             assert getattr(gcspiral, name) is getattr(module, name)
@@ -21,8 +21,8 @@ def test_package_all_is_the_layer_lists():
 
 def test_package_exports_nothing_else():
     # Submodules aside, the package's public attributes are exactly __all__:
-    # InputError and the errors.py check helpers stay in their modules; profile
-    # documents are the CLI's.
+    # The errors.py check helpers stay in their module; profile documents are
+    # the CLI's.
     public = {n for n, v in vars(gcspiral).items() if n[0] != "_" and not inspect.ismodule(v)}
     assert public == set(gcspiral.__all__) - {"__version__"}
     for name in ("PROFILE_KINDS", "profile_from_dict", "profile_from_json"):

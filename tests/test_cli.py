@@ -21,14 +21,10 @@ import pytest
 import gcspiral
 from gcspiral import (
     ConstantProfile,
-    DegenerateDataError,
     DomainError,
     GcsProfile,
     LinearProfile,
-    MismatchedInputsError,
     QuadratureConfig,
-    SingularPointError,
-    SingularProfileError,
     gradient_from_samples,
     gradient_gcs,
     gradient_line,
@@ -39,7 +35,7 @@ from gcspiral import (
 )
 from gcspiral import cli, synthesis, tables
 from gcspiral.cli import OUT_ENV_VAR, PROFILE_KINDS, R_SWEEP, build_parser, main
-from gcspiral.errors import InputError, QuadratureError
+from gcspiral.errors import QuadratureError
 from gcspiral.tables import read_table
 
 PI = repr(math.pi)
@@ -442,6 +438,17 @@ class TestClassifyCommand:
             "LCG closed forms divide by kappa0 - kappa1; profile has kappa0 = 1.0, kappa1 = 1.0"
         )
 
+    @pytest.mark.parametrize("profile", ["--gcs=1,1,1,0", "--constant=0,1"])
+    def test_undefined_reason_is_the_gradient_error(self, tmp_path, capsys, profile):
+        # classify reads GcsProfile.circular; gradient raises the closed forms' error.
+        code, out, _ = run(capsys, "classify", profile, "--out", str(tmp_path))
+        assert code == 0
+        verdict = summary_of(out)
+        assert verdict["class"] == "lcg_undefined"
+        code, _, err = run(capsys, "gradient", profile, "--out", str(tmp_path))
+        assert code == 2
+        assert err == f"error: {verdict['reason']}\n"
+
     def test_json_file_written(self, tmp_path, capsys):
         code, _, _ = run(
             capsys,
@@ -678,11 +685,6 @@ class TestExitPaths:
         assert list(tmp_path.iterdir()) == []
 
     def test_input_errors_are_exit_2(self, tmp_path, capsys):
-        for error in (
-            DomainError, SingularProfileError, SingularPointError,
-            DegenerateDataError, MismatchedInputsError,
-        ):
-            assert issubclass(error, InputError)
         doc = json.dumps({"type": "gcs", "kappa0": "1", "kappa1": 2, "arc_length": 3, "r": 0})
         code, _, err = run(capsys, "synth", "--profile", doc, "--out", str(tmp_path))
         assert code == 2

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from gcspiral import (
     AestheticClass,
     ConstantProfile,
-    DegenerateDataError,
     DomainError,
     GcsProfile,
     LcgLine,
@@ -22,8 +21,6 @@ from gcspiral import (
     PlanarCurve,
     QuadratureConfig,
     QuadraticProfile,
-    SingularPointError,
-    SingularProfileError,
     SkippedPoint,
     classify_aesthetic,
     gradient_from_samples,
@@ -173,7 +170,7 @@ class TestClosedForm:
         for t in np.linspace(0.0, 2.0, 9).tolist():
             try:
                 expect_points.append(lcg_point(p, t))
-            except SingularPointError as exc:
+            except DomainError as exc:
                 expect_reasons.append((t, str(exc)))
         assert points == expect_points
         assert [(sp.t, sp.reason) for sp in skipped] == expect_reasons
@@ -192,7 +189,7 @@ class TestClosedForm:
             assume(abs(t - s_star) > 1e-3 * profile.arc_length)
         try:
             cf = lcg_point(profile, t)
-        except SingularPointError:
+        except DomainError:
             assume(False)
         numeric, skipped = lcg_numeric(profile, [t])
         assert skipped == []
@@ -217,9 +214,9 @@ class TestClosedForm:
                 assert abs(other.log_freq - point.log_freq) <= u * (6.0 + 4.0 * abs(point.log_freq))
 
     def test_circular_profile_rejected(self):
-        with pytest.raises(SingularProfileError):
+        with pytest.raises(DomainError, match="^LCG closed forms divide by kappa0 - kappa1"):
             lcg_point(GcsProfile(1.0, 1.0, 1.0, 0.5), 0.5)
-        with pytest.raises(SingularPointError, match="kappa'"):
+        with pytest.raises(DomainError, match="kappa'"):
             lcg_gradient_numeric(GcsProfile(2.0, 2.0, 3.0, 0.0), 1.5)
 
     def test_inflection_point_rejected(self):
@@ -313,7 +310,7 @@ class TestGradient:
                 assert gradient_gcs(p, t) == pytest.approx(fd, abs=1e-6)
 
     def test_numeric_singularities_raise(self):
-        with pytest.raises(SingularPointError):
+        with pytest.raises(DomainError, match=r"^kappa'\(0\.5\) = 0"):
             lcg_gradient_numeric(ConstantProfile(1.0, 1.0), 0.5)
 
     def test_numeric_array_equals_per_element_calls(self):
@@ -333,9 +330,9 @@ class TestGradient:
     def test_numeric_names_first_singular_t(self):
         # kappa = -t^2 + 2t + 0.5 has kappa' = 0 at t = 1.
         p = QuadraticProfile(-1.0, 0.5, 0.5, 2.0)
-        with pytest.raises(SingularPointError, match=r"^kappa'\(1\.0\) = 0"):
+        with pytest.raises(DomainError, match=r"^kappa'\(1\.0\) = 0"):
             lcg_gradient_numeric(p, [0.0, 0.5, 1.0, 1.5, 2.0])
-        with pytest.raises(SingularPointError, match=r"^kappa'\(1\.0\) = 0"):
+        with pytest.raises(DomainError, match=r"^kappa'\(1\.0\) = 0"):
             lcg_gradient_numeric(p, 1.0)
         assert lcg_gradient_numeric(p, [0.0, 0.5, 1.5, 2.0]).shape == (4,)
 
@@ -881,13 +878,13 @@ class TestSampledGradient:
 
     def test_circle_rejected(self):
         curve = synthesize(ConstantProfile(2.0, math.pi))
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(DomainError, match=r"^curvature is constant \(circular arc\)"):
             gradient_from_samples(curve)
 
     def test_interior_extremum_rejected(self):
         p = QuadraticProfile(-1.0, 0.5, 0.5, 2.0)
         curve = synthesize(p, config=QuadratureConfig(samples_per_curve=200))
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(DomainError, match="^curvature is not strictly monotone"):
             gradient_from_samples(curve)
 
     def test_too_few_samples_rejected(self):
@@ -899,7 +896,7 @@ class TestSampledGradient:
     def test_too_few_interior_samples_rejected(self):
         # Three usable samples, but the near-zero run leaves one of them interior.
         kappa = [-1.0, -0.5, -3e-13, -2e-13, -1e-13, 1e-13, 1.0]
-        with pytest.raises(DegenerateDataError, match="too few interior samples"):
+        with pytest.raises(DomainError, match="too few interior samples"):
             gradient_from_samples((np.arange(7.0), kappa))
 
     def test_non_uniform_sampling_rejected(self):

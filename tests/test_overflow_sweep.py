@@ -4,7 +4,7 @@ A fixed, seeded draw of profile parameters of all four kinds, each either
 +-10**u with u uniform on [-300, 308] or one of 0, 0.5 and 1, goes through
 every library route and every CLI command with RuntimeWarning raised as an
 error. The only outcomes allowed are success and the package's own errors:
-InputError or QuadratureError from the library, exit 0, 2 or 3 from the CLI.
+DomainError or QuadratureError from the library, exit 0, 2 or 3 from the CLI.
 No draw is left out, rejected ones included. A few fixed profiles the draw
 cannot reach ride along.
 """
@@ -23,7 +23,7 @@ import pytest
 
 import gcspiral as g
 from gcspiral import cli
-from gcspiral.errors import InputError
+from gcspiral.errors import DomainError
 from tutil import profile_document
 
 SEED = 2024
@@ -90,7 +90,7 @@ def _routes(p):
     yield "to_gcs", lambda: g.to_gcs(p)
     try:
         q = g.to_gcs(p)
-    except InputError:
+    except DomainError:
         return
     if q is None:
         return
@@ -117,7 +117,7 @@ def test_every_library_route():
         for doc in DRAWS:
             try:
                 profile = cli.profile_from_dict(doc)
-            except InputError:
+            except DomainError:
                 continue
             except Exception as exc:  # any other outcome is a finding
                 failures.append(("construct", doc, repr(exc)))
@@ -125,7 +125,7 @@ def test_every_library_route():
             for name, call in _routes(profile):
                 try:
                     call()
-                except (InputError, g.QuadratureError):
+                except (DomainError, g.QuadratureError):
                     pass
                 except Exception as exc:
                     failures.append((name, doc, repr(exc)))
@@ -177,7 +177,7 @@ def test_mended_sampled_gradient_overflow(capsys):
     grid = np.linspace(0.0, profile.arc_length, SAMPLES)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(g.DegenerateDataError, match="not strictly monotone"):
+        with pytest.raises(g.DomainError, match="not strictly monotone"):
             g.gradient_from_samples((grid, profile.kappa(grid)))
         argv = ["gradient", "--profile", json.dumps(NEAR_MINUS_ONE[0]), "--sampled"]
         assert cli.main([*argv, "--samples", str(SAMPLES)]) == 2

@@ -30,7 +30,6 @@ from gcspiral import (
     synthesize,
 )
 from gcspiral import quadrature, synthesis
-from gcspiral.errors import InputError
 from gcspiral.svg import bar_chart_svg, polyline_svg
 from gcspiral.tables import row_array, write_tables
 from tutil import (
@@ -468,7 +467,7 @@ class TestCurvatureSamples:
         """The result's floats as bytes, or the rejection's type and message."""
         try:
             result = analysis(samples)
-        except InputError as exc:
+        except DomainError as exc:
             return type(exc), str(exc)
         if isinstance(result, LddcHistogram):
             floats = (result.bin_edges, result.lengths, [result.total_length, result.excluded_length])

@@ -6,7 +6,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from gcspiral import GcsProfile, SingularPointError, lcg_gcs_points
+from gcspiral import DomainError, GcsProfile, lcg_gcs_points
 from gcspiral.cli import PROFILE_KINDS
 
 kappas = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -58,10 +58,10 @@ def random_gcs(rng: np.random.Generator, min_kappa_gap: float = 0.0) -> GcsProfi
 
 
 def lcg_point(profile: GcsProfile, t: float):
-    """The closed-form LCG point at one t; SingularPointError where it is skipped."""
+    """The closed-form LCG point at one t; DomainError where it is skipped."""
     points, skipped = lcg_gcs_points(profile, [t])
     if skipped:
-        raise SingularPointError(skipped[0].reason)
+        raise DomainError(skipped[0].reason)
     return points[0]
 
 
